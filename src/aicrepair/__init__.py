@@ -12,7 +12,6 @@ from .errors import (
     EngineError,
     InconsistentUpdateSet,
     InputError,
-    Interrupted,
     NotNormalProgram,
     NotProperProgram,
     NotSimpleRule,
@@ -81,7 +80,6 @@ __all__ = [
     "InconsistentUpdateSet",
     "InputError",
     "Instance",
-    "Interrupted",
     "Limits",
     "Literal",
     "LpRule",

@@ -77,12 +77,3 @@ class UniverseTooLarge(Refusal):
             f"(raise with AICREPAIR_MAX_ATOMS or --max-atoms)"
         )
 
-
-class Interrupted(Refusal):
-    """Enumeration stopped at a candidate limit; carries the partial report."""
-
-    def __init__(self, partial):
-        self.partial = partial
-        super().__init__(
-            f"enumeration interrupted after {partial.examined} candidates"
-        )

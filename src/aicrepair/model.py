@@ -218,8 +218,12 @@ class AicRule:
 
     @property
     def nup(self) -> frozenset[Literal]:
-        """The non-updatable body part."""
-        return self.body - self.up
+        """The non-updatable body part, computed on first use."""
+        nup = self.__dict__.get("_nup_cache")
+        if nup is None:
+            nup = self.body - self.up
+            object.__setattr__(self, "_nup_cache", nup)
+        return nup
 
     @property
     def normal(self) -> bool:
@@ -367,11 +371,6 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def essential_rev_literals(db: frozenset[str], universe: Universe) -> tuple[RevLiteral, ...]:
-    """Revision-side counterpart of :func:`essential_actions`."""
-    return tuple(RevLiteral(a, a not in db) for a in universe.atoms)
-
-
 def all_subsets(items: Iterable) -> Iterator[frozenset]:
     """All subsets of ``items``, smallest first, deterministic order."""
     pool = ordered(items)
@@ -400,25 +399,26 @@ class Limits:
 
     ``max_atoms`` defaults to the AICREPAIR_MAX_ATOMS environment variable,
     falling back to 12; beyond it the engine refuses rather than sampling.
-    ``max_candidates`` caps how many candidates a single enumeration may
-    examine (a deterministic prefix of the candidate space).
+    A negative bound is malformed input.
     """
 
     max_atoms: int | None = None
-    max_candidates: int | None = None
 
     def effective_max_atoms(self) -> int:
-        if self.max_atoms is not None:
-            return self.max_atoms
-        env = os.environ.get(ENV_MAX_ATOMS)
-        if env is not None:
+        source, bound = "--max-atoms", self.max_atoms
+        if bound is None:
+            env = os.environ.get(ENV_MAX_ATOMS)
+            if env is None:
+                return DEFAULT_MAX_ATOMS
             try:
-                return int(env)
+                source, bound = ENV_MAX_ATOMS, int(env)
             except ValueError:
                 raise InputError(
                     f"{ENV_MAX_ATOMS} must be an integer, got '{env}'"
                 ) from None
-        return DEFAULT_MAX_ATOMS
+        if bound < 0:
+            raise InputError(f"{source} must be at least 0, got {bound}")
+        return bound
 
     def check_universe(self, universe: Universe) -> None:
         bound = self.effective_max_atoms()

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import transforms
-from .errors import Interrupted, NotNormalProgram
+from .errors import NotNormalProgram
 from .model import (
     AicProgram,
-    AicRule,
     Limits,
-    Literal,
     Universe,
     UpdateAction,
-    all_subsets,
     apply_update,
     entails,
     essential_actions,
@@ -335,8 +332,7 @@ def enumerate_repairs(
     limits.check_universe(uni)
 
     essential = essential_actions(db, uni)
-    total = 1 << len(essential)
-    examined = min(total, limits.max_candidates) if limits.max_candidates else total
+    examined = 1 << len(essential)
 
     need_founded = repair_class in (
         RepairClass.FOUNDED_WEAK_REPAIR,
@@ -382,9 +378,4 @@ def enumerate_repairs(
         minimal = set(map(frozenset, _minimal(weak)))
         hits = [u for u in justified if u in minimal]
 
-    report = RepairReport(
-        repair_class, tuple(sorted(hits, key=sort_key)), examined
-    )
-    if examined < total:
-        raise Interrupted(report)
-    return report
+    return RepairReport(repair_class, tuple(sorted(hits, key=sort_key)), examined)

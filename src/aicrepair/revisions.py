@@ -5,31 +5,38 @@ repair side (weak/plain/founded/justified) and adds supported revisions,
 which exist only for normal programs. Justified updates keep their inertia
 literals; the corresponding weak revisions are the updates with the inertia
 part stripped.
+
+Every class is computed as the image of a repair class. Properization
+preserves all revision semantics, and on a proper program each revision
+class is the image under ``to_aic`` of the matching repair class, so the
+program is properized and translated, candidates cross over by ``ua`` and
+hits come back by ``rev_literal``. On normal programs the supported
+revisions are exactly the founded weak revisions. Only supported updates
+and closedness are checked directly.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import transforms
-from .errors import Interrupted, NotNormalProgram
+from . import repairs, transforms
+from .errors import NotNormalProgram
 from .model import (
+    AicProgram,
     Limits,
     RevLiteral,
     RevProgram,
     Universe,
     apply_revision,
     entails,
-    essential_rev_literals,
-    inertia_set,
     is_consistent,
-    is_normal,
     ordered,
-    proper_subsets,
+    rev_literal,
+    ua,
 )
+from .repairs import RepairClass
 
 
 class RevisionClass(enum.Enum):
@@ -46,20 +53,26 @@ class RevisionClass(enum.Enum):
     SUPPORTED_REVISION = "supported-revision"
 
 
-_NORMALIZED = {
-    RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED: RevisionClass.JUSTIFIED_WEAK_REVISION,
-    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: RevisionClass.JUSTIFIED_REVISION,
+#: The repair class each revision class is the image of. The normalized
+#: classes normalize the revision program before it is translated.
+_REPAIR_CLASS = {
+    RevisionClass.WEAK_REVISION: RepairClass.WEAK_REPAIR,
+    RevisionClass.REVISION: RepairClass.REPAIR,
+    RevisionClass.FOUNDED_WEAK_REVISION: RepairClass.FOUNDED_WEAK_REPAIR,
+    RevisionClass.FOUNDED_REVISION: RepairClass.FOUNDED_REPAIR,
+    RevisionClass.JUSTIFIED_WEAK_REVISION: RepairClass.JUSTIFIED_WEAK_REPAIR,
+    RevisionClass.JUSTIFIED_REVISION: RepairClass.JUSTIFIED_REPAIR,
+    RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED: RepairClass.JUSTIFIED_WEAK_REPAIR,
+    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: RepairClass.JUSTIFIED_REPAIR,
+    RevisionClass.SUPPORTED_REVISION: RepairClass.FOUNDED_WEAK_REPAIR,
 }
 
-
-def _universe_for(db, program, literals=(), universe=None) -> Universe:
-    if universe is not None:
-        universe.require(db, "database")
-        universe.require((l.atom for l in literals), "revision literals")
-        for r in program:
-            universe.require(r.atoms(), "rule")
-        return universe
-    return Universe.collect(db, (l.atom for l in literals), program)
+_NORMALIZED = frozenset(
+    {
+        RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED,
+        RevisionClass.JUSTIFIED_REVISION_NORMALIZED,
+    }
+)
 
 
 def _require_normal(program: RevProgram) -> None:
@@ -68,16 +81,24 @@ def _require_normal(program: RevProgram) -> None:
             raise NotNormalProgram(str(r))
 
 
+def _aic(program: RevProgram) -> AicProgram:
+    return transforms.to_aic(transforms.properize(program))
+
+
+def _route(
+    program: RevProgram, revision_class: RevisionClass
+) -> tuple[AicProgram, RepairClass]:
+    """The constraint program and repair class whose image is the class."""
+    if revision_class is RevisionClass.SUPPORTED_REVISION:
+        _require_normal(program)
+    if revision_class in _NORMALIZED:
+        program = transforms.normalize_rev(program)
+    return _aic(program), _REPAIR_CLASS[revision_class]
+
+
 def triggered_subprogram(program: RevProgram, result: frozenset[str]) -> RevProgram:
     """The rules whose bodies hold in the given database."""
     return tuple(r for r in program if entails(result, r.body))
-
-
-def _heads(program: RevProgram) -> frozenset[RevLiteral]:
-    out: set[RevLiteral] = set()
-    for r in program:
-        out |= r.head
-    return frozenset(out)
 
 
 def check_supported_update(
@@ -96,7 +117,7 @@ def check_supported_update(
     sub = triggered_subprogram(program, apply_revision(db, u))
     if any(not r.head for r in sub):
         return False
-    return u == _heads(sub)
+    return u == frozenset().union(*(r.head for r in sub))
 
 
 def check_supported_revision(
@@ -105,83 +126,34 @@ def check_supported_revision(
     literals,
     universe: Universe | None = None,
 ) -> bool:
-    """A supported update with its no-effect literals stripped.
-
-    The only possible witness update is the candidate extended by the
-    triggered heads that happen to be no-effect literals, so the existential
-    in the definition collapses to one reconstruction.
-    """
-    _require_normal(program)
-    e = frozenset(literals)
-    if not is_consistent(e):
-        return False
-    uni = _universe_for(db, program, e, universe)
-    result = apply_revision(db, e)
-    inertia = inertia_set(db, result, uni)
-    if e & inertia:
-        return False
-    sub = triggered_subprogram(program, result)
-    if any(not r.head for r in sub):
-        return False
-    heads = _heads(sub)
-    u = e | (heads & inertia)
-    return u == heads and is_consistent(u)
+    """A supported update with its no-effect literals stripped; on normal
+    programs these are exactly the founded weak revisions."""
+    return check_membership(
+        db, program, RevisionClass.SUPPORTED_REVISION, literals, universe
+    )
 
 
 def check_weak_revision(db: frozenset[str], program: RevProgram, literals) -> bool:
     """Consistent, no no-effect literals, result satisfies the program."""
-    u = frozenset(literals)
-    if not is_consistent(u):
-        return False
-    result = apply_revision(db, u)
-    uni = Universe.collect(db, (l.atom for l in u), program)
-    if u & inertia_set(db, result, uni):
-        return False
-    return entails(result, program)
+    return check_membership(db, program, RevisionClass.WEAK_REVISION, literals)
 
 
 def check_revision(db: frozenset[str], program: RevProgram, literals) -> bool:
-    u = frozenset(literals)
-    if not check_weak_revision(db, program, u):
-        return False
-    return not _smaller_satisfying(db, program, u)
-
-
-def _smaller_satisfying(db, program, u: frozenset[RevLiteral]) -> bool:
-    return any(
-        entails(apply_revision(db, sub), program) for sub in proper_subsets(u)
-    )
-
-
-def is_founded_rev_literal(
-    db: frozenset[str], program: RevProgram, literals, literal: RevLiteral
-) -> bool:
-    """Some rule carries the literal in its head, its body holds in the
-    revised database, and so do the duals of the other head literals."""
-    result = apply_revision(db, literals)
-    for r in program:
-        if literal not in r.head:
-            continue
-        if not entails(result, r.body):
-            continue
-        if all(entails(result, b.dual()) for b in r.head - {literal}):
-            return True
-    return False
+    return check_membership(db, program, RevisionClass.REVISION, literals)
 
 
 def is_founded_rev_set(db: frozenset[str], program: RevProgram, literals) -> bool:
-    e = frozenset(literals)
-    return all(is_founded_rev_literal(db, program, e, l) for l in e)
+    """Every literal is in the head of a rule whose body holds in the
+    revised database, and so do the duals of the other head literals."""
+    return repairs.is_founded_set(db, _aic(program), (ua(l) for l in literals))
 
 
 def check_founded_weak_revision(db, program: RevProgram, literals) -> bool:
-    e = frozenset(literals)
-    return check_weak_revision(db, program, e) and is_founded_rev_set(db, program, e)
+    return check_membership(db, program, RevisionClass.FOUNDED_WEAK_REVISION, literals)
 
 
 def check_founded_revision(db, program: RevProgram, literals) -> bool:
-    e = frozenset(literals)
-    return check_revision(db, program, e) and is_founded_rev_set(db, program, e)
+    return check_membership(db, program, RevisionClass.FOUNDED_REVISION, literals)
 
 
 def is_closed_rev(program: RevProgram, literals) -> bool:
@@ -203,19 +175,9 @@ def check_justified_update(
     """A consistent set that is minimal closed under the program extended by
     its own inertia literals (inertia literals act as body-free facts, so
     every closed subset must contain them)."""
-    u = frozenset(literals)
-    if not is_consistent(u):
-        return False
-    uni = _universe_for(db, program, u, universe)
-    inertia = inertia_set(db, apply_revision(db, u), uni)
-    if not inertia <= u:
-        return False
-    if not is_closed_rev(program, u):
-        return False
-    for extra in proper_subsets(u - inertia):
-        if is_closed_rev(program, inertia | extra):
-            return False
-    return True
+    return repairs.check_justified_action_set(
+        db, _aic(program), (ua(l) for l in literals), universe
+    )
 
 
 def check_justified_weak_revision(
@@ -224,14 +186,9 @@ def check_justified_weak_revision(
     literals,
     universe: Universe | None = None,
 ) -> bool:
-    e = frozenset(literals)
-    if not is_consistent(e):
-        return False
-    uni = _universe_for(db, program, e, universe)
-    inertia = inertia_set(db, apply_revision(db, e), uni)
-    if e & inertia:
-        return False
-    return check_justified_update(db, program, e | inertia, uni)
+    return check_membership(
+        db, program, RevisionClass.JUSTIFIED_WEAK_REVISION, literals, universe
+    )
 
 
 def check_justified_revision(
@@ -240,10 +197,9 @@ def check_justified_revision(
     literals,
     universe: Universe | None = None,
 ) -> bool:
-    e = frozenset(literals)
-    if not check_justified_weak_revision(db, program, e, universe):
-        return False
-    return not _smaller_satisfying(db, program, e)
+    return check_membership(
+        db, program, RevisionClass.JUSTIFIED_REVISION, literals, universe
+    )
 
 
 def check_membership(
@@ -254,31 +210,9 @@ def check_membership(
     universe: Universe | None = None,
 ) -> bool:
     """Membership test for any revision class, including normalized ones."""
-    base = _NORMALIZED.get(revision_class)
-    if base is not None:
-        return check_membership(
-            db, transforms.normalize_rev(program), base, literals, universe
-        )
-    checker = {
-        RevisionClass.WEAK_REVISION: lambda: check_weak_revision(db, program, literals),
-        RevisionClass.REVISION: lambda: check_revision(db, program, literals),
-        RevisionClass.FOUNDED_WEAK_REVISION: lambda: check_founded_weak_revision(
-            db, program, literals
-        ),
-        RevisionClass.FOUNDED_REVISION: lambda: check_founded_revision(
-            db, program, literals
-        ),
-        RevisionClass.JUSTIFIED_WEAK_REVISION: lambda: check_justified_weak_revision(
-            db, program, literals, universe
-        ),
-        RevisionClass.JUSTIFIED_REVISION: lambda: check_justified_revision(
-            db, program, literals, universe
-        ),
-        RevisionClass.SUPPORTED_REVISION: lambda: check_supported_revision(
-            db, program, literals, universe
-        ),
-    }[revision_class]
-    return checker()
+    aic, repair_class = _route(program, revision_class)
+    actions = frozenset(ua(l) for l in literals)
+    return repairs.check_membership(db, aic, repair_class, actions, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -298,43 +232,6 @@ def sort_key(literals: Iterable[RevLiteral]) -> tuple:
     return tuple((l.atom, 0 if l.is_in else 1) for l in ordered(literals))
 
 
-def _candidate(index: int, essential: tuple[RevLiteral, ...]) -> frozenset[RevLiteral]:
-    return frozenset(l for bit, l in enumerate(essential) if index >> bit & 1)
-
-
-def _scan(args) -> tuple[list, list, list, list]:
-    """Examine candidate indexes [start, end); returns the weak revisions
-    plus founded, justified, and supported hits among them."""
-    (
-        db,
-        program,
-        start,
-        end,
-        essential,
-        need_founded,
-        need_justified,
-        need_supported,
-        uni,
-    ) = args
-    weak, founded, justified, supported = [], [], [], []
-    for index in range(start, end):
-        u = _candidate(index, essential)
-        if not entails(apply_revision(db, u), program):
-            continue
-        weak.append(u)
-        if need_founded and is_founded_rev_set(db, program, u):
-            founded.append(u)
-        if need_justified and check_justified_weak_revision(db, program, u, uni):
-            justified.append(u)
-        if need_supported and check_supported_revision(db, program, u, uni):
-            supported.append(u)
-    return weak, founded, justified, supported
-
-
-def _minimal(sets: list[frozenset]) -> list[frozenset]:
-    return [u for u in sets if not any(v < u for v in sets)]
-
-
 def enumerate_revisions(
     db: frozenset[str],
     program: RevProgram,
@@ -345,81 +242,11 @@ def enumerate_revisions(
 ) -> RevisionReport:
     """Exhaustively enumerate all members of a revision class.
 
-    Candidates are subsets of the essential revision literals (one polarity
-    per universe atom), which makes consistency and relevance hold by
-    construction. Supported revisions require a normal program and are found
-    among weak revisions; that is sound because supported updates always
-    yield a database satisfying the program.
+    The repair engine enumerates the matching repair class of the
+    translated program; its canonical order maps to the canonical order of
+    the revision literals.
     """
-    base = _NORMALIZED.get(revision_class)
-    if base is not None:
-        report = enumerate_revisions(
-            db, transforms.normalize_rev(program), base, universe, limits, jobs
-        )
-        return RevisionReport(revision_class, report.sets, report.examined)
-
-    if revision_class is RevisionClass.SUPPORTED_REVISION:
-        _require_normal(program)
-
-    limits = limits or Limits()
-    uni = _universe_for(db, program, universe=universe)
-    limits.check_universe(uni)
-
-    essential = essential_rev_literals(db, uni)
-    total = 1 << len(essential)
-    examined = min(total, limits.max_candidates) if limits.max_candidates else total
-
-    need_founded = revision_class in (
-        RevisionClass.FOUNDED_WEAK_REVISION,
-        RevisionClass.FOUNDED_REVISION,
-    )
-    need_justified = revision_class in (
-        RevisionClass.JUSTIFIED_WEAK_REVISION,
-        RevisionClass.JUSTIFIED_REVISION,
-    )
-    need_supported = revision_class is RevisionClass.SUPPORTED_REVISION
-
-    weak, founded, justified, supported = [], [], [], []
-    if jobs > 1 and examined > 1:
-        chunk = -(-examined // jobs)
-        ranges = [(s, min(s + chunk, examined)) for s in range(0, examined, chunk)]
-        payloads = [
-            (db, program, s, e, essential, need_founded, need_justified,
-             need_supported, uni)
-            for s, e in ranges
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for w, f, j, s in pool.map(_scan, payloads):
-                weak.extend(w)
-                founded.extend(f)
-                justified.extend(j)
-                supported.extend(s)
-    else:
-        weak, founded, justified, supported = _scan(
-            (db, program, 0, examined, essential, need_founded, need_justified,
-             need_supported, uni)
-        )
-
-    if revision_class is RevisionClass.WEAK_REVISION:
-        hits = weak
-    elif revision_class is RevisionClass.REVISION:
-        hits = _minimal(weak)
-    elif revision_class is RevisionClass.FOUNDED_WEAK_REVISION:
-        hits = founded
-    elif revision_class is RevisionClass.FOUNDED_REVISION:
-        minimal = set(map(frozenset, _minimal(weak)))
-        hits = [u for u in founded if u in minimal]
-    elif revision_class is RevisionClass.JUSTIFIED_WEAK_REVISION:
-        hits = justified
-    elif revision_class is RevisionClass.JUSTIFIED_REVISION:
-        minimal = set(map(frozenset, _minimal(weak)))
-        hits = [u for u in justified if u in minimal]
-    else:
-        hits = supported
-
-    report = RevisionReport(
-        revision_class, tuple(sorted(hits, key=sort_key)), examined
-    )
-    if examined < total:
-        raise Interrupted(report)
-    return report
+    aic, repair_class = _route(program, revision_class)
+    report = repairs.enumerate_repairs(db, aic, repair_class, universe, limits, jobs)
+    sets = tuple(frozenset(rev_literal(a) for a in s) for s in report.sets)
+    return RevisionReport(revision_class, sets, report.examined)

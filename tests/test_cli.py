@@ -120,6 +120,27 @@ def test_atom_bound_env_override(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_negative_atom_bound_flag_is_malformed(capsys):
+    argv = ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair"]
+    code, _, err = run(argv + ["--max-atoms", "-1"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "--max-atoms" in err
+    code, _, err = run(argv + ["--max-atoms", "0"], capsys)
+    assert code == 1
+    assert err.startswith("refused:")
+
+
+def test_negative_atom_bound_env_is_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("AICREPAIR_MAX_ATOMS", "-1")
+    code, _, err = run(
+        ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "AICREPAIR_MAX_ATOMS" in err
+
+
 def test_check_reports_nonmembers_without_refusing(capsys):
     code, out, _ = run(
         [

@@ -26,7 +26,6 @@ from aicrepair.model import (
     apply_update,
     entails,
     essential_actions,
-    essential_rev_literals,
     inertia_set,
     is_consistent,
     is_normal,
@@ -174,11 +173,6 @@ def test_essential_actions_flip_every_atom():
         UpdateAction("a", True),
         UpdateAction("b", False),
         UpdateAction("c", True),
-    )
-    assert essential_rev_literals(db, uni) == (
-        RevLiteral("a", True),
-        RevLiteral("b", False),
-        RevLiteral("c", True),
     )
 
 

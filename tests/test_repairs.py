@@ -7,7 +7,6 @@ import pytest
 
 import gen
 from aicrepair.errors import (
-    Interrupted,
     NotNormalProgram,
     UniverseTooLarge,
     UnknownAtom,
@@ -156,14 +155,6 @@ def test_enumeration_respects_the_atom_bound():
     program = parse_program("a, b, c -> -a.", "aic")
     with pytest.raises(UniverseTooLarge):
         enumerate_repairs(db, program, RepairClass.REPAIR, limits=Limits(max_atoms=2))
-
-
-def test_enumeration_interrupts_with_a_partial_report():
-    db = frozenset({"a", "b"})
-    with pytest.raises(Interrupted) as exc:
-        enumerate_repairs(db, PAIR, RepairClass.WEAK_REPAIR, limits=Limits(max_candidates=2))
-    assert exc.value.partial.examined == 2
-    assert all(check_weak_repair(db, PAIR, u) for u in exc.value.partial.sets)
 
 
 def test_parallel_enumeration_matches_serial():
