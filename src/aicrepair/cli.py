@@ -79,12 +79,6 @@ def _limits(args) -> Limits:
     return Limits(max_atoms=args.max_atoms)
 
 
-def _jobs(args) -> int:
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
-    return args.jobs
-
-
 def _class_for(kind: str, name: str):
     enum_cls = {"aic": RepairClass, "rev": RevisionClass}[kind]
     try:
@@ -117,7 +111,6 @@ def cmd_repair(args) -> int:
         repair_class,
         universe=instance.universe(),
         limits=_limits(args),
-        jobs=_jobs(args),
     )
     _emit_sets(args, report.sets, **{"class": repair_class.value})
     return 0
@@ -132,7 +125,6 @@ def cmd_revise(args) -> int:
         revision_class,
         universe=instance.universe(),
         limits=_limits(args),
-        jobs=_jobs(args),
     )
     _emit_sets(args, report.sets, **{"class": revision_class.value})
     return 0
@@ -220,35 +212,28 @@ def cmd_shift(args) -> int:
     return 0
 
 
+def _enumerate(instance: Instance, args, db, program, classes) -> dict:
+    """The sets of every requested class, from one engine call."""
+    engine = repairs if instance.kind == "aic" else revisions
+    reports = engine.enumerate_classes(
+        db, program, classes, instance.universe(), _limits(args)
+    )
+    return {cls: report.sets for cls, report in reports.items()}
+
+
 def _verify_shift(instance: Instance, witness, args) -> int:
-    """Re-enumerate every class on both sides and compare element-wise."""
-    limits = _limits(args)
-    jobs = _jobs(args)
-    universe = instance.universe()
-    if instance.kind == "aic":
-
-        def enumerate_sets(db, prog, cls):
-            return repairs.enumerate_repairs(
-                db, prog, cls, universe=universe, limits=limits, jobs=jobs
-            ).sets
-
-        classes = list(RepairClass)
-    else:
-
-        def enumerate_sets(db, prog, cls):
-            return revisions.enumerate_revisions(
-                db, prog, cls, universe=universe, limits=limits, jobs=jobs
-            ).sets
-
-        classes = [
-            c
-            for c in RevisionClass
-            if c is not RevisionClass.SUPPORTED_REVISION or is_normal(instance.program)
-        ]
+    """Enumerate every class on both sides and compare element-wise."""
+    classes = [
+        c
+        for c in (RepairClass if instance.kind == "aic" else RevisionClass)
+        if c is not RevisionClass.SUPPORTED_REVISION or is_normal(instance.program)
+    ]
+    original = _enumerate(instance, args, instance.db, instance.program, classes)
+    shifted = _enumerate(
+        instance, args, witness.shifted_db, witness.shifted_program, classes
+    )
     for cls in classes:
-        original = enumerate_sets(instance.db, instance.program, cls)
-        shifted = enumerate_sets(witness.shifted_db, witness.shifted_program, cls)
-        if set(witness.transport(original)) != set(shifted):
+        if set(witness.transport(original[cls])) != set(shifted[cls]):
             raise Refusal(f"shift verification failed for {cls.value}")
     return len(classes)
 
@@ -280,7 +265,6 @@ def cmd_cqa(args) -> int:
         literals,
         universe=instance.universe(),
         limits=_limits(args),
-        jobs=_jobs(args),
     )
     if args.format == "json":
         payload = {
@@ -295,10 +279,10 @@ def cmd_cqa(args) -> int:
     return 0
 
 
-def _relations(base: dict, norm: dict, names: dict) -> list[tuple[str, bool]]:
+def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     """The containment lattice between the six classes and their
     normalized-program counterparts, as (description, holds) pairs."""
-    wr, r, fwr, fr, jwr, jr = names["classes"]
+    wr, r, fwr, fr, jwr, jr = classes
 
     def eq(a, b):
         return set(a) == set(b)
@@ -306,7 +290,7 @@ def _relations(base: dict, norm: dict, names: dict) -> list[tuple[str, bool]]:
     def sub(a, b):
         return set(a) <= set(b)
 
-    n = names["prefix"]
+    n = "normalized:"
     return [
         (f"{n}{jr.value} == {n}{jwr.value}", eq(norm[jr], norm[jwr])),
         (f"{n}{jr.value} <= {jr.value}", sub(norm[jr], base[jr])),
@@ -327,18 +311,9 @@ def _relations(base: dict, norm: dict, names: dict) -> list[tuple[str, bool]]:
 
 def cmd_lattice(args) -> int:
     instance = _load(args.file)
-    limits = _limits(args)
-    jobs = _jobs(args)
-    universe = instance.universe()
     if instance.kind == "aic":
         base_classes = _AIC_BASE_CLASSES
         normalized = transforms.normalize_aic(instance.program)
-
-        def run(prog, cls):
-            return repairs.enumerate_repairs(
-                instance.db, prog, cls, universe=universe, limits=limits, jobs=jobs
-            ).sets
-
         norm_names = (
             RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED,
             RepairClass.JUSTIFIED_REPAIR_NORMALIZED,
@@ -346,12 +321,6 @@ def cmd_lattice(args) -> int:
     elif instance.kind == "rev":
         base_classes = _REV_BASE_CLASSES
         normalized = transforms.normalize_rev(instance.program)
-
-        def run(prog, cls):
-            return revisions.enumerate_revisions(
-                instance.db, prog, cls, universe=universe, limits=limits, jobs=jobs
-            ).sets
-
         norm_names = (
             RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED,
             RevisionClass.JUSTIFIED_REVISION_NORMALIZED,
@@ -359,27 +328,29 @@ def cmd_lattice(args) -> int:
     else:
         raise InputError("'lattice' needs an aic: or rev: program, found lp:")
 
-    base = {cls: run(instance.program, cls) for cls in base_classes}
-    norm = {cls: run(normalized, cls) for cls in base_classes}
+    supported = RevisionClass.SUPPORTED_REVISION
+    with_supported = instance.kind == "rev" and is_normal(instance.program)
+    extra = (supported,) if with_supported else ()
+    base = _enumerate(
+        instance, args, instance.db, instance.program, base_classes + extra
+    )
+    norm = _enumerate(instance, args, instance.db, normalized, base_classes)
 
     listing: list[tuple[str, list]] = [(cls.value, base[cls]) for cls in base_classes]
     wr, r, fwr, fr, jwr, jr = base_classes
     listing.append((norm_names[0].value, norm[jwr]))
     listing.append((norm_names[1].value, norm[jr]))
-    supported = None
-    if instance.kind == "rev" and is_normal(instance.program):
-        supported = run(instance.program, RevisionClass.SUPPORTED_REVISION)
-        listing.append((RevisionClass.SUPPORTED_REVISION.value, supported))
+    if with_supported:
+        listing.append((supported.value, base[supported]))
 
     relations = None
     if args.verify:
-        names = {"classes": base_classes, "prefix": "normalized:"}
-        relations = _relations(base, norm, names)
-        if supported is not None:
+        relations = _relations(base, norm, base_classes)
+        if with_supported:
             relations.append(
                 (
-                    f"{fwr.value} == {RevisionClass.SUPPORTED_REVISION.value}",
-                    set(base[fwr]) == set(supported),
+                    f"{fwr.value} == {supported.value}",
+                    set(base[fwr]) == set(base[supported]),
                 )
             )
 
@@ -409,7 +380,7 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _add_common(parser, jobs: bool = True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
@@ -420,10 +391,6 @@ def _add_common(parser, jobs: bool = True) -> None:
         metavar="N",
         help="override the exhaustive-enumeration bound on universe size",
     )
-    if jobs:
-        parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N", help="parallel workers"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="candidate set, e.g. '+a,-b' or 'in(a),out(b)'",
     )
-    _add_common(p, jobs=False)
+    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("translate", help="translate between aic and rev")
@@ -503,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("answer-sets", help="answer sets of an lp instance")
     p.add_argument("file")
-    _add_common(p, jobs=False)
+    _add_common(p)
     p.set_defaults(func=cmd_answer_sets)
 
     p = sub.add_parser("cqa", help="consistent query answering")

@@ -49,16 +49,15 @@ def cqa(
     query: Iterable[Literal],
     universe: Universe | None = None,
     limits: Limits | None = None,
-    jobs: int = 1,
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
     chosen class."""
     query = frozenset(query)
     if isinstance(semantics, RepairClass):
-        report = enumerate_repairs(db, program, semantics, universe, limits, jobs)
+        report = enumerate_repairs(db, program, semantics, universe, limits)
         repaired = [apply_update(db, u) for u in report.sets]
     else:
-        report = enumerate_revisions(db, program, semantics, universe, limits, jobs)
+        report = enumerate_revisions(db, program, semantics, universe, limits)
         repaired = [apply_revision(db, u) for u in report.sets]
 
     if not repaired:

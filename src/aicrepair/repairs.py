@@ -13,7 +13,6 @@ raise only on malformed inputs such as atoms outside the universe.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 from dataclasses import dataclass
 from typing import Iterable
@@ -50,10 +49,18 @@ class RepairClass(enum.Enum):
     JUSTIFIED_REPAIR_NORMALIZED = "justified-repair-normalized"
 
 
-#: Classes whose name carries an implicit normalization step.
-_NORMALIZED = {
-    RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED: RepairClass.JUSTIFIED_WEAK_REPAIR,
-    RepairClass.JUSTIFIED_REPAIR_NORMALIZED: RepairClass.JUSTIFIED_REPAIR,
+#: Each class is one point of the paper's framework: whether the program
+#: is normalized first, the grounding every action needs (none, founded or
+#: justified), and whether the set must be change-minimal.
+_TABLE = {
+    RepairClass.WEAK_REPAIR: (False, None, False),
+    RepairClass.REPAIR: (False, None, True),
+    RepairClass.FOUNDED_WEAK_REPAIR: (False, "founded", False),
+    RepairClass.FOUNDED_REPAIR: (False, "founded", True),
+    RepairClass.JUSTIFIED_WEAK_REPAIR: (False, "justified", False),
+    RepairClass.JUSTIFIED_REPAIR: (False, "justified", True),
+    RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED: (True, "justified", False),
+    RepairClass.JUSTIFIED_REPAIR_NORMALIZED: (True, "justified", True),
 }
 
 
@@ -83,10 +90,7 @@ def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
 def check_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
     """A weak repair no proper subset of which already enforces the
     constraints."""
-    u = frozenset(actions)
-    if not check_weak_repair(db, program, u):
-        return False
-    return not _smaller_enforcing(db, program, u)
+    return check_membership(db, program, RepairClass.REPAIR, actions)
 
 
 def _smaller_enforcing(db, program, u: frozenset[UpdateAction]) -> bool:
@@ -118,13 +122,11 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
 
 
 def check_founded_weak_repair(db, program: AicProgram, actions) -> bool:
-    u = frozenset(actions)
-    return check_weak_repair(db, program, u) and is_founded_set(db, program, u)
+    return check_membership(db, program, RepairClass.FOUNDED_WEAK_REPAIR, actions)
 
 
 def check_founded_repair(db, program: AicProgram, actions) -> bool:
-    u = frozenset(actions)
-    return check_repair(db, program, u) and is_founded_set(db, program, u)
+    return check_membership(db, program, RepairClass.FOUNDED_REPAIR, actions)
 
 
 def is_closed(program: AicProgram, actions) -> bool:
@@ -176,10 +178,9 @@ def check_justified_weak_repair(
 def check_justified_repair(
     db: frozenset[str], program: AicProgram, actions, universe: Universe | None = None
 ) -> bool:
-    e = frozenset(actions)
-    if not check_justified_weak_repair(db, program, e, universe):
-        return False
-    return not _smaller_enforcing(db, program, e)
+    return check_membership(
+        db, program, RepairClass.JUSTIFIED_REPAIR, actions, universe
+    )
 
 
 def least_closure(
@@ -230,6 +231,14 @@ def decide_jwr_normal(
     return closure is not None and closure == e | ne
 
 
+def _grounded(grounding, db, program, u, uni) -> bool:
+    if grounding == "founded":
+        return is_founded_set(db, program, u)
+    if grounding == "justified":
+        return check_justified_weak_repair(db, program, u, uni)
+    return True
+
+
 def check_membership(
     db: frozenset[str],
     program: AicProgram,
@@ -237,27 +246,20 @@ def check_membership(
     actions,
     universe: Universe | None = None,
 ) -> bool:
-    """Membership test for any repair class, including the normalized ones."""
-    base = _NORMALIZED.get(repair_class)
-    if base is not None:
-        return check_membership(
-            db, transforms.normalize_aic(program), base, actions, universe
-        )
-    checker = {
-        RepairClass.WEAK_REPAIR: lambda: check_weak_repair(db, program, actions),
-        RepairClass.REPAIR: lambda: check_repair(db, program, actions),
-        RepairClass.FOUNDED_WEAK_REPAIR: lambda: check_founded_weak_repair(
-            db, program, actions
-        ),
-        RepairClass.FOUNDED_REPAIR: lambda: check_founded_repair(db, program, actions),
-        RepairClass.JUSTIFIED_WEAK_REPAIR: lambda: check_justified_weak_repair(
-            db, program, actions, universe
-        ),
-        RepairClass.JUSTIFIED_REPAIR: lambda: check_justified_repair(
-            db, program, actions, universe
-        ),
-    }[repair_class]
-    return checker()
+    """Membership test for any repair class, including the normalized ones.
+
+    Atoms outside a declared universe are rejected up front, whatever the
+    class."""
+    normalized, grounding, minimal = _TABLE[repair_class]
+    u = frozenset(actions)
+    uni = _universe_for(db, program, u, universe)
+    if normalized:
+        program = transforms.normalize_aic(program)
+    return (
+        check_weak_repair(db, program, u)
+        and _grounded(grounding, db, program, u, uni)
+        and not (minimal and _smaller_enforcing(db, program, u))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +285,68 @@ def _candidate(index: int, essential: tuple[UpdateAction, ...]) -> frozenset[Upd
     )
 
 
-def _scan(args) -> tuple[list, list, list]:
-    """Examine candidate indexes [start, end): returns weak repairs plus the
-    founded and justified hits among them, in examination order."""
-    db, program, start, end, essential, need_founded, need_justified, uni = args
-    weak, founded, justified = [], [], []
-    for index in range(start, end):
+def _scan(db, program, essential, groundings, uni) -> tuple[list, dict]:
+    """Examine every candidate once: returns the weak repairs and, per
+    requested grounding, the weak repairs that have it, in examination
+    order."""
+    weak: list = []
+    grounded: dict = {g: [] for g in groundings}
+    for index in range(1 << len(essential)):
         u = _candidate(index, essential)
         if not entails(apply_update(db, u), program):
             continue
         weak.append(u)
-        if need_founded and is_founded_set(db, program, u):
-            founded.append(u)
-        if need_justified and check_justified_weak_repair(db, program, u, uni):
-            justified.append(u)
-    return weak, founded, justified
+        for g, hits in grounded.items():
+            if _grounded(g, db, program, u, uni):
+                hits.append(u)
+    return weak, grounded
 
 
 def _minimal(sets: list[frozenset]) -> list[frozenset]:
     return [u for u in sets if not any(v < u for v in sets)]
+
+
+def enumerate_classes(
+    db: frozenset[str],
+    program: AicProgram,
+    classes: Iterable[RepairClass],
+    universe: Universe | None = None,
+    limits: Limits | None = None,
+) -> dict[RepairClass, RepairReport]:
+    """Exhaustively enumerate the members of several repair classes.
+
+    Candidates are the subsets of the essential actions (one polarity per
+    universe atom), so consistency and change-effectiveness hold by
+    construction. One scan of the program, and one of its normalized form
+    when a normalized class is requested, serves every class. Results are
+    sorted canonically.
+    """
+    classes = tuple(dict.fromkeys(classes))
+    limits = limits or Limits()
+    uni = _universe_for(db, program, universe=universe)
+    limits.check_universe(uni)
+    essential = essential_actions(db, uni)
+    examined = 1 << len(essential)
+
+    reports = {}
+    for normalized in (False, True):
+        wanted = [c for c in classes if _TABLE[c][0] is normalized]
+        if not wanted:
+            continue
+        prog = transforms.normalize_aic(program) if normalized else program
+        groundings = sorted({_TABLE[c][1] for c in wanted} - {None})
+        weak, grounded = _scan(db, prog, essential, groundings, uni)
+        minimal = None
+        for c in wanted:
+            _, grounding, change_minimal = _TABLE[c]
+            hits = weak if grounding is None else grounded[grounding]
+            if change_minimal:
+                if minimal is None:
+                    minimal = set(_minimal(weak))
+                hits = [u for u in hits if u in minimal]
+            hits = tuple(sorted(hits, key=sort_key))
+            reports[c] = RepairReport(c, hits, examined)
+    return {c: reports[c] for c in classes}
 
 
 def enumerate_repairs(
@@ -310,72 +355,8 @@ def enumerate_repairs(
     repair_class: RepairClass,
     universe: Universe | None = None,
     limits: Limits | None = None,
-    jobs: int = 1,
 ) -> RepairReport:
-    """Exhaustively enumerate all members of a repair class.
-
-    Candidates are the subsets of the essential actions (one polarity per
-    universe atom), so consistency and change-effectiveness hold by
-    construction. Results are sorted canonically; with ``jobs > 1`` the
-    candidate space is split into contiguous index ranges whose merged
-    output is identical to a serial run.
-    """
-    base = _NORMALIZED.get(repair_class)
-    if base is not None:
-        report = enumerate_repairs(
-            db, transforms.normalize_aic(program), base, universe, limits, jobs
-        )
-        return RepairReport(repair_class, report.sets, report.examined)
-
-    limits = limits or Limits()
-    uni = _universe_for(db, program, universe=universe)
-    limits.check_universe(uni)
-
-    essential = essential_actions(db, uni)
-    examined = 1 << len(essential)
-
-    need_founded = repair_class in (
-        RepairClass.FOUNDED_WEAK_REPAIR,
-        RepairClass.FOUNDED_REPAIR,
-    )
-    need_justified = repair_class in (
-        RepairClass.JUSTIFIED_WEAK_REPAIR,
-        RepairClass.JUSTIFIED_REPAIR,
-    )
-
-    weak, founded, justified = [], [], []
-    if jobs > 1 and examined > 1:
-        chunk = -(-examined // jobs)
-        ranges = [
-            (s, min(s + chunk, examined)) for s in range(0, examined, chunk)
-        ]
-        payloads = [
-            (db, program, s, e, essential, need_founded, need_justified, uni)
-            for s, e in ranges
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for w, f, j in pool.map(_scan, payloads):
-                weak.extend(w)
-                founded.extend(f)
-                justified.extend(j)
-    else:
-        weak, founded, justified = _scan(
-            (db, program, 0, examined, essential, need_founded, need_justified, uni)
-        )
-
-    if repair_class is RepairClass.WEAK_REPAIR:
-        hits = weak
-    elif repair_class is RepairClass.REPAIR:
-        hits = _minimal(weak)
-    elif repair_class is RepairClass.FOUNDED_WEAK_REPAIR:
-        hits = founded
-    elif repair_class is RepairClass.FOUNDED_REPAIR:
-        minimal = set(map(frozenset, _minimal(weak)))
-        hits = [u for u in founded if u in minimal]
-    elif repair_class is RepairClass.JUSTIFIED_WEAK_REPAIR:
-        hits = justified
-    else:
-        minimal = set(map(frozenset, _minimal(weak)))
-        hits = [u for u in justified if u in minimal]
-
-    return RepairReport(repair_class, tuple(sorted(hits, key=sort_key)), examined)
+    """Exhaustively enumerate all members of one repair class."""
+    return enumerate_classes(db, program, (repair_class,), universe, limits)[
+        repair_class
+    ]

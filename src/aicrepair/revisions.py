@@ -10,9 +10,11 @@ Every class is computed as the image of a repair class. Properization
 preserves all revision semantics, and on a proper program each revision
 class is the image under ``to_aic`` of the matching repair class, so the
 program is properized and translated, candidates cross over by ``ua`` and
-hits come back by ``rev_literal``. On normal programs the supported
-revisions are exactly the founded weak revisions. Only supported updates
-and closedness are checked directly.
+hits come back by ``rev_literal``. The normalized classes are the images
+of the normalized repair classes: translation commutes with normalization,
+and normalizing before or after properization gives the same revisions.
+On normal programs the supported revisions are exactly the founded weak
+revisions. Only supported updates and closedness are checked directly.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ class RevisionClass(enum.Enum):
     SUPPORTED_REVISION = "supported-revision"
 
 
-#: The repair class each revision class is the image of. The normalized
-#: classes normalize the revision program before it is translated.
+#: The repair class each revision class is the image of under ``to_aic``.
 _REPAIR_CLASS = {
     RevisionClass.WEAK_REVISION: RepairClass.WEAK_REPAIR,
     RevisionClass.REVISION: RepairClass.REPAIR,
@@ -62,17 +63,14 @@ _REPAIR_CLASS = {
     RevisionClass.FOUNDED_REVISION: RepairClass.FOUNDED_REPAIR,
     RevisionClass.JUSTIFIED_WEAK_REVISION: RepairClass.JUSTIFIED_WEAK_REPAIR,
     RevisionClass.JUSTIFIED_REVISION: RepairClass.JUSTIFIED_REPAIR,
-    RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED: RepairClass.JUSTIFIED_WEAK_REPAIR,
-    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: RepairClass.JUSTIFIED_REPAIR,
+    RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED: (
+        RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED
+    ),
+    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: (
+        RepairClass.JUSTIFIED_REPAIR_NORMALIZED
+    ),
     RevisionClass.SUPPORTED_REVISION: RepairClass.FOUNDED_WEAK_REPAIR,
 }
-
-_NORMALIZED = frozenset(
-    {
-        RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED,
-        RevisionClass.JUSTIFIED_REVISION_NORMALIZED,
-    }
-)
 
 
 def _require_normal(program: RevProgram) -> None:
@@ -83,17 +81,6 @@ def _require_normal(program: RevProgram) -> None:
 
 def _aic(program: RevProgram) -> AicProgram:
     return transforms.to_aic(transforms.properize(program))
-
-
-def _route(
-    program: RevProgram, revision_class: RevisionClass
-) -> tuple[AicProgram, RepairClass]:
-    """The constraint program and repair class whose image is the class."""
-    if revision_class is RevisionClass.SUPPORTED_REVISION:
-        _require_normal(program)
-    if revision_class in _NORMALIZED:
-        program = transforms.normalize_rev(program)
-    return _aic(program), _REPAIR_CLASS[revision_class]
 
 
 def triggered_subprogram(program: RevProgram, result: frozenset[str]) -> RevProgram:
@@ -210,9 +197,12 @@ def check_membership(
     universe: Universe | None = None,
 ) -> bool:
     """Membership test for any revision class, including normalized ones."""
-    aic, repair_class = _route(program, revision_class)
+    if revision_class is RevisionClass.SUPPORTED_REVISION:
+        _require_normal(program)
     actions = frozenset(ua(l) for l in literals)
-    return repairs.check_membership(db, aic, repair_class, actions, universe)
+    return repairs.check_membership(
+        db, _aic(program), _REPAIR_CLASS[revision_class], actions, universe
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +222,42 @@ def sort_key(literals: Iterable[RevLiteral]) -> tuple:
     return tuple((l.atom, 0 if l.is_in else 1) for l in ordered(literals))
 
 
+def enumerate_classes(
+    db: frozenset[str],
+    program: RevProgram,
+    classes: Iterable[RevisionClass],
+    universe: Universe | None = None,
+    limits: Limits | None = None,
+) -> dict[RevisionClass, RevisionReport]:
+    """Exhaustively enumerate the members of several revision classes.
+
+    The program is translated once and the repair engine enumerates the
+    matching repair classes in one call, so supported revisions are the
+    founded weak hits of the same scan. The canonical order of the repair
+    sets maps to the canonical order of the revision literals.
+    """
+    classes = tuple(classes)
+    if RevisionClass.SUPPORTED_REVISION in classes:
+        _require_normal(program)
+    reports = repairs.enumerate_classes(
+        db, _aic(program), (_REPAIR_CLASS[c] for c in classes), universe, limits
+    )
+    out = {}
+    for c in classes:
+        report = reports[_REPAIR_CLASS[c]]
+        sets = tuple(frozenset(rev_literal(a) for a in s) for s in report.sets)
+        out[c] = RevisionReport(c, sets, report.examined)
+    return out
+
+
 def enumerate_revisions(
     db: frozenset[str],
     program: RevProgram,
     revision_class: RevisionClass,
     universe: Universe | None = None,
     limits: Limits | None = None,
-    jobs: int = 1,
 ) -> RevisionReport:
-    """Exhaustively enumerate all members of a revision class.
-
-    The repair engine enumerates the matching repair class of the
-    translated program; its canonical order maps to the canonical order of
-    the revision literals.
-    """
-    aic, repair_class = _route(program, revision_class)
-    report = repairs.enumerate_repairs(db, aic, repair_class, universe, limits, jobs)
-    sets = tuple(frozenset(rev_literal(a) for a in s) for s in report.sets)
-    return RevisionReport(revision_class, sets, report.examined)
+    """Exhaustively enumerate all members of one revision class."""
+    return enumerate_classes(db, program, (revision_class,), universe, limits)[
+        revision_class
+    ]

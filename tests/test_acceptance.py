@@ -4,8 +4,9 @@ One test per gate: golden instances with frozen expected sets, randomized
 cross-validation of every semantics against the definitional oracles plus
 the containment lattice between them, the translation correspondence, the
 shifting transport, the logic-program bridge, checker agreement over full
-candidate spaces, and parallel determinism. All frozen values below were
-computed by ``tests/oracles.py`` and hand-checked before being written down.
+candidate spaces, and one multi-class scan matching per-class enumeration.
+All frozen values below were computed by ``tests/oracles.py`` and
+hand-checked before being written down.
 
 Random cases are seed-pinned; every assertion message carries the seed that
 rebuilds its instance.
@@ -789,25 +790,54 @@ def test_checkers_agree_with_oracles():
 
 
 # ---------------------------------------------------------------------------
-# Gate 7: parallel enumeration is deterministic
+# Gate 7: one scan gives what one enumeration per class gives
+
+ONE_SCAN_INSTANCES = 150
 
 
-def test_parallel_determinism(capsys):
+def _one_scan_matches(kind, db, program, uni, seed) -> None:
+    if kind == "aic":
+        engine, enumerate_one, classes = repairs, enumerate_repairs, list(RepairClass)
+    else:
+        engine, enumerate_one = revisions, enumerate_revisions
+        classes = [
+            c
+            for c in RevisionClass
+            if c is not RevisionClass.SUPPORTED_REVISION or is_normal(program)
+        ]
+    together = engine.enumerate_classes(db, program, classes, uni)
+    assert list(together) == classes, seed
+    for cls in classes:
+        alone = enumerate_one(db, program, cls, uni)
+        assert together[cls] == alone, f"{seed}: {cls.value}"
+
+
+def test_one_scan_matches_per_class_enumeration(capsys):
     cases = (
         ("pair_delete.aic", "repair", "justified-repair"),
         ("founded_chain.aic", "repair", "founded-weak-repair"),
         ("mutual_pair_chain.rev", "revise", "justified-weak-revision"),
     )
+    for path in sorted(GOLDEN.glob("*.aic")) + sorted(GOLDEN.glob("*.rev")):
+        inst = _load(path.name)
+        _one_scan_matches(inst.kind, inst.db, inst.program, inst.universe(), path.name)
     for name, command, cls in cases:
-        path = str(GOLDEN / name)
-        outputs = []
-        for jobs in ("4", "4", "1"):
-            code = cli.main(
-                [command, "--class", cls, "--format", "json", "--jobs", jobs, path]
-            )
-            assert code == 0, name
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2], name
-        payload = json.loads(outputs[0])
+        code = cli.main(
+            [command, "--class", cls, "--format", "json", str(GOLDEN / name)]
+        )
+        assert code == 0, name
+        payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["class"] == cls
+
+    for i in range(ONE_SCAN_INSTANCES):
+        seed = f"one-scan-{i}"
+        rnd = random.Random(seed)
+        atoms = gen.atom_pool(rnd)
+        db = gen.database(rnd, atoms)
+        uni = Universe(tuple(atoms))
+        normal = rnd.random() < 0.5
+        program = gen.aic_program(rnd, atoms, normal=normal)
+        _one_scan_matches("aic", db, program, uni, seed)
+        program = gen.rev_program(rnd, atoms, normal=normal, proper=rnd.random() < 0.5)
+        _one_scan_matches("rev", db, program, uni, seed)

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from aicrepair import cli
+from aicrepair import cli, repairs
+from aicrepair.repairs import RepairClass
+from aicrepair.revisions import RevisionClass
 
 GOLDEN = Path(__file__).parent / "golden"
 REPLAYS = sorted(GOLDEN.glob("*.cmd"))
@@ -77,15 +79,6 @@ def test_lp_instances_are_rejected_where_they_make_no_sense(capsys):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert "error:" in err, argv
-
-
-def test_jobs_must_be_positive(capsys):
-    code, _, err = run(
-        ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair", "--jobs", "0"],
-        capsys,
-    )
-    assert code == 2
-    assert "--jobs must be at least 1" in err
 
 
 def test_atom_bound_refusal(capsys):
@@ -154,6 +147,35 @@ def test_check_reports_nonmembers_without_refusing(capsys):
     )
     assert code == 0
     assert out == "false\n"
+
+
+# The same malformed candidate for every class: 'z' is outside the universe.
+OUTSIDE_THE_UNIVERSE = {
+    "aic": ("universe: a, b.\ndb: a, b.\naic:\na, b -> -a | -b.\n", "-a,+z"),
+    "rev": (
+        "universe: a, b.\ndb: a, b.\nrev:\nout(a) <- in(a), in(b).\n",
+        "out(a),in(z)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, cls",
+    [("aic", c.value) for c in RepairClass]
+    + [("rev", c.value) for c in RevisionClass],
+)
+def test_check_rejects_atoms_outside_the_declared_universe(
+    kind, cls, tmp_path, capsys
+):
+    text, candidate = OUTSIDE_THE_UNIVERSE[kind]
+    path = tmp_path / f"instance.{kind}"
+    path.write_text(text)
+    code, out, err = run(
+        ["check", str(path), "--class", cls, f"--set={candidate}"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown atom 'z' in update set" in err
 
 
 def test_check_json_payload(capsys):
@@ -246,3 +268,29 @@ def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
     assert "supported-revision" not in payload["classes"]
     assert len(payload["relations"]) == 14
     assert all(row["holds"] for row in payload["relations"])
+
+
+@pytest.mark.parametrize(
+    "argv, scans",
+    [
+        (["lattice", "pair_delete.aic", "--verify"], 2),
+        (["lattice", "mutual_pair_chain.rev", "--verify"], 2),
+        (["shift", "pair_delete.aic", "--by", "a", "--verify"], 4),
+        (["shift", "mutual_pair_chain.rev", "--by", "a", "--verify"], 4),
+    ],
+)
+def test_every_class_comes_from_one_scan_per_program(
+    argv, scans, capsys, monkeypatch
+):
+    calls = []
+    scan = repairs._scan
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(repairs, "_scan", counting_scan)
+    monkeypatch.chdir(GOLDEN)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == scans

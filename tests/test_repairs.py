@@ -157,18 +157,6 @@ def test_enumeration_respects_the_atom_bound():
         enumerate_repairs(db, program, RepairClass.REPAIR, limits=Limits(max_atoms=2))
 
 
-def test_parallel_enumeration_matches_serial():
-    rnd = random.Random("parallel-repairs")
-    atoms = gen.atom_pool(rnd, 4)
-    db = gen.database(rnd, atoms)
-    program = gen.aic_program(rnd, atoms, rules=(2, 4))
-    for repair_class in (RepairClass.REPAIR, RepairClass.JUSTIFIED_WEAK_REPAIR):
-        serial = enumerate_repairs(db, program, repair_class, jobs=1)
-        parallel = enumerate_repairs(db, program, repair_class, jobs=2)
-        assert serial.sets == parallel.sets
-        assert serial.examined == parallel.examined
-
-
 def test_normalized_enumeration_reports_the_requested_class():
     db = frozenset({"a", "b"})
     report = enumerate_repairs(db, PAIR, RepairClass.JUSTIFIED_REPAIR_NORMALIZED)

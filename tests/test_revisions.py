@@ -168,18 +168,6 @@ def test_enumeration_orders_sets_canonically():
     )
 
 
-def test_parallel_enumeration_matches_serial():
-    rnd = random.Random("parallel-revisions")
-    atoms = gen.atom_pool(rnd, 4)
-    db = gen.database(rnd, atoms)
-    program = gen.rev_program(rnd, atoms, normal=True)
-    for revision_class in (RevisionClass.REVISION, RevisionClass.SUPPORTED_REVISION):
-        serial = enumerate_revisions(db, program, revision_class, jobs=1)
-        parallel = enumerate_revisions(db, program, revision_class, jobs=2)
-        assert serial.sets == parallel.sets
-        assert serial.examined == parallel.examined
-
-
 def test_normalized_enumeration_reports_the_requested_class():
     report = enumerate_revisions(
         frozenset(), CHOICE, RevisionClass.JUSTIFIED_REVISION_NORMALIZED
