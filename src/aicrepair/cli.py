@@ -17,8 +17,11 @@ object (``"schema": 1``).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
+from types import ModuleType
+from typing import Callable, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
@@ -39,23 +42,28 @@ from .syntax import (
 
 SCHEMA_VERSION = 1
 
-_AIC_BASE_CLASSES = (
-    RepairClass.WEAK_REPAIR,
-    RepairClass.REPAIR,
-    RepairClass.FOUNDED_WEAK_REPAIR,
-    RepairClass.FOUNDED_REPAIR,
-    RepairClass.JUSTIFIED_WEAK_REPAIR,
-    RepairClass.JUSTIFIED_REPAIR,
-)
 
-_REV_BASE_CLASSES = (
-    RevisionClass.WEAK_REVISION,
-    RevisionClass.REVISION,
-    RevisionClass.FOUNDED_WEAK_REVISION,
-    RevisionClass.FOUNDED_REVISION,
-    RevisionClass.JUSTIFIED_WEAK_REVISION,
-    RevisionClass.JUSTIFIED_REVISION,
-)
+class _Kind(NamedTuple):
+    engine: ModuleType
+    classes: type[enum.Enum]
+    parse_set: Callable[[str], frozenset]
+    normalize: Callable
+
+
+#: Everything a subcommand needs to know about the kind of a program. The
+#: normalizers are looked up in ``transforms`` at call time, so a wrapper
+#: installed there sees the call.
+_KINDS = {
+    "aic": _Kind(
+        repairs, RepairClass, parse_actions, lambda p: transforms.normalize_aic(p)
+    ),
+    "rev": _Kind(
+        revisions,
+        RevisionClass,
+        parse_rev_literals,
+        lambda p: transforms.normalize_rev(p),
+    ),
+}
 
 
 def _load(path: str) -> Instance:
@@ -75,17 +83,37 @@ def _expect_kind(instance: Instance, kind: str, command: str) -> Instance:
     return instance
 
 
+def _kind(instance: Instance, command: str) -> _Kind:
+    """The kind table row of an aic: or rev: instance."""
+    if instance.kind not in _KINDS:
+        raise InputError(
+            f"'{command}' needs an aic: or rev: program, found {instance.kind}:"
+        )
+    return _KINDS[instance.kind]
+
+
+def _classes(instance: Instance) -> list:
+    """Every class that applies to the instance, in enum order: supported
+    revisions are defined only for normal programs."""
+    return [
+        c
+        for c in _KINDS[instance.kind].classes
+        if c is not RevisionClass.SUPPORTED_REVISION or is_normal(instance.program)
+    ]
+
+
 def _limits(args) -> Limits:
     return Limits(max_atoms=args.max_atoms)
 
 
-def _class_for(kind: str, name: str):
-    enum_cls = {"aic": RepairClass, "rev": RevisionClass}[kind]
+def _class_for(instance: Instance, command: str, name: str):
+    """The kind row of the instance and its class called ``name``."""
+    kind = _kind(instance, command)
     try:
-        return enum_cls(name)
+        return kind, kind.classes(name)
     except ValueError:
         raise InputError(
-            f"class '{name}' does not apply to a {kind}: program"
+            f"class '{name}' does not apply to a {instance.kind}: program"
         ) from None
 
 
@@ -93,58 +121,38 @@ def _set_rows(sets) -> list[list[str]]:
     return [[str(x) for x in ordered(s)] for s in sets]
 
 
-def _emit_sets(args, sets, **extra) -> None:
+def _enumerate(instance: Instance, args, db, program, classes) -> dict:
+    """The sets of every requested class, from one engine call."""
+    reports = _KINDS[instance.kind].engine.enumerate_classes(
+        db, program, classes, instance.universe(), _limits(args)
+    )
+    return {cls: report.sets for cls, report in reports.items()}
+
+
+def cmd_enumerate(args) -> int:
+    """``repair`` and ``revise``: every member of one class."""
+    instance = _expect_kind(_load(args.file), args.kind, args.command)
+    cls = _KINDS[args.kind].classes(args.cls)
+    sets = _enumerate(instance, args, instance.db, instance.program, [cls])[cls]
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, **extra, "sets": _set_rows(sets)}
-        print(json.dumps(payload))
+        rows = _set_rows(sets)
+        print(json.dumps({"schema": SCHEMA_VERSION, "class": cls.value, "sets": rows}))
     else:
         for s in sets:
             print(format_set(s))
-
-
-def cmd_repair(args) -> int:
-    instance = _expect_kind(_load(args.file), "aic", "repair")
-    repair_class = RepairClass(args.cls)
-    report = repairs.enumerate_repairs(
-        instance.db,
-        instance.program,
-        repair_class,
-        universe=instance.universe(),
-        limits=_limits(args),
-    )
-    _emit_sets(args, report.sets, **{"class": repair_class.value})
-    return 0
-
-
-def cmd_revise(args) -> int:
-    instance = _expect_kind(_load(args.file), "rev", "revise")
-    revision_class = RevisionClass(args.cls)
-    report = revisions.enumerate_revisions(
-        instance.db,
-        instance.program,
-        revision_class,
-        universe=instance.universe(),
-        limits=_limits(args),
-    )
-    _emit_sets(args, report.sets, **{"class": revision_class.value})
     return 0
 
 
 def cmd_check(args) -> int:
     instance = _load(args.file)
-    if instance.kind == "lp":
-        raise InputError("'check' needs an aic: or rev: program, found lp:")
-    cls = _class_for(instance.kind, args.cls)
-    if instance.kind == "aic":
-        candidate = parse_actions(args.set)
-        member = repairs.check_membership(
-            instance.db, instance.program, cls, candidate, instance.declared_universe
-        )
-    else:
-        candidate = parse_rev_literals(args.set)
-        member = revisions.check_membership(
-            instance.db, instance.program, cls, candidate, instance.declared_universe
-        )
+    kind, cls = _class_for(instance, "check", args.cls)
+    member = kind.engine.check_membership(
+        instance.db,
+        instance.program,
+        cls,
+        kind.parse_set(args.set),
+        instance.declared_universe,
+    )
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, "member": member}))
     else:
@@ -157,23 +165,17 @@ def cmd_translate(args) -> int:
     if args.to == "aic":
         _expect_kind(instance, "rev", "translate --to aic")
         program = transforms.to_aic(transforms.properize(instance.program))
-        out = Instance("aic", instance.db, program, instance.declared_universe)
     else:
         _expect_kind(instance, "aic", "translate --to rev")
         program = transforms.to_rev(instance.program)
-        out = Instance("rev", instance.db, program, instance.declared_universe)
+    out = Instance(args.to, instance.db, program, instance.declared_universe)
     sys.stdout.write(print_instance(out))
     return 0
 
 
 def cmd_normalize(args) -> int:
     instance = _load(args.file)
-    if instance.kind == "aic":
-        program = transforms.normalize_aic(instance.program)
-    elif instance.kind == "rev":
-        program = transforms.normalize_rev(instance.program)
-    else:
-        raise InputError("'normalize' needs an aic: or rev: program, found lp:")
+    program = _kind(instance, "normalize").normalize(instance.program)
     out = Instance(instance.kind, instance.db, program, instance.declared_universe)
     sys.stdout.write(print_instance(out))
     return 0
@@ -193,8 +195,7 @@ def cmd_properize(args) -> int:
 
 def cmd_shift(args) -> int:
     instance = _load(args.file)
-    if instance.kind == "lp":
-        raise InputError("'shift' needs an aic: or rev: program, found lp:")
+    _kind(instance, "shift")
     by = parse_atoms(args.by)
     witness = transforms.shift_instance(
         instance.db, instance.program, by, universe=instance.universe()
@@ -212,22 +213,9 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def _enumerate(instance: Instance, args, db, program, classes) -> dict:
-    """The sets of every requested class, from one engine call."""
-    engine = repairs if instance.kind == "aic" else revisions
-    reports = engine.enumerate_classes(
-        db, program, classes, instance.universe(), _limits(args)
-    )
-    return {cls: report.sets for cls, report in reports.items()}
-
-
 def _verify_shift(instance: Instance, witness, args) -> int:
     """Enumerate every class on both sides and compare element-wise."""
-    classes = [
-        c
-        for c in (RepairClass if instance.kind == "aic" else RevisionClass)
-        if c is not RevisionClass.SUPPORTED_REVISION or is_normal(instance.program)
-    ]
+    classes = _classes(instance)
     original = _enumerate(instance, args, instance.db, instance.program, classes)
     shifted = _enumerate(
         instance, args, witness.shifted_db, witness.shifted_program, classes
@@ -254,9 +242,7 @@ def cmd_answer_sets(args) -> int:
 
 def cmd_cqa(args) -> int:
     instance = _load(args.file)
-    if instance.kind == "lp":
-        raise InputError("'cqa' needs an aic: or rev: program, found lp:")
-    semantics = _class_for(instance.kind, args.cls)
+    _, semantics = _class_for(instance, "cqa", args.cls)
     literals = parse_literals(args.query)
     verdict = query.cqa(
         instance.db,
@@ -281,8 +267,9 @@ def cmd_cqa(args) -> int:
 
 def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     """The containment lattice between the six classes and their
-    normalized-program counterparts, as (description, holds) pairs."""
-    wr, r, fwr, fr, jwr, jr = classes
+    normalized-program counterparts, and supported against founded weak
+    revisions when those were enumerated, as (description, holds) pairs."""
+    wr, r, fwr, fr, jwr, jr = classes[:6]
 
     def eq(a, b):
         return set(a) == set(b)
@@ -291,7 +278,7 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
         return set(a) <= set(b)
 
     n = "normalized:"
-    return [
+    relations = [
         (f"{n}{jr.value} == {n}{jwr.value}", eq(norm[jr], norm[jwr])),
         (f"{n}{jr.value} <= {jr.value}", sub(norm[jr], base[jr])),
         (f"{jr.value} <= {fr.value}", sub(base[jr], base[fr])),
@@ -307,52 +294,31 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
         (f"{wr.value} == {n}{wr.value}", eq(base[wr], norm[wr])),
         (f"{n}{fwr.value} == {fwr.value}", eq(norm[fwr], base[fwr])),
     ]
+    supported = RevisionClass.SUPPORTED_REVISION
+    if supported in base:
+        relations.append(
+            (f"{fwr.value} == {supported.value}", eq(base[fwr], base[supported]))
+        )
+    return relations
 
 
 def cmd_lattice(args) -> int:
     instance = _load(args.file)
-    if instance.kind == "aic":
-        base_classes = _AIC_BASE_CLASSES
-        normalized = transforms.normalize_aic(instance.program)
-        norm_names = (
-            RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED,
-            RepairClass.JUSTIFIED_REPAIR_NORMALIZED,
-        )
-    elif instance.kind == "rev":
-        base_classes = _REV_BASE_CLASSES
-        normalized = transforms.normalize_rev(instance.program)
-        norm_names = (
-            RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED,
-            RevisionClass.JUSTIFIED_REVISION_NORMALIZED,
-        )
-    else:
-        raise InputError("'lattice' needs an aic: or rev: program, found lp:")
+    kind = _kind(instance, "lattice")
+    classes = _classes(instance)
+    plain = [c for c in classes if not c.value.endswith("-normalized")]
+    base = _enumerate(instance, args, instance.db, instance.program, plain)
+    normalized = kind.normalize(instance.program)
+    norm = _enumerate(instance, args, instance.db, normalized, plain)
 
-    supported = RevisionClass.SUPPORTED_REVISION
-    with_supported = instance.kind == "rev" and is_normal(instance.program)
-    extra = (supported,) if with_supported else ()
-    base = _enumerate(
-        instance, args, instance.db, instance.program, base_classes + extra
-    )
-    norm = _enumerate(instance, args, instance.db, normalized, base_classes)
-
-    listing: list[tuple[str, list]] = [(cls.value, base[cls]) for cls in base_classes]
-    wr, r, fwr, fr, jwr, jr = base_classes
-    listing.append((norm_names[0].value, norm[jwr]))
-    listing.append((norm_names[1].value, norm[jr]))
-    if with_supported:
-        listing.append((supported.value, base[supported]))
-
-    relations = None
-    if args.verify:
-        relations = _relations(base, norm, base_classes)
-        if with_supported:
-            relations.append(
-                (
-                    f"{fwr.value} == {supported.value}",
-                    set(base[fwr]) == set(base[supported]),
-                )
-            )
+    listing = []
+    for c in classes:
+        if c in base:
+            sets = base[c]
+        else:  # a normalized class: its plain class on the normalized program
+            sets = norm[kind.classes(c.value.removesuffix("-normalized"))]
+        listing.append((c.value, sets))
+    relations = _relations(base, norm, plain) if args.verify else None
 
     if args.format == "json":
         payload: dict = {
@@ -393,6 +359,16 @@ def _add_common(parser) -> None:
     )
 
 
+def _add_class(parser, help: str, *kinds: str) -> None:
+    parser.add_argument(
+        "--class",
+        dest="cls",
+        required=True,
+        choices=[c.value for kind in kinds for c in _KINDS[kind].classes],
+        help=help,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aicrepair",
@@ -400,40 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
         "and revision programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    either = "repair or revision class, matching the instance kind"
 
     p = sub.add_parser("repair", help="enumerate repairs of an aic instance")
     p.add_argument("file")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=[c.value for c in RepairClass],
-        help="repair class",
-    )
+    _add_class(p, "repair class", "aic")
     _add_common(p)
-    p.set_defaults(func=cmd_repair)
+    p.set_defaults(func=cmd_enumerate, kind="aic")
 
     p = sub.add_parser("revise", help="enumerate revisions of a rev instance")
     p.add_argument("file")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=[c.value for c in RevisionClass],
-        help="revision class",
-    )
+    _add_class(p, "revision class", "rev")
     _add_common(p)
-    p.set_defaults(func=cmd_revise)
+    p.set_defaults(func=cmd_enumerate, kind="rev")
 
     p = sub.add_parser("check", help="test one set for membership in a class")
     p.add_argument("file")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=[c.value for c in RepairClass] + [c.value for c in RevisionClass],
-        help="repair or revision class, matching the instance kind",
-    )
+    _add_class(p, either, "aic", "rev")
     p.add_argument(
         "--set",
         required=True,
@@ -475,13 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cqa", help="consistent query answering")
     p.add_argument("file")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=[c.value for c in RepairClass] + [c.value for c in RevisionClass],
-        help="repair or revision class, matching the instance kind",
-    )
+    _add_class(p, either, "aic", "rev")
     p.add_argument(
         "--query", required=True, help="comma-separated literals, e.g. 'a,not b'"
     )

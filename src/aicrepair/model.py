@@ -3,8 +3,7 @@ databases, and the update algebra over them.
 
 Databases are plain ``frozenset[str]`` of atom names; universes make the
 ambient atom set explicit and finite (no-effect and inertia sets are bounded
-by it). Everything here is immutable and hashable, so values can be shared
-freely across worker processes.
+by it). Everything here is immutable and hashable.
 
 Conventions used throughout the package:
 

@@ -28,7 +28,6 @@ from .model import (
     entails,
     essential_actions,
     is_consistent,
-    is_normal,
     lit,
     no_effect_set,
     ordered,
@@ -183,14 +182,20 @@ def check_justified_repair(
     )
 
 
+def _require_normal(program) -> None:
+    """Refuse a program with a disjunctive head, naming the first such rule."""
+    for r in program:
+        if not r.normal:
+            raise NotNormalProgram(str(r))
+
+
 def least_closure(
     seed: Iterable[UpdateAction], program: AicProgram
 ) -> frozenset[UpdateAction] | None:
     """The least superset of ``seed`` closed under a normal program, or
     ``None`` when no closed superset exists (a triggered constraint has an
     empty head, which nothing can satisfy)."""
-    if not is_normal(program):
-        raise NotNormalProgram(next(str(r) for r in program if not r.normal))
+    _require_normal(program)
     w = set(seed)
     made_true = {lit(a) for a in w}
     changed = True
@@ -218,8 +223,7 @@ def decide_jwr_normal(
     core can be computed bottom-up, so membership reduces to one fixpoint
     computation instead of a search over subsets.
     """
-    if not is_normal(program):
-        raise NotNormalProgram(next(str(r) for r in program if not r.normal))
+    _require_normal(program)
     e = frozenset(actions)
     if not is_consistent(e):
         return False

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import repairs, transforms
-from .errors import NotNormalProgram
 from .model import (
     AicProgram,
     Limits,
@@ -73,12 +72,6 @@ _REPAIR_CLASS = {
 }
 
 
-def _require_normal(program: RevProgram) -> None:
-    for r in program:
-        if not r.normal:
-            raise NotNormalProgram(str(r))
-
-
 def _aic(program: RevProgram) -> AicProgram:
     return transforms.to_aic(transforms.properize(program))
 
@@ -97,7 +90,7 @@ def check_supported_update(
     no consistent set of literals can supply, so it defeats the equation
     outright. This keeps supported revisions a subclass of weak revisions.
     """
-    _require_normal(program)
+    repairs._require_normal(program)
     u = frozenset(literals)
     if not is_consistent(u):
         return False
@@ -196,12 +189,17 @@ def check_membership(
     literals,
     universe: Universe | None = None,
 ) -> bool:
-    """Membership test for any revision class, including normalized ones."""
-    if revision_class is RevisionClass.SUPPORTED_REVISION:
-        _require_normal(program)
+    """Membership test for any revision class, including normalized ones.
+
+    The candidate is checked against a declared universe before a
+    disjunctive program is refused, as for every other class."""
     actions = frozenset(ua(l) for l in literals)
+    program_aic = _aic(program)
+    if revision_class is RevisionClass.SUPPORTED_REVISION:
+        repairs._universe_for(db, program_aic, actions, universe)
+        repairs._require_normal(program)
     return repairs.check_membership(
-        db, _aic(program), _REPAIR_CLASS[revision_class], actions, universe
+        db, program_aic, _REPAIR_CLASS[revision_class], actions, universe
     )
 
 
@@ -238,7 +236,7 @@ def enumerate_classes(
     """
     classes = tuple(classes)
     if RevisionClass.SUPPORTED_REVISION in classes:
-        _require_normal(program)
+        repairs._require_normal(program)
     reports = repairs.enumerate_classes(
         db, _aic(program), (_REPAIR_CLASS[c] for c in classes), universe, limits
     )

@@ -154,6 +154,21 @@ class _Parser:
             and self.peek(1).text == ":"
         )
 
+    def separated(self, parse_one, sep: str) -> list:
+        """One or more items read by ``parse_one``, separated by ``sep``."""
+        items = [parse_one()]
+        while self.at(sep):
+            self.next()
+            items.append(parse_one())
+        return items
+
+    def head(self, parse_one) -> list:
+        """A rule head: ``|``-separated items, or ``false`` for none."""
+        if self.peek().kind == "name" and self.peek().text == "false":
+            self.next()
+            return []
+        return self.separated(parse_one, "|")
+
     def atom(self) -> str:
         token = self.peek()
         if token.kind != "name":
@@ -245,25 +260,9 @@ class _Parser:
     # -- constraint rules ----------------------------------------------
 
     def aic_rule(self) -> AicRule:
-        body: list[Literal] = []
-        if not self.at("->"):
-            while True:
-                body.append(self.literal())
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+        body = [] if self.at("->") else self.separated(self.literal, ",")
         self.expect("->")
-        head: list[UpdateAction] = []
-        if self.peek().kind == "name" and self.peek().text == "false":
-            self.next()
-        else:
-            while True:
-                head.append(self.action())
-                if self.at("|"):
-                    self.next()
-                    continue
-                break
+        head = self.head(self.action)
         self.expect(".")
         return AicRule(frozenset(body), frozenset(head))
 
@@ -284,25 +283,9 @@ class _Parser:
     # -- revision rules ------------------------------------------------
 
     def rev_rule(self) -> RevRule:
-        head: list[RevLiteral] = []
-        if self.peek().kind == "name" and self.peek().text == "false":
-            self.next()
-        else:
-            while True:
-                head.append(self.rev_literal())
-                if self.at("|"):
-                    self.next()
-                    continue
-                break
+        head = self.head(self.rev_literal)
         self.expect("<-")
-        body: list[RevLiteral] = []
-        if not self.at("."):
-            while True:
-                body.append(self.rev_literal())
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+        body = [] if self.at(".") else self.separated(self.rev_literal, ",")
         self.expect(".")
         return RevRule(frozenset(head), frozenset(body))
 
@@ -320,35 +303,18 @@ class _Parser:
     # -- disjunctive rules ---------------------------------------------
 
     def lp_rule(self) -> LpRule:
-        head: list[str] = []
-        if self.peek().kind == "name" and self.peek().text == "false":
-            self.next()
-        else:
-            while True:
-                head.append(self.atom())
-                if self.at("|"):
-                    self.next()
-                    continue
-                break
-        pos: list[str] = []
-        neg: list[str] = []
+        head = self.head(self.atom)
+        body: list[Literal] = []
         if self.at(":-"):
             self.next()
             if not self.at("."):
-                while True:
-                    if self.peek().kind == "name" and self.peek().text == "not":
-                        self.next()
-                        neg.append(self.atom())
-                    else:
-                        pos.append(self.atom())
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
-        if not (head or pos or neg):
+                body = self.separated(self.literal, ",")
+        if not (head or body):
             self.fail("a rule needs a head or a body")
         self.expect(".")
-        return LpRule(frozenset(head), frozenset(pos), frozenset(neg))
+        pos = frozenset(l.atom for l in body if l.positive)
+        neg = frozenset(l.atom for l in body if not l.positive)
+        return LpRule(frozenset(head), pos, neg)
 
 
 def parse_instance(text: str) -> Instance:
@@ -376,14 +342,8 @@ def parse_program(text: str, kind: str) -> tuple:
 
 def _parse_comma_list(text: str, parse_one) -> frozenset:
     parser = _Parser(tokenize(text))
-    items = []
-    if parser.peek().kind != "eof":
-        while True:
-            items.append(parse_one(parser))
-            if parser.at(","):
-                parser.next()
-                continue
-            break
+    at_end = parser.peek().kind == "eof"
+    items = [] if at_end else parser.separated(lambda: parse_one(parser), ",")
     token = parser.peek()
     if token.kind != "eof":
         raise ParseError(

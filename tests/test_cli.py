@@ -45,11 +45,16 @@ def test_missing_file_is_an_input_error(capsys):
 
 
 def test_kind_mismatch_is_an_input_error(capsys):
-    code, _, err = run(
-        ["repair", str(GOLDEN / "choice_pair.rev"), "--class", "repair"], capsys
-    )
-    assert code == 2
-    assert "needs a aic: program, found rev:" in err
+    aic, rev = str(GOLDEN / "pair_delete.aic"), str(GOLDEN / "choice_pair.rev")
+    for argv, message in (
+        (["repair", rev, "--class", "repair"], "needs a aic: program, found rev:"),
+        (["revise", aic, "--class", "revision"], "needs a rev: program, found aic:"),
+        (["answer-sets", aic], "needs a lp: program, found aic:"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+        assert message in err, argv
 
 
 def test_class_must_match_the_instance_kind(capsys):
@@ -75,10 +80,15 @@ def test_lp_instances_are_rejected_where_they_make_no_sense(capsys):
         ["normalize", lp],
         ["cqa", lp, "--class", "repair", "--query", "a"],
         ["lattice", lp],
+        ["shift", lp, "--by", "a"],
+        ["repair", lp, "--class", "repair"],
+        ["revise", lp, "--class", "revision"],
     ):
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == 2, argv
+        assert out == "", argv
         assert "error:" in err, argv
+        assert "program, found lp:" in err, argv
 
 
 def test_atom_bound_refusal(capsys):
@@ -150,10 +160,16 @@ def test_check_reports_nonmembers_without_refusing(capsys):
 
 
 # The same malformed candidate for every class: 'z' is outside the universe.
+# On the disjunctive program supported-revision would refuse (exit 1), but
+# the malformed candidate is reported first.
 OUTSIDE_THE_UNIVERSE = {
     "aic": ("universe: a, b.\ndb: a, b.\naic:\na, b -> -a | -b.\n", "-a,+z"),
     "rev": (
         "universe: a, b.\ndb: a, b.\nrev:\nout(a) <- in(a), in(b).\n",
+        "out(a),in(z)",
+    ),
+    "rev-disjunctive": (
+        "universe: a, b.\ndb: a, b.\nrev:\nout(a) | out(b) <- in(a), in(b).\n",
         "out(a),in(z)",
     ),
 }
@@ -162,13 +178,14 @@ OUTSIDE_THE_UNIVERSE = {
 @pytest.mark.parametrize(
     "kind, cls",
     [("aic", c.value) for c in RepairClass]
-    + [("rev", c.value) for c in RevisionClass],
+    + [("rev", c.value) for c in RevisionClass]
+    + [("rev-disjunctive", RevisionClass.SUPPORTED_REVISION.value)],
 )
 def test_check_rejects_atoms_outside_the_declared_universe(
     kind, cls, tmp_path, capsys
 ):
     text, candidate = OUTSIDE_THE_UNIVERSE[kind]
-    path = tmp_path / f"instance.{kind}"
+    path = tmp_path / "instance.txt"
     path.write_text(text)
     code, out, err = run(
         ["check", str(path), "--class", cls, f"--set={candidate}"], capsys
