@@ -152,6 +152,7 @@ def cmd_check(args) -> int:
         cls,
         kind.parse_set(args.set),
         instance.declared_universe,
+        _limits(args),
     )
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, "member": member}))
@@ -249,7 +250,7 @@ def cmd_cqa(args) -> int:
         instance.program,
         semantics,
         literals,
-        universe=instance.universe(),
+        universe=instance.declared_universe,
         limits=_limits(args),
     )
     if args.format == "json":
@@ -350,6 +351,10 @@ def _add_common(parser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    _add_max_atoms(parser)
+
+
+def _add_max_atoms(parser) -> None:
     parser.add_argument(
         "--max-atoms",
         type=int,
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-enumerate all classes on both sides and compare",
     )
-    _add_common(p)
+    _add_max_atoms(p)
     p.set_defaults(func=cmd_shift)
 
     p = sub.add_parser("answer-sets", help="answer sets of an lp instance")

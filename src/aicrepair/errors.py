@@ -69,11 +69,11 @@ class NotSimpleRule(Refusal):
 
 
 class UniverseTooLarge(Refusal):
-    def __init__(self, size: int, bound: int):
+    def __init__(self, size: int, bound: int, what: str = "universe"):
         self.size = size
         self.bound = bound
         super().__init__(
-            f"universe has {size} atoms, exhaustive bound is {bound} "
+            f"{what} has {size} atoms, exhaustive bound is {bound} "
             f"(raise with AICREPAIR_MAX_ATOMS or --max-atoms)"
         )
 

@@ -419,7 +419,7 @@ class Limits:
             raise InputError(f"{source} must be at least 0, got {bound}")
         return bound
 
-    def check_universe(self, universe: Universe) -> None:
+    def check_universe(self, atoms, what: str = "universe") -> None:
         bound = self.effective_max_atoms()
-        if len(universe) > bound:
-            raise UniverseTooLarge(len(universe), bound)
+        if len(atoms) > bound:
+            raise UniverseTooLarge(len(atoms), bound, what)

@@ -51,8 +51,10 @@ def cqa(
     limits: Limits | None = None,
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
-    chosen class."""
+    chosen class. Query atoms must lie in ``universe`` when one is given."""
     query = frozenset(query)
+    if universe is not None:
+        universe.require((l.atom for l in query), "query")
     if isinstance(semantics, RepairClass):
         report = enumerate_repairs(db, program, semantics, universe, limits)
         repaired = [apply_update(db, u) for u in report.sets]

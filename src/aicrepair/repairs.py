@@ -6,9 +6,11 @@ repairs are change-minimal weak repairs, founded (weak) repairs require
 every action to be supported by some rule, and justified (weak) repairs
 require the stronger grounding property phrased through closed sets.
 
-All ``check_*`` functions are pure membership tests: they return ``False``
-for candidates that fail the definition (including inconsistent ones) and
-raise only on malformed inputs such as atoms outside the universe.
+``check_membership`` is the one membership test per class. It returns
+``False`` for candidates that fail the definition (including inconsistent
+ones), raises on malformed inputs such as atoms outside the universe, and
+validates the universe once; the predicates below it take a validated
+universe and never validate again.
 """
 
 from __future__ import annotations
@@ -86,12 +88,6 @@ def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
     return entails(apply_update(db, u), program)
 
 
-def check_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
-    """A weak repair no proper subset of which already enforces the
-    constraints."""
-    return check_membership(db, program, RepairClass.REPAIR, actions)
-
-
 def _smaller_enforcing(db, program, u: frozenset[UpdateAction]) -> bool:
     return any(
         entails(apply_update(db, sub), program) for sub in proper_subsets(u)
@@ -120,14 +116,6 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     return all(is_founded_action(db, program, u, a) for a in u)
 
 
-def check_founded_weak_repair(db, program: AicProgram, actions) -> bool:
-    return check_membership(db, program, RepairClass.FOUNDED_WEAK_REPAIR, actions)
-
-
-def check_founded_repair(db, program: AicProgram, actions) -> bool:
-    return check_membership(db, program, RepairClass.FOUNDED_REPAIR, actions)
-
-
 def is_closed(program: AicProgram, actions) -> bool:
     """Closedness under the rules: whenever all non-updatable body literals
     of a rule are made true by the set, the set contains a head action."""
@@ -139,24 +127,15 @@ def is_closed(program: AicProgram, actions) -> bool:
     return True
 
 
-def check_justified_action_set(
-    db: frozenset[str], program: AicProgram, actions, universe: Universe | None = None
-) -> bool:
-    """Consistent, contains all its own no-effect actions, closed, and
-    minimal among closed sets with the same no-effect core."""
-    u = frozenset(actions)
-    if not is_consistent(u):
+def _justified(db, program, e: frozenset[UpdateAction], uni: Universe) -> bool:
+    """A consistent ``e`` over a validated universe, together with its
+    no-effect actions ``ne``, is a justified action set: ``e`` avoids
+    ``ne``, ``e | ne`` is closed, and no ``ne | e'`` with ``e'`` a proper
+    subset of ``e`` is closed."""
+    ne = no_effect_set(db, apply_update(db, e), uni)
+    if e & ne or not is_closed(program, e | ne):
         return False
-    uni = _universe_for(db, program, u, universe)
-    ne = no_effect_set(db, apply_update(db, u), uni)
-    if not ne <= u:
-        return False
-    if not is_closed(program, u):
-        return False
-    for extra in proper_subsets(u - ne):
-        if is_closed(program, ne | extra):
-            return False
-    return True
+    return not any(is_closed(program, ne | sub) for sub in proper_subsets(e))
 
 
 def check_justified_weak_repair(
@@ -167,19 +146,7 @@ def check_justified_weak_repair(
     e = frozenset(actions)
     if not is_consistent(e):
         return False
-    uni = _universe_for(db, program, e, universe)
-    ne = no_effect_set(db, apply_update(db, e), uni)
-    if e & ne:
-        return False
-    return check_justified_action_set(db, program, e | ne, uni)
-
-
-def check_justified_repair(
-    db: frozenset[str], program: AicProgram, actions, universe: Universe | None = None
-) -> bool:
-    return check_membership(
-        db, program, RepairClass.JUSTIFIED_REPAIR, actions, universe
-    )
+    return _justified(db, program, e, _universe_for(db, program, e, universe))
 
 
 def _require_normal(program) -> None:
@@ -239,7 +206,7 @@ def _grounded(grounding, db, program, u, uni) -> bool:
     if grounding == "founded":
         return is_founded_set(db, program, u)
     if grounding == "justified":
-        return check_justified_weak_repair(db, program, u, uni)
+        return _justified(db, program, u, uni)
     return True
 
 
@@ -249,14 +216,19 @@ def check_membership(
     repair_class: RepairClass,
     actions,
     universe: Universe | None = None,
+    limits: Limits | None = None,
 ) -> bool:
     """Membership test for any repair class, including the normalized ones.
 
     Atoms outside a declared universe are rejected up front, whatever the
-    class."""
+    class. Given ``limits``, the classes whose test searches the subsets of
+    the candidate (change-minimal or justified) refuse a candidate on more
+    atoms than the bound; without it no check is refused."""
     normalized, grounding, minimal = _TABLE[repair_class]
     u = frozenset(actions)
     uni = _universe_for(db, program, u, universe)
+    if limits is not None and (minimal or grounding == "justified"):
+        limits.check_universe({a.atom for a in u}, "candidate")
     if normalized:
         program = transforms.normalize_aic(program)
     return (

@@ -14,7 +14,7 @@ hits come back by ``rev_literal``. The normalized classes are the images
 of the normalized repair classes: translation commutes with normalization,
 and normalizing before or after properization gives the same revisions.
 On normal programs the supported revisions are exactly the founded weak
-revisions. Only supported updates and closedness are checked directly.
+revisions.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .model import (
     RevLiteral,
     RevProgram,
     Universe,
-    apply_revision,
+    # Unused here: the benchmark's tracer (perfbench/tracing.py) counts the
+    # calls made through this name, so it stays importable.
     entails,
-    is_consistent,
-    ordered,
+    is_normal,
     rev_literal,
     ua,
 )
@@ -76,30 +76,6 @@ def _aic(program: RevProgram) -> AicProgram:
     return transforms.to_aic(transforms.properize(program))
 
 
-def triggered_subprogram(program: RevProgram, result: frozenset[str]) -> RevProgram:
-    """The rules whose bodies hold in the given database."""
-    return tuple(r for r in program if entails(result, r.body))
-
-
-def check_supported_update(
-    db: frozenset[str], program: RevProgram, literals
-) -> bool:
-    """The update must be exactly the heads of the rules it triggers.
-
-    A triggered constraint contributes the unsatisfiable empty head, which
-    no consistent set of literals can supply, so it defeats the equation
-    outright. This keeps supported revisions a subclass of weak revisions.
-    """
-    repairs._require_normal(program)
-    u = frozenset(literals)
-    if not is_consistent(u):
-        return False
-    sub = triggered_subprogram(program, apply_revision(db, u))
-    if any(not r.head for r in sub):
-        return False
-    return u == frozenset().union(*(r.head for r in sub))
-
-
 def check_supported_revision(
     db: frozenset[str],
     program: RevProgram,
@@ -113,27 +89,10 @@ def check_supported_revision(
     )
 
 
-def check_weak_revision(db: frozenset[str], program: RevProgram, literals) -> bool:
-    """Consistent, no no-effect literals, result satisfies the program."""
-    return check_membership(db, program, RevisionClass.WEAK_REVISION, literals)
-
-
-def check_revision(db: frozenset[str], program: RevProgram, literals) -> bool:
-    return check_membership(db, program, RevisionClass.REVISION, literals)
-
-
 def is_founded_rev_set(db: frozenset[str], program: RevProgram, literals) -> bool:
     """Every literal is in the head of a rule whose body holds in the
     revised database, and so do the duals of the other head literals."""
     return repairs.is_founded_set(db, _aic(program), (ua(l) for l in literals))
-
-
-def check_founded_weak_revision(db, program: RevProgram, literals) -> bool:
-    return check_membership(db, program, RevisionClass.FOUNDED_WEAK_REVISION, literals)
-
-
-def check_founded_revision(db, program: RevProgram, literals) -> bool:
-    return check_membership(db, program, RevisionClass.FOUNDED_REVISION, literals)
 
 
 def is_closed_rev(program: RevProgram, literals) -> bool:
@@ -144,20 +103,6 @@ def is_closed_rev(program: RevProgram, literals) -> bool:
         if r.body <= u and not (r.head & u):
             return False
     return True
-
-
-def check_justified_update(
-    db: frozenset[str],
-    program: RevProgram,
-    literals,
-    universe: Universe | None = None,
-) -> bool:
-    """A consistent set that is minimal closed under the program extended by
-    its own inertia literals (inertia literals act as body-free facts, so
-    every closed subset must contain them)."""
-    return repairs.check_justified_action_set(
-        db, _aic(program), (ua(l) for l in literals), universe
-    )
 
 
 def check_justified_weak_revision(
@@ -171,23 +116,13 @@ def check_justified_weak_revision(
     )
 
 
-def check_justified_revision(
-    db: frozenset[str],
-    program: RevProgram,
-    literals,
-    universe: Universe | None = None,
-) -> bool:
-    return check_membership(
-        db, program, RevisionClass.JUSTIFIED_REVISION, literals, universe
-    )
-
-
 def check_membership(
     db: frozenset[str],
     program: RevProgram,
     revision_class: RevisionClass,
     literals,
     universe: Universe | None = None,
+    limits: Limits | None = None,
 ) -> bool:
     """Membership test for any revision class, including normalized ones.
 
@@ -195,11 +130,11 @@ def check_membership(
     disjunctive program is refused, as for every other class."""
     actions = frozenset(ua(l) for l in literals)
     program_aic = _aic(program)
-    if revision_class is RevisionClass.SUPPORTED_REVISION:
+    if revision_class is RevisionClass.SUPPORTED_REVISION and not is_normal(program):
         repairs._universe_for(db, program_aic, actions, universe)
         repairs._require_normal(program)
     return repairs.check_membership(
-        db, program_aic, _REPAIR_CLASS[revision_class], actions, universe
+        db, program_aic, _REPAIR_CLASS[revision_class], actions, universe, limits
     )
 
 
@@ -214,10 +149,6 @@ class RevisionReport:
     revision_class: RevisionClass
     sets: tuple[frozenset[RevLiteral], ...]
     examined: int
-
-
-def sort_key(literals: Iterable[RevLiteral]) -> tuple:
-    return tuple((l.atom, 0 if l.is_in else 1) for l in ordered(literals))
 
 
 def enumerate_classes(

@@ -586,10 +586,11 @@ def test_shifting_transport():
             cand = frozenset(
                 a for a in oracles.all_actions(atoms) if rnd.random() < 0.35
             )
-            assert repairs.check_justified_action_set(
-                db, program, cand, uni
-            ) == repairs.check_justified_action_set(
-                shifted_db, witness.shifted_program, transforms.shift(cand, w), uni
+            jwr = RepairClass.JUSTIFIED_WEAK_REPAIR
+            assert repairs.check_membership(
+                db, program, jwr, cand, uni
+            ) == repairs.check_membership(
+                shifted_db, witness.shifted_program, jwr, transforms.shift(cand, w), uni
             ), seed
             if i % 6 == 0:
                 got = {
@@ -698,31 +699,21 @@ def test_checkers_agree_with_oracles():
 
         program = gen.aic_program(rnd, atoms, normal=rnd.random() < 0.4)
         o = _aic_oracle(db, program, atoms)
-        o_jas = oracles.justified_action_sets(db, program, atoms)
         norm = transforms.normalize_aic(program)
         o_njwr = oracles.justified_weak_repairs(db, norm, atoms)
         o_njr = oracles.justified_repairs(db, norm, atoms)
         normal = is_normal(program)
         for raw in oracles.subsets(oracles.all_actions(atoms)):
             cand = frozenset(raw)
+            for key, cls in AIC_CLASSES.items():
+                assert repairs.check_membership(db, program, cls, cand, uni) == (
+                    cand in o[key]
+                ), f"{seed}: {key}"
             assert repairs.check_weak_repair(db, program, cand) == (
                 cand in o["wr"]
             ), seed
-            assert repairs.check_repair(db, program, cand) == (cand in o["r"]), seed
-            assert repairs.check_founded_weak_repair(db, program, cand) == (
-                cand in o["fwr"]
-            ), seed
-            assert repairs.check_founded_repair(db, program, cand) == (
-                cand in o["fr"]
-            ), seed
             assert repairs.check_justified_weak_repair(db, program, cand, uni) == (
                 cand in o["jwr"]
-            ), seed
-            assert repairs.check_justified_repair(db, program, cand, uni) == (
-                cand in o["jr"]
-            ), seed
-            assert repairs.check_justified_action_set(db, program, cand, uni) == (
-                cand in o_jas
             ), seed
             if normal:
                 assert repairs.decide_jwr_normal(db, program, cand, uni) == (
@@ -739,41 +730,22 @@ def test_checkers_agree_with_oracles():
             rnd, atoms, normal=rnd.random() < 0.5, proper=rnd.random() < 0.7
         )
         ro = _rev_oracle(db, rprogram, atoms)
-        ro_ju = oracles.justified_updates(db, rprogram, atoms)
         rnorm = transforms.normalize_rev(rprogram)
         ro_njwr = oracles.justified_weak_revisions(db, rnorm, atoms)
         ro_njr = oracles.justified_revisions(db, rnorm, atoms)
         rnormal = is_normal(rprogram)
         if rnormal:
-            ro_su = oracles.supported_updates(db, rprogram, atoms)
             ro_sr = oracles.supported_revisions(db, rprogram, atoms)
         for raw in oracles.subsets(oracles.all_rev_literals(atoms)):
             cand = frozenset(raw)
-            assert revisions.check_weak_revision(db, rprogram, cand) == (
-                cand in ro["wr"]
-            ), seed
-            assert revisions.check_revision(db, rprogram, cand) == (
-                cand in ro["r"]
-            ), seed
-            assert revisions.check_founded_weak_revision(db, rprogram, cand) == (
-                cand in ro["fwr"]
-            ), seed
-            assert revisions.check_founded_revision(db, rprogram, cand) == (
-                cand in ro["fr"]
-            ), seed
+            for key, cls in REV_CLASSES.items():
+                assert revisions.check_membership(db, rprogram, cls, cand, uni) == (
+                    cand in ro[key]
+                ), f"{seed}: {key}"
             assert revisions.check_justified_weak_revision(
                 db, rprogram, cand, uni
             ) == (cand in ro["jwr"]), seed
-            assert revisions.check_justified_revision(db, rprogram, cand, uni) == (
-                cand in ro["jr"]
-            ), seed
-            assert revisions.check_justified_update(db, rprogram, cand, uni) == (
-                cand in ro_ju
-            ), seed
             if rnormal:
-                assert revisions.check_supported_update(db, rprogram, cand) == (
-                    cand in ro_su
-                ), seed
                 assert revisions.check_supported_revision(
                     db, rprogram, cand, uni
                 ) == (cand in ro_sr), seed

@@ -195,6 +195,30 @@ def test_check_rejects_atoms_outside_the_declared_universe(
     assert "unknown atom 'z' in update set" in err
 
 
+# Every atom must be inserted, so no proper subset of the candidate is a
+# weak repair: a change-minimality test would search all 2**18 subsets.
+EIGHTEEN = "".join(f"not x{i} -> +x{i}.\n" for i in range(18))
+EIGHTEEN_SET = "--set=" + ",".join(f"+x{i}" for i in range(18))
+
+
+def test_check_respects_the_atom_bound(tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_text("db: .\naic:\n" + EIGHTEEN)
+    polynomial = ("weak-repair", "founded-weak-repair")
+    for cls in (c.value for c in RepairClass):
+        check = ["check", str(path), "--class", cls]
+        for bound in (["--max-atoms", "2"], []):
+            code, out, err = run(check + [EIGHTEEN_SET] + bound, capsys)
+            if cls in polynomial:
+                assert (code, out) == (0, "true\n"), cls
+            else:
+                assert (code, out) == (1, ""), (cls, bound)
+                assert err.startswith("refused: candidate has 18 atoms")
+        # The bound is the candidate's size, not the universe's.
+        code, out, _ = run(check + ["--set=+x0"], capsys)
+        assert (code, out) == (0, "false\n"), cls
+
+
 def test_check_json_payload(capsys):
     code, out, _ = run(
         [
@@ -229,6 +253,29 @@ def test_cqa_json_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"schema": 1, "status": "unknown", "holding": 1, "total": 2}
+
+
+def test_cqa_rejects_query_atoms_outside_the_declared_universe(tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_text("universe: a, b, z.\ndb: a, b.\naic:\na, b -> -a.\n")
+    cqa = ["cqa", "--class", "repair", "--query"]
+    code, out, err = run(cqa + ["q", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown atom 'q' in query" in err
+    code, out, _ = run(cqa + ["z", str(path)], capsys)
+    assert (code, out) == (0, "false\n")
+    code, out, _ = run(cqa + ["q", str(GOLDEN / "pair_delete.aic")], capsys)
+    assert (code, out) == (0, "false\n")
+
+
+def test_shift_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["shift", str(GOLDEN / "pair_delete.aic"), "--by", "a", "--format", "json"]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_shift_verify_reports_class_count_on_stderr(capsys):
@@ -311,3 +358,37 @@ def test_every_class_comes_from_one_scan_per_program(
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert len(calls) == scans
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        (["lattice", "mutual_pair_chain.rev", "--verify"], 2),
+        (["shift", "pair_delete.aic", "--by", "a", "--verify"], 2),
+        (
+            [
+                "check",
+                "mutual_flip.aic",
+                "--class",
+                "justified-weak-repair",
+                "--set=+a,+b",
+            ],
+            1,
+        ),
+    ],
+)
+def test_the_universe_is_validated_once_per_engine_call(
+    argv, validations, capsys, monkeypatch
+):
+    calls = []
+    universe_for = repairs._universe_for
+
+    def counting_universe_for(*args, **kwargs):
+        calls.append(args)
+        return universe_for(*args, **kwargs)
+
+    monkeypatch.setattr(repairs, "_universe_for", counting_universe_for)
+    monkeypatch.chdir(GOLDEN)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == validations

@@ -1,5 +1,5 @@
 """Repair semantics: membership checks, the normal-program fast path, and
-enumeration behaviour (limits, interruption, parallel determinism)."""
+enumeration behaviour (atom bound, canonical order)."""
 
 import random
 
@@ -14,10 +14,8 @@ from aicrepair.errors import (
 from aicrepair.model import Limits, Universe, UpdateAction
 from aicrepair.repairs import (
     RepairClass,
-    check_justified_action_set,
     check_justified_weak_repair,
     check_membership,
-    check_repair,
     check_weak_repair,
     decide_jwr_normal,
     enumerate_repairs,
@@ -59,7 +57,8 @@ def test_inconsistent_candidates_are_rejected_not_errors():
     bad = uas("+a, -a")
     assert not check_weak_repair(frozenset(), CHAIN, bad)
     assert not check_justified_weak_repair(frozenset(), CHAIN, bad)
-    assert not check_justified_action_set(frozenset(), CHAIN, bad)
+    for cls in RepairClass:
+        assert not check_membership(frozenset(), CHAIN, cls, bad)
     assert not decide_jwr_normal(frozenset(), CHAIN, bad)
 
 
@@ -74,9 +73,8 @@ def test_repair_is_a_minimal_weak_repair():
     db = frozenset({"a", "b"})
     program = parse_program("a, b -> -a.", "aic")
     assert check_weak_repair(db, program, uas("-a, -b"))
-    assert not check_repair(db, program, uas("-a, -b"))
-    assert check_repair(db, program, uas("-a"))
-    assert check_repair(db, program, uas("-b"))
+    for u, member in (("-a, -b", False), ("-a", True), ("-b", True)):
+        assert check_membership(db, program, RepairClass.REPAIR, uas(u)) is member
 
 
 def test_foundedness_needs_a_witness_rule():
@@ -125,9 +123,8 @@ def test_fast_path_scales_to_long_chains():
 def test_membership_dispatch_matches_direct_checks():
     db = frozenset({"a", "b"})
     for u in (uas("-a"), uas("-a, -b"), frozenset()):
-        assert check_membership(db, PAIR, RepairClass.REPAIR, u) == check_repair(
-            db, PAIR, u
-        )
+        justified = check_membership(db, PAIR, RepairClass.JUSTIFIED_WEAK_REPAIR, u)
+        assert justified == check_justified_weak_repair(db, PAIR, u)
         normalized = check_membership(
             db, PAIR, RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED, u
         )
@@ -138,6 +135,25 @@ def test_checks_validate_against_a_declared_universe():
     uni = Universe(("a",))
     with pytest.raises(UnknownAtom):
         check_justified_weak_repair(frozenset({"a"}), (), uas("-b"), uni)
+
+
+def test_subset_searching_checks_bound_the_candidate_not_the_universe():
+    db = frozenset({"a", "b", "c"})
+    program = parse_program("a, b, c -> -a.", "aic")
+    wide = Universe(["a", "b", "c"] + [f"x{i}" for i in range(13)])
+    polynomial = {RepairClass.WEAK_REPAIR, RepairClass.FOUNDED_WEAK_REPAIR}
+    for cls in RepairClass:
+        # A one-atom candidate over a 16-atom universe: bounded or not, the
+        # search has one proper subset, so every class answers.
+        assert check_membership(db, program, cls, uas("-a"), wide)
+        assert check_membership(db, program, cls, uas("-a"), wide, Limits())
+        two = uas("-a, -b")
+        if cls in polynomial:
+            bounded = check_membership(db, program, cls, two, limits=Limits(1))
+            assert bounded == check_membership(db, program, cls, two)
+        else:
+            with pytest.raises(UniverseTooLarge, match="candidate has 2 atoms"):
+                check_membership(db, program, cls, two, limits=Limits(1))
 
 
 def test_enumeration_orders_sets_canonically():
