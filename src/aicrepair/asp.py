@@ -9,7 +9,6 @@ part is exactly the original body.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotSimpleRule
@@ -20,6 +19,8 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
+    all_subsets,
+    proper_subsets,
 )
 
 
@@ -92,14 +93,9 @@ def is_model_positive(interp: frozenset[str], program: LogicProgram) -> bool:
 def is_answer_set(program: LogicProgram, interp: frozenset[str]) -> bool:
     """True when the interpretation is a minimal model of its own reduct."""
     fixed = reduct(program, interp)
-    if not is_model_positive(interp, fixed):
-        return False
-    pool = sorted(interp)
-    for k in range(len(pool)):
-        for combo in itertools.combinations(pool, k):
-            if is_model_positive(frozenset(combo), fixed):
-                return False
-    return True
+    return is_model_positive(interp, fixed) and not any(
+        is_model_positive(s, fixed) for s in proper_subsets(sorted(interp))
+    )
 
 
 def answer_sets(
@@ -114,12 +110,7 @@ def answer_sets(
     for r in program:
         uni.require(r.atoms(), "rule")
     limits.check_universe(uni)
-    found = []
-    atoms = uni.atoms
-    for index in range(1 << len(atoms)):
-        m = frozenset(a for bit, a in enumerate(atoms) if index >> bit & 1)
-        if is_answer_set(program, m):
-            found.append(m)
+    found = [m for m in all_subsets(uni.atoms) if is_answer_set(program, m)]
     return tuple(sorted(found, key=sorted))
 
 

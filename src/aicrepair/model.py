@@ -164,9 +164,10 @@ class Universe:
             raise UnknownAtom(atom) from None
 
     def require(self, atoms: Iterable[str], context: str = "") -> None:
-        for a in atoms:
-            if a not in self._index:
-                raise UnknownAtom(a, context)
+        """Name the smallest unknown atom, whatever the set iteration order."""
+        unknown = [a for a in atoms if a not in self._index]
+        if unknown:
+            raise UnknownAtom(min(unknown), context)
 
     @classmethod
     def collect(cls, *parts) -> "Universe":
@@ -312,11 +313,16 @@ def apply_update(db: frozenset[str], actions: Iterable[UpdateAction]) -> frozens
 
 def apply_revision(db: frozenset[str], literals: Iterable[RevLiteral]) -> frozenset[str]:
     """Update a database by a consistent set of revision literals."""
-    literals = set(literals)
-    _require_consistent(literals)
-    added = {l.atom for l in literals if l.is_in}
-    removed = {l.atom for l in literals if not l.is_in}
-    return frozenset((db | added) - removed)
+    return apply_update(db, (ua(l) for l in literals))
+
+
+def _no_effect(db, result, universe: Universe) -> frozenset[UpdateAction]:
+    """:func:`no_effect_set` of databases already inside ``universe``."""
+    kept = db & result
+    absent = (a for a in universe.atoms if a not in db and a not in result)
+    return frozenset(UpdateAction(a, True) for a in kept) | frozenset(
+        UpdateAction(a, False) for a in absent
+    )
 
 
 def no_effect_set(
@@ -326,11 +332,7 @@ def no_effect_set(
     ``+a`` for atoms in both, ``-a`` for atoms in neither."""
     universe.require(db, "database")
     universe.require(result, "database")
-    kept = db & result
-    absent = (a for a in universe.atoms if a not in db and a not in result)
-    return frozenset(UpdateAction(a, True) for a in kept) | frozenset(
-        UpdateAction(a, False) for a in absent
-    )
+    return _no_effect(db, result, universe)
 
 
 def inertia_set(
@@ -371,18 +373,17 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
 
 
 def all_subsets(items: Iterable) -> Iterator[frozenset]:
-    """All subsets of ``items``, smallest first, deterministic order."""
-    pool = ordered(items)
+    """All subsets of ``items``, smallest first, so each comes after its
+    proper subsets; one size in the lexicographic order of ``items``."""
+    pool = tuple(items)
     for k in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, k):
-            yield frozenset(combo)
+        yield from map(frozenset, itertools.combinations(pool, k))
 
 
 def proper_subsets(items: Iterable) -> Iterator[frozenset]:
-    pool = set(items)
-    for s in all_subsets(pool):
-        if len(s) < len(pool):
-            yield s
+    """:func:`all_subsets` without its last subset, the full set."""
+    pool = tuple(items)
+    return itertools.islice(all_subsets(pool), (1 << len(pool)) - 1)
 
 
 # ---------------------------------------------------------------------------

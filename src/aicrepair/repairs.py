@@ -26,12 +26,14 @@ from .model import (
     Limits,
     Universe,
     UpdateAction,
+    _key,
+    _no_effect,
+    all_subsets,
     apply_update,
     entails,
     essential_actions,
     is_consistent,
     lit,
-    no_effect_set,
     ordered,
     proper_subsets,
 )
@@ -90,30 +92,21 @@ def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
 
 def _smaller_enforcing(db, program, u: frozenset[UpdateAction]) -> bool:
     return any(
-        entails(apply_update(db, sub), program) for sub in proper_subsets(u)
+        entails(apply_update(db, sub), program)
+        for sub in proper_subsets(ordered(u))
     )
 
 
-def is_founded_action(
-    db: frozenset[str], program: AicProgram, actions, action: UpdateAction
-) -> bool:
-    """Some rule has ``action`` in its head, its non-updatable body holds in
-    the updated database, and the duals of all other head actions hold too."""
-    result = apply_update(db, actions)
-    for r in program:
-        if action not in r.head:
-            continue
-        if not entails(result, r.nup):
-            continue
-        others = r.head - {action}
-        if all(entails(result, lit(b).dual()) for b in others):
-            return True
-    return False
-
-
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
+    """Every action ``a`` is founded: some rule has ``a`` in its head, and
+    its non-updatable body and the duals of its other head actions, that is
+    its whole body but the dual of ``a``, hold in the updated database."""
     u = frozenset(actions)
-    return all(is_founded_action(db, program, u, a) for a in u)
+    result = apply_update(db, u)
+    return all(
+        any(a in r.head and entails(result, r.body - {lit(a).dual()}) for r in program)
+        for a in u
+    )
 
 
 def is_closed(program: AicProgram, actions) -> bool:
@@ -132,10 +125,12 @@ def _justified(db, program, e: frozenset[UpdateAction], uni: Universe) -> bool:
     no-effect actions ``ne``, is a justified action set: ``e`` avoids
     ``ne``, ``e | ne`` is closed, and no ``ne | e'`` with ``e'`` a proper
     subset of ``e`` is closed."""
-    ne = no_effect_set(db, apply_update(db, e), uni)
+    ne = _no_effect(db, apply_update(db, e), uni)
     if e & ne or not is_closed(program, e | ne):
         return False
-    return not any(is_closed(program, ne | sub) for sub in proper_subsets(e))
+    return not any(
+        is_closed(program, ne | sub) for sub in proper_subsets(ordered(e))
+    )
 
 
 def check_justified_weak_repair(
@@ -195,7 +190,7 @@ def decide_jwr_normal(
     if not is_consistent(e):
         return False
     uni = _universe_for(db, program, e, universe)
-    ne = no_effect_set(db, apply_update(db, e), uni)
+    ne = _no_effect(db, apply_update(db, e), uni)
     if e & ne:
         return False
     closure = least_closure(ne, program)
@@ -252,23 +247,16 @@ class RepairReport:
 
 
 def sort_key(actions: Iterable[UpdateAction]) -> tuple:
-    return tuple((a.atom, 0 if a.insert else 1) for a in ordered(actions))
-
-
-def _candidate(index: int, essential: tuple[UpdateAction, ...]) -> frozenset[UpdateAction]:
-    return frozenset(
-        a for bit, a in enumerate(essential) if index >> bit & 1
-    )
+    return tuple(sorted(map(_key, actions)))
 
 
 def _scan(db, program, essential, groundings, uni) -> tuple[list, dict]:
     """Examine every candidate once: returns the weak repairs and, per
     requested grounding, the weak repairs that have it, in examination
-    order."""
+    order, which is smallest first."""
     weak: list = []
     grounded: dict = {g: [] for g in groundings}
-    for index in range(1 << len(essential)):
-        u = _candidate(index, essential)
+    for u in all_subsets(essential):
         if not entails(apply_update(db, u), program):
             continue
         weak.append(u)
@@ -279,7 +267,13 @@ def _scan(db, program, essential, groundings, uni) -> tuple[list, dict]:
 
 
 def _minimal(sets: list[frozenset]) -> list[frozenset]:
-    return [u for u in sets if not any(v < u for v in sets)]
+    """The members of ``sets`` with no proper subset among them. ``sets``
+    lists each set after its proper subsets (smallest first does)."""
+    kept: list = []
+    for u in sets:
+        if not any(v < u for v in kept):
+            kept.append(u)
+    return kept
 
 
 def enumerate_classes(
@@ -317,8 +311,7 @@ def enumerate_classes(
             _, grounding, change_minimal = _TABLE[c]
             hits = weak if grounding is None else grounded[grounding]
             if change_minimal:
-                if minimal is None:
-                    minimal = set(_minimal(weak))
+                minimal = minimal or set(_minimal(weak))
                 hits = [u for u in hits if u in minimal]
             hits = tuple(sorted(hits, key=sort_key))
             reports[c] = RepairReport(c, hits, examined)

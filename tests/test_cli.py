@@ -6,12 +6,16 @@ stdout.
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from aicrepair import cli, repairs
+import aicrepair
+from aicrepair import cli, model, repairs
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
 
@@ -392,3 +396,87 @@ def test_the_universe_is_validated_once_per_engine_call(
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert len(calls) == validations
+
+
+# One constraint over a declared six-atom universe: 32 weak repairs, one of
+# them justified.
+MANY_WEAK_REPAIRS = "universe: a, b, c, d, e, f.\ndb: a.\naic:\na -> -a.\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(GOLDEN / "mutual_flip.aic").read_text(), MANY_WEAK_REPAIRS],
+    ids=["mutual_flip", "many_weak_repairs"],
+)
+def test_justified_enumeration_validates_as_often_as_weak(
+    text, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    calls = []
+    require = model.Universe.require
+
+    def counting_require(self, *args, **kwargs):
+        calls.append(args)
+        return require(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Universe, "require", counting_require)
+    counts = {}
+    for cls in ("weak-repair", "justified-weak-repair", "justified-repair"):
+        calls.clear()
+        code, _, _ = run(["repair", str(path), "--class", cls], capsys)
+        assert code == 0
+        counts[cls] = len(calls)
+    assert counts["justified-weak-repair"] == counts["weak-repair"]
+    assert counts["justified-repair"] == counts["weak-repair"]
+
+
+# Each instance and command meets three unknown atoms in one set; the error
+# names the smallest, whatever order the hash seed gives the set.
+UNKNOWN_ATOMS = {
+    "check-set": (
+        "universe: a, b.\ndb: a.\naic:\na -> -a.\n",
+        ["check", "--class", "repair", "--set=+y,+z,+w"],
+        "update set",
+    ),
+    "cqa-query": (
+        "universe: a, b.\ndb: a.\naic:\na -> -a.\n",
+        ["cqa", "--class", "repair", "--query=y,z,w"],
+        "query",
+    ),
+    "db-section": (
+        "universe: a, b.\ndb: a, y, z, w.\naic:\na -> -a.\n",
+        ["repair", "--class", "repair"],
+        "db section",
+    ),
+    "rule": (
+        "universe: a, b.\ndb: a.\naic:\na, y, z, w -> -a.\n",
+        ["repair", "--class", "repair"],
+        "rule 'a, w, y, z -> -a.'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, argv, context", UNKNOWN_ATOMS.values(), ids=UNKNOWN_ATOMS.keys()
+)
+def test_the_unknown_atom_named_does_not_depend_on_the_hash_seed(
+    text, argv, context, tmp_path
+):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    src = str(Path(aicrepair.__file__).parents[1])
+    for seed in range(5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "aicrepair.cli", *argv, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        assert proc.stderr == f"error: unknown atom 'w' in {context}\n", seed

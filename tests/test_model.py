@@ -177,10 +177,22 @@ def test_essential_actions_flip_every_atom():
 
 
 def test_subset_iterators():
-    items = {UpdateAction("a", True), UpdateAction("b", True)}
-    assert len(list(all_subsets(items))) == 4
-    assert len(list(proper_subsets(items))) == 3
-    assert list(all_subsets(items))[0] == frozenset()
+    for items in (
+        [UpdateAction("b", True), UpdateAction("a", False), UpdateAction("c", True)],
+        ["d", "a", "c", "b"],
+        ["a"],
+        [],
+    ):
+        subsets = list(all_subsets(items))
+        assert len(set(subsets)) == len(subsets) == 2 ** len(items)
+        assert all(s <= set(items) for s in subsets)
+        # Smallest first; one size in the lexicographic order of the
+        # positions in the given list, whatever the items' own order.
+        positions = [sorted(items.index(x) for x in s) for s in subsets]
+        assert positions == sorted(positions, key=lambda p: (len(p), p))
+        assert subsets[-1] == frozenset(items)
+        assert list(proper_subsets(items)) == subsets[:-1]
+        assert list(proper_subsets(iter(items))) == subsets[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ enumeration behaviour (atom bound, canonical order)."""
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gen
 from aicrepair.errors import (
@@ -23,6 +24,7 @@ from aicrepair.repairs import (
     is_founded_set,
     least_closure,
     sort_key,
+    _minimal,
 )
 from aicrepair.syntax import parse_actions, parse_program
 from aicrepair.transforms import normalize_aic
@@ -82,6 +84,12 @@ def test_foundedness_needs_a_witness_rule():
     program = parse_program("a, b -> -a.", "aic")
     assert is_founded_set(db, program, uas("-a"))
     assert not is_founded_set(db, program, uas("-b"))
+
+
+@given(st.lists(st.frozensets(st.integers(0, 4), max_size=4), max_size=12))
+def test_minimal_filter_on_sets_listed_smallest_first(sets):
+    sets.sort(key=len)
+    assert _minimal(sets) == [u for u in sets if not any(v < u for v in sets)]
 
 
 def test_closedness_on_the_pair_constraint():
