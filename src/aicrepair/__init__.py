@@ -45,9 +45,7 @@ from .repairs import (
     RepairClass,
     RepairReport,
     check_membership,
-    decide_jwr_normal,
     enumerate_repairs,
-    least_closure,
 )
 from .revisions import (
     RevisionClass,
@@ -107,7 +105,6 @@ __all__ = [
     "check_revision_membership",
     "check_supported_revision",
     "cqa",
-    "decide_jwr_normal",
     "enumerate_repairs",
     "enumerate_revisions",
     "inertia_set",
@@ -115,7 +112,6 @@ __all__ = [
     "is_consistent",
     "is_normal",
     "is_proper",
-    "least_closure",
     "lit",
     "no_effect_set",
     "normalize_aic",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import sys
 from types import ModuleType
@@ -374,7 +375,10 @@ def _add_class(parser, help: str, *kinds: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than answering a small request, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="aicrepair",
         description="Repair databases under active integrity constraints "

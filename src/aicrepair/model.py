@@ -294,20 +294,15 @@ def is_consistent(xs: Iterable) -> bool:
     return len({x.atom for x in xs}) == len(xs)
 
 
-def _require_consistent(xs: Iterable) -> None:
-    seen: dict[str, object] = {}
-    for x in xs:
-        if x.atom in seen and seen[x.atom] != x:
-            raise InconsistentUpdateSet(x.atom)
-        seen[x.atom] = x
-
-
 def apply_update(db: frozenset[str], actions: Iterable[UpdateAction]) -> frozenset[str]:
-    """Update a database by a consistent set of update actions."""
+    """Update a database by a consistent set of update actions. An
+    inconsistent set names its smallest conflicting atom, whatever the set
+    iteration order."""
     actions = set(actions)
-    _require_consistent(actions)
     added = {a.atom for a in actions if a.insert}
     removed = {a.atom for a in actions if not a.insert}
+    if added & removed:
+        raise InconsistentUpdateSet(min(added & removed))
     return frozenset((db | added) - removed)
 
 

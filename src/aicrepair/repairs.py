@@ -100,8 +100,11 @@ def _smaller_enforcing(db, program, u: frozenset[UpdateAction]) -> bool:
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     """Every action ``a`` is founded: some rule has ``a`` in its head, and
     its non-updatable body and the duals of its other head actions, that is
-    its whole body but the dual of ``a``, hold in the updated database."""
+    its whole body but the dual of ``a``, hold in the updated database. An
+    inconsistent set is not founded."""
     u = frozenset(actions)
+    if not is_consistent(u):
+        return False
     result = apply_update(db, u)
     return all(
         any(a in r.head and entails(result, r.body - {lit(a).dual()}) for r in program)
@@ -109,28 +112,52 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     )
 
 
+def _violated(program: AicProgram, actions: frozenset[UpdateAction]):
+    """The first rule whose non-updatable body the set makes true while the
+    set holds none of its head actions, or ``None``."""
+    made_true = frozenset(lit(a) for a in actions)
+    return next(
+        (r for r in program if r.nup <= made_true and not r.head & actions), None
+    )
+
+
 def is_closed(program: AicProgram, actions) -> bool:
     """Closedness under the rules: whenever all non-updatable body literals
     of a rule are made true by the set, the set contains a head action."""
-    u = frozenset(actions)
-    made_true = frozenset(lit(a) for a in u)
-    for r in program:
-        if r.nup <= made_true and not (r.head & u):
-            return False
-    return True
+    return _violated(program, frozenset(actions)) is None
 
 
 def _justified(db, program, e: frozenset[UpdateAction], uni: Universe) -> bool:
     """A consistent ``e`` over a validated universe, together with its
     no-effect actions ``ne``, is a justified action set: ``e`` avoids
     ``ne``, ``e | ne`` is closed, and no ``ne | e'`` with ``e'`` a proper
-    subset of ``e`` is closed."""
+    subset of ``e`` is closed.
+
+    The last test walks up from ``ne``: a set that violates a rule grows by
+    one of the rule's head actions in ``e``. Any closed ``T`` between ``ne``
+    and ``e | ne`` contains such an action of every rule a subset of it
+    violates, so the walk reaches a closed set inside ``T``; it branches
+    only at disjunctive heads, and on a normal program it is the least
+    closure of ``ne``."""
     ne = _no_effect(db, apply_update(db, e), uni)
-    if e & ne or not is_closed(program, e | ne):
+    full = e | ne
+    if e & ne or not is_closed(program, full):
         return False
-    return not any(
-        is_closed(program, ne | sub) for sub in proper_subsets(ordered(e))
-    )
+    seen = {ne}
+    todo = [ne]
+    while todo:
+        s = todo.pop()
+        rule = _violated(program, s)
+        if rule is None:
+            if s != full:
+                return False
+            continue
+        for a in rule.head & e:
+            t = s | {a}
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return True
 
 
 def check_justified_weak_repair(
@@ -149,52 +176,6 @@ def _require_normal(program) -> None:
     for r in program:
         if not r.normal:
             raise NotNormalProgram(str(r))
-
-
-def least_closure(
-    seed: Iterable[UpdateAction], program: AicProgram
-) -> frozenset[UpdateAction] | None:
-    """The least superset of ``seed`` closed under a normal program, or
-    ``None`` when no closed superset exists (a triggered constraint has an
-    empty head, which nothing can satisfy)."""
-    _require_normal(program)
-    w = set(seed)
-    made_true = {lit(a) for a in w}
-    changed = True
-    while changed:
-        changed = False
-        for r in program:
-            if not r.nup <= made_true:
-                continue
-            if not r.head:
-                return None
-            (action,) = r.head
-            if action not in w:
-                w.add(action)
-                made_true.add(lit(action))
-                changed = True
-    return frozenset(w)
-
-
-def decide_jwr_normal(
-    db: frozenset[str], program: AicProgram, actions, universe: Universe | None = None
-) -> bool:
-    """Polynomial-time justified-weak-repair test for normal programs.
-
-    For normal programs the unique minimal closed superset of the no-effect
-    core can be computed bottom-up, so membership reduces to one fixpoint
-    computation instead of a search over subsets.
-    """
-    _require_normal(program)
-    e = frozenset(actions)
-    if not is_consistent(e):
-        return False
-    uni = _universe_for(db, program, e, universe)
-    ne = _no_effect(db, apply_update(db, e), uni)
-    if e & ne:
-        return False
-    closure = least_closure(ne, program)
-    return closure is not None and closure == e | ne
 
 
 def _grounded(grounding, db, program, u, uni) -> bool:

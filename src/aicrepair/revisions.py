@@ -91,7 +91,8 @@ def check_supported_revision(
 
 def is_founded_rev_set(db: frozenset[str], program: RevProgram, literals) -> bool:
     """Every literal is in the head of a rule whose body holds in the
-    revised database, and so do the duals of the other head literals."""
+    revised database, and so do the duals of the other head literals. An
+    inconsistent set is not founded."""
     return repairs.is_founded_set(db, _aic(program), (ua(l) for l in literals))
 
 

@@ -42,7 +42,6 @@ from .model import (
 from .asp import LogicProgram, LpRule
 
 SECTION_NAMES = ("universe", "db", "aic", "rev", "lp")
-PROGRAM_SECTIONS = ("aic", "rev", "lp")
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 

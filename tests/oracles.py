@@ -155,22 +155,6 @@ def justified_repairs(db, program, atoms) -> set[frozenset]:
     }
 
 
-def least_closed_superset(seed, program, atoms):
-    """Intersection of all closed supersets of the seed, or None if there
-    is none. Only meaningful for normal programs, where closed sets are
-    intersection-closed."""
-    seed = frozenset(seed)
-    closed = [
-        u for u in subsets(all_actions(atoms)) if seed <= u and closed_under(program, u)
-    ]
-    if not closed:
-        return None
-    least = frozenset.intersection(*closed)
-    if not closed_under(program, least):
-        raise ValueError("closed supersets have no least element")
-    return least
-
-
 def normalize(program) -> tuple[AicRule, ...]:
     out = []
     for r in program:

@@ -18,10 +18,14 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 import gen
 import oracles
 from aicrepair import asp, cli, repairs, revisions, transforms
+from aicrepair.errors import UniverseTooLarge
 from aicrepair.model import (
+    DEFAULT_MAX_ATOMS,
     Literal,
     Universe,
     UpdateAction,
@@ -677,11 +681,6 @@ def test_answer_set_bridge():
                 ).sets
             )
             assert jr_engine == jwr_engine, seed
-            prog = gen.aic_program(rnd, atoms, normal=True)
-            start = gen.action_set(rnd, atoms)
-            assert repairs.least_closure(start, prog) == oracles.least_closed_superset(
-                start, prog, atoms
-            ), seed
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +701,6 @@ def test_checkers_agree_with_oracles():
         norm = transforms.normalize_aic(program)
         o_njwr = oracles.justified_weak_repairs(db, norm, atoms)
         o_njr = oracles.justified_repairs(db, norm, atoms)
-        normal = is_normal(program)
         for raw in oracles.subsets(oracles.all_actions(atoms)):
             cand = frozenset(raw)
             for key, cls in AIC_CLASSES.items():
@@ -715,10 +713,6 @@ def test_checkers_agree_with_oracles():
             assert repairs.check_justified_weak_repair(db, program, cand, uni) == (
                 cand in o["jwr"]
             ), seed
-            if normal:
-                assert repairs.decide_jwr_normal(db, program, cand, uni) == (
-                    cand in o["jwr"]
-                ), seed
             assert repairs.check_membership(
                 db, program, RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED, cand, uni
             ) == (cand in o_njwr), seed
@@ -792,7 +786,14 @@ def test_one_scan_matches_per_class_enumeration(capsys):
     )
     for path in sorted(GOLDEN.glob("*.aic")) + sorted(GOLDEN.glob("*.rev")):
         inst = _load(path.name)
-        _one_scan_matches(inst.kind, inst.db, inst.program, inst.universe(), path.name)
+        args = (inst.kind, inst.db, inst.program, inst.universe(), path.name)
+        if len(inst.universe()) > DEFAULT_MAX_ATOMS:
+            # long_chain.aic is there for one membership check; enumerating
+            # its 40 atoms is refused.
+            with pytest.raises(UniverseTooLarge):
+                _one_scan_matches(*args)
+            continue
+        _one_scan_matches(*args)
     for name, command, cls in cases:
         code = cli.main(
             [command, "--class", cls, "--format", "json", str(GOLDEN / name)]

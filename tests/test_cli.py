@@ -29,6 +29,22 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_fresh(argv, **env):
+    """Run the command line in a new interpreter, on this checkout's code."""
+    src = str(Path(aicrepair.__file__).parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "aicrepair.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize("cmd_file", REPLAYS, ids=lambda p: p.stem)
 def test_golden_replay(cmd_file, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
@@ -465,18 +481,31 @@ def test_the_unknown_atom_named_does_not_depend_on_the_hash_seed(
 ):
     path = tmp_path / "instance.txt"
     path.write_text(text)
-    src = str(Path(aicrepair.__file__).parents[1])
     for seed in range(5):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "aicrepair.cli", *argv, str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_fresh([*argv, str(path)], PYTHONHASHSEED=str(seed))
         assert (proc.returncode, proc.stdout) == (2, ""), seed
         assert proc.stderr == f"error: unknown atom 'w' in {context}\n", seed
+
+
+SUBCOMMANDS = ("repair", "revise", "check", "translate", "normalize",
+               "properize", "shift", "answer-sets", "cqa", "lattice")
+
+
+def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
+    # Help, then an argument error, then a good request, all through the
+    # one parser of this process; each must read as it does in a fresh one.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(GOLDEN)
+    requests = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    requests += [["repair", "pair_delete.aic", "--class", "nonsense"]]
+    requests += [["repair", "pair_delete.aic", "--class", "repair"]]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in requests:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = run_fresh(argv, COLUMNS="80")
+        fresh = (proc.returncode, proc.stdout, proc.stderr)
+        assert (code, captured.out, captured.err) == fresh, argv

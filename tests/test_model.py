@@ -1,10 +1,15 @@
 """Core model: literals, actions, the update algebra, and universes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import aicrepair
 from aicrepair.errors import (
     InconsistentUpdateSet,
     InputError,
@@ -126,6 +131,36 @@ def test_apply_rejects_inconsistent_sets():
         apply_update(frozenset(), {UpdateAction("a", True), UpdateAction("a", False)})
     with pytest.raises(InconsistentUpdateSet):
         apply_revision(frozenset(), {RevLiteral("a", True), RevLiteral("a", False)})
+
+
+# Three atoms with both signs in one set: the error names the smallest,
+# whatever order the hash seed gives the set.
+CONFLICTS = """\
+from aicrepair.errors import InconsistentUpdateSet
+from aicrepair.model import RevLiteral, UpdateAction, apply_revision, apply_update
+for apply, kind in ((apply_update, UpdateAction), (apply_revision, RevLiteral)):
+    try:
+        apply(frozenset(), {kind(a, s) for a in "cba" for s in (True, False)})
+    except InconsistentUpdateSet as exc:
+        print(exc.atom)
+"""
+
+
+def test_the_conflicting_atom_named_does_not_depend_on_the_hash_seed():
+    src = str(Path(aicrepair.__file__).parents[1])
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", CONFLICTS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a\na\n", ""), seed
 
 
 @given(db_st, st.frozensets(actions_st), st.frozensets(actions_st))
@@ -349,3 +384,8 @@ def test_random_consistency_check_agrees_with_definition():
             for a in atoms
         )
         assert is_consistent(xs) == by_atom
+
+
+def test_every_exported_name_resolves():
+    for name in aicrepair.__all__:
+        assert getattr(aicrepair, name, None) is not None, name

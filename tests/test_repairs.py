@@ -1,4 +1,4 @@
-"""Repair semantics: membership checks, the normal-program fast path, and
+"""Repair semantics: membership checks, the justification search, and
 enumeration behaviour (atom bound, canonical order)."""
 
 import random
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
+import oracles
 from aicrepair.errors import (
-    NotNormalProgram,
     UniverseTooLarge,
     UnknownAtom,
 )
@@ -18,11 +18,9 @@ from aicrepair.repairs import (
     check_justified_weak_repair,
     check_membership,
     check_weak_repair,
-    decide_jwr_normal,
     enumerate_repairs,
     is_closed,
     is_founded_set,
-    least_closure,
     sort_key,
     _minimal,
 )
@@ -37,22 +35,12 @@ def uas(text):
     return parse_actions(text)
 
 
-def test_least_closure_runs_the_chain():
-    assert least_closure(frozenset(), CHAIN) == uas("+a, +b")
-    assert least_closure(uas("+a"), CHAIN) == uas("+a, +b")
-
-
-def test_least_closure_is_none_when_a_constraint_fires():
-    program = parse_program("a -> false.\nnot a -> +a.", "aic")
-    assert least_closure(frozenset(), program) is None
-    assert least_closure(frozenset(), parse_program("a -> false.", "aic")) == frozenset()
-
-
-def test_normal_only_operations_refuse_disjunctive_programs():
-    with pytest.raises(NotNormalProgram):
-        least_closure(frozenset(), PAIR)
-    with pytest.raises(NotNormalProgram):
-        decide_jwr_normal(frozenset({"a", "b"}), PAIR, frozenset())
+def test_justified_check_accepts_disjunctive_programs():
+    db = frozenset({"a", "b"})
+    assert not check_justified_weak_repair(db, PAIR, frozenset())
+    assert check_justified_weak_repair(db, PAIR, uas("-a"))
+    assert check_justified_weak_repair(db, PAIR, uas("-b"))
+    assert not check_justified_weak_repair(db, PAIR, uas("-a, -b"))
 
 
 def test_inconsistent_candidates_are_rejected_not_errors():
@@ -61,7 +49,7 @@ def test_inconsistent_candidates_are_rejected_not_errors():
     assert not check_justified_weak_repair(frozenset(), CHAIN, bad)
     for cls in RepairClass:
         assert not check_membership(frozenset(), CHAIN, cls, bad)
-    assert not decide_jwr_normal(frozenset(), CHAIN, bad)
+    assert not is_founded_set(frozenset(), CHAIN, bad)
 
 
 def test_weak_repair_requires_every_action_to_change_something():
@@ -101,8 +89,6 @@ def test_closedness_on_the_pair_constraint():
 
 def test_justified_weak_repair_on_the_chain():
     db = frozenset()
-    assert decide_jwr_normal(db, CHAIN, uas("+a, +b"))
-    assert not decide_jwr_normal(db, CHAIN, uas("+a"))
     assert check_justified_weak_repair(db, CHAIN, uas("+a, +b"))
     assert not check_justified_weak_repair(db, CHAIN, uas("+a"))
 
@@ -110,22 +96,26 @@ def test_justified_weak_repair_on_the_chain():
 def test_fast_path_agrees_with_the_generic_checker():
     rnd = random.Random("jwr-fast-path")
     for i in range(300):
-        atoms = gen.atom_pool(rnd, rnd.randrange(1, 5))
+        atoms = gen.atom_pool(rnd, rnd.randrange(1, 6))
         db = gen.database(rnd, atoms)
-        program = gen.aic_program(rnd, atoms, normal=True)
-        u = gen.action_set(rnd, atoms)
-        want = check_justified_weak_repair(db, program, u)
-        assert decide_jwr_normal(db, program, u) == want, f"case {i}"
+        program = gen.aic_program(rnd, atoms, normal=i % 2 == 0)
+        want = oracles.justified_weak_repairs(db, program, atoms)
+        uni = Universe(atoms)
+        for u in want | {gen.action_set(rnd, atoms) for _ in range(4)}:
+            got = check_justified_weak_repair(db, program, u, uni)
+            assert got == (u in want), f"case {i}"
 
 
 def test_fast_path_scales_to_long_chains():
+    # At 50 atoms a walk over the subsets of the candidate could not finish.
     atoms = [f"x{i}" for i in range(50)]
     rules = ["not x0 -> +x0."]
     rules += [f"x{i - 1}, not x{i} -> +x{i}." for i in range(1, 50)]
     program = parse_program("\n".join(rules), "aic")
     everything = frozenset(UpdateAction(a, True) for a in atoms)
-    assert decide_jwr_normal(frozenset(), program, everything)
-    assert not decide_jwr_normal(frozenset(), program, everything - {UpdateAction("x49", True)})
+    assert check_justified_weak_repair(frozenset(), program, everything)
+    last = UpdateAction("x49", True)
+    assert not check_justified_weak_repair(frozenset(), program, everything - {last})
 
 
 def test_membership_dispatch_matches_direct_checks():

@@ -48,6 +48,7 @@ def test_foundedness_on_the_choice_rule():
     db = frozenset()
     assert is_founded_rev_set(db, CHOICE, rls("in(a)"))
     assert not is_founded_rev_set(db, CHOICE, rls("in(a), in(b)"))
+    assert not is_founded_rev_set(db, CHOICE, rls("in(a), out(a)"))
     assert check_membership(
         db, CHOICE, RevisionClass.FOUNDED_WEAK_REVISION, rls("in(b)")
     )

@@ -1,12 +1,16 @@
 """Parsing and canonical printing of the text format."""
 
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import gen
 from aicrepair.errors import InputError, ParseError, UnknownAtom, UpdatableConditionViolated
-from aicrepair.model import Literal, RevLiteral, UpdateAction
+from aicrepair.model import Literal, RevLiteral, Universe, UpdateAction
 from aicrepair.syntax import (
+    Instance,
     format_db,
     format_set,
     parse_actions,
@@ -172,3 +176,40 @@ def test_format_helpers():
     assert format_set({UpdateAction("b", False), UpdateAction("a", True)}) == "{+a, -b}"
     assert format_set(()) == "{}"
     assert format_db(frozenset({"b", "a"})) == "{a, b}"
+
+
+# The words and symbols of the text format, so that generated text gets past
+# the lexer and reaches the parser's error paths.
+TOKENS = ("a", "b", "not", "false", "universe", "db", "aic", "rev", "lp", "in",
+          "out", "->", "<-", ":-", "|", ",", ".", "(", ")", ":", "+", "-",
+          "\n", "%", "B", "1")
+texts_st = st.one_of(st.text(), st.lists(st.sampled_from(TOKENS)).map(" ".join))
+
+
+@given(texts_st)
+def test_any_text_parses_or_raises_an_input_error(text):
+    try:
+        parse_instance(text)
+    except InputError:
+        pass
+    for kind in ("aic", "rev", "lp"):
+        try:
+            parse_program(text, kind)
+        except InputError:
+            pass
+
+
+@given(st.integers(0, 2**32), st.sampled_from(("aic", "rev", "lp")), st.booleans())
+def test_printing_round_trips_generated_instances(seed, kind, declared):
+    rnd = random.Random(seed)
+    atoms = gen.atom_pool(rnd)
+    normal = rnd.random() < 0.5
+    if kind == "aic":
+        program = gen.aic_program(rnd, atoms, normal=normal)
+    elif kind == "rev":
+        program = gen.rev_program(rnd, atoms, normal=normal, proper=rnd.random() < 0.5)
+    else:
+        program = gen.lp_program(rnd, atoms, normal=normal)
+    universe = Universe(atoms) if declared else None
+    instance = Instance(kind, gen.database(rnd, atoms), program, universe)
+    assert parse_instance(print_instance(instance)) == instance
