@@ -270,8 +270,11 @@ def cmd_cqa(args) -> int:
 def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     """The containment lattice between the six classes and their
     normalized-program counterparts, and supported against founded weak
-    revisions when those were enumerated, as (description, holds) pairs."""
-    wr, r, fwr, fr, jwr, jr = classes[:6]
+    revisions when those were enumerated, as (description, holds) pairs.
+    ``base`` holds every class of the program, the two normalized justified
+    ones included; ``norm`` holds the first four classes of the enumerated
+    normalized program."""
+    wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
 
     def eq(a, b):
         return set(a) == set(b)
@@ -281,8 +284,8 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
 
     n = "normalized:"
     relations = [
-        (f"{n}{jr.value} == {n}{jwr.value}", eq(norm[jr], norm[jwr])),
-        (f"{n}{jr.value} <= {jr.value}", sub(norm[jr], base[jr])),
+        (f"{n}{jr.value} == {n}{jwr.value}", eq(base[njr], base[njwr])),
+        (f"{n}{jr.value} <= {jr.value}", sub(base[njr], base[jr])),
         (f"{jr.value} <= {fr.value}", sub(base[jr], base[fr])),
         (f"{fr.value} <= {r.value}", sub(base[fr], base[r])),
         (f"{r.value} == {n}{r.value}", eq(base[r], norm[r])),
@@ -290,7 +293,7 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
         (f"{jr.value} <= {jwr.value}", sub(base[jr], base[jwr])),
         (f"{fr.value} <= {fwr.value}", sub(base[fr], base[fwr])),
         (f"{r.value} <= {wr.value}", sub(base[r], base[wr])),
-        (f"{n}{jwr.value} <= {jwr.value}", sub(norm[jwr], base[jwr])),
+        (f"{n}{jwr.value} <= {jwr.value}", sub(base[njwr], base[jwr])),
         (f"{jwr.value} <= {fwr.value}", sub(base[jwr], base[fwr])),
         (f"{fwr.value} <= {wr.value}", sub(base[fwr], base[wr])),
         (f"{wr.value} == {n}{wr.value}", eq(base[wr], norm[wr])),
@@ -308,19 +311,13 @@ def cmd_lattice(args) -> int:
     instance = _load(args.file)
     kind = _kind(instance, "lattice")
     classes = _classes(instance)
-    plain = [c for c in classes if not c.value.endswith("-normalized")]
-    base = _enumerate(instance, args, instance.db, instance.program, plain)
-    normalized = kind.normalize(instance.program)
-    norm = _enumerate(instance, args, instance.db, normalized, plain)
-
-    listing = []
-    for c in classes:
-        if c in base:
-            sets = base[c]
-        else:  # a normalized class: its plain class on the normalized program
-            sets = norm[kind.classes(c.value.removesuffix("-normalized"))]
-        listing.append((c.value, sets))
-    relations = _relations(base, norm, plain) if args.verify else None
+    sets = _enumerate(instance, args, instance.db, instance.program, classes)
+    listing = [(c.value, sets[c]) for c in classes]
+    relations = None
+    if args.verify:
+        normalized = kind.normalize(instance.program)
+        norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
+        relations = _relations(sets, norm, classes)
 
     if args.format == "json":
         payload: dict = {

@@ -33,6 +33,7 @@ from .model import (
     entails,
     essential_actions,
     is_consistent,
+    is_normal,
     lit,
     ordered,
     proper_subsets,
@@ -52,9 +53,9 @@ class RepairClass(enum.Enum):
     JUSTIFIED_REPAIR_NORMALIZED = "justified-repair-normalized"
 
 
-#: Each class is one point of the paper's framework: whether the program
-#: is normalized first, the grounding every action needs (none, founded or
-#: justified), and whether the set must be change-minimal.
+#: Each class is one point of the paper's framework: whether its grounding
+#: is tested on the normalized program, the grounding every action needs
+#: (none, founded or justified), and whether the set must be change-minimal.
 _TABLE = {
     RepairClass.WEAK_REPAIR: (False, None, False),
     RepairClass.REPAIR: (False, None, True),
@@ -194,22 +195,22 @@ def check_membership(
     universe: Universe | None = None,
     limits: Limits | None = None,
 ) -> bool:
-    """Membership test for any repair class, including the normalized ones.
-
-    Atoms outside a declared universe are rejected up front, whatever the
-    class. Given ``limits``, the classes whose test searches the subsets of
-    the candidate (change-minimal or justified) refuse a candidate on more
-    atoms than the bound; without it no check is refused."""
+    """Membership test for any repair class, including the normalized ones:
+    their grounding test runs on the normalized program, which keeps every
+    body. Atoms outside a declared universe are rejected up front. Given
+    ``limits``, a candidate on more atoms than the bound is refused when
+    the test searches its subsets (a change-minimal class, or a justified
+    walk on a disjunctive program); without it no check is refused."""
     normalized, grounding, minimal = _TABLE[repair_class]
     u = frozenset(actions)
     uni = _universe_for(db, program, u, universe)
-    if limits is not None and (minimal or grounding == "justified"):
+    grounds_on = transforms.normalize_aic(program) if normalized else program
+    disjunctive = grounding == "justified" and not is_normal(grounds_on)
+    if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    if normalized:
-        program = transforms.normalize_aic(program)
     return (
         check_weak_repair(db, program, u)
-        and _grounded(grounding, db, program, u, uni)
+        and _grounded(grounding, db, grounds_on, u, uni)
         and not (minimal and _smaller_enforcing(db, program, u))
     )
 
@@ -231,18 +232,22 @@ def sort_key(actions: Iterable[UpdateAction]) -> tuple:
     return tuple(sorted(map(_key, actions)))
 
 
-def _scan(db, program, essential, groundings, uni) -> tuple[list, dict]:
+def _scan(db, program, essential, keys, uni) -> tuple[list, dict]:
     """Examine every candidate once: returns the weak repairs and, per
-    requested grounding, the weak repairs that have it, in examination
-    order, which is smallest first."""
+    requested ``(normalized, grounding)`` key, the weak repairs with that
+    grounding on the program or its normalized form (same bodies, so same
+    weak repairs), in examination order, which is smallest first."""
+    programs = {False: program}
+    if any(normalized for normalized, _ in keys):
+        programs[True] = transforms.normalize_aic(program)
     weak: list = []
-    grounded: dict = {g: [] for g in groundings}
+    grounded: dict = {k: [] for k in keys}
     for u in all_subsets(essential):
         if not entails(apply_update(db, u), program):
             continue
         weak.append(u)
-        for g, hits in grounded.items():
-            if _grounded(g, db, program, u, uni):
+        for (normalized, g), hits in grounded.items():
+            if _grounded(g, db, programs[normalized], u, uni):
                 hits.append(u)
     return weak, grounded
 
@@ -268,9 +273,10 @@ def enumerate_classes(
 
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
-    construction. One scan of the program, and one of its normalized form
-    when a normalized class is requested, serves every class. Results are
-    sorted canonically.
+    construction. One scan of the program serves every class: the
+    normalized classes are the justified ones of the normalized program,
+    whose weak repairs and change-minimal sets are those of the program.
+    Results are sorted canonically.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -279,24 +285,18 @@ def enumerate_classes(
     essential = essential_actions(db, uni)
     examined = 1 << len(essential)
 
+    keys = list(dict.fromkeys(_TABLE[c][:2] for c in classes if _TABLE[c][1]))
+    weak, grounded = _scan(db, program, essential, keys, uni)
+    minimal = None
     reports = {}
-    for normalized in (False, True):
-        wanted = [c for c in classes if _TABLE[c][0] is normalized]
-        if not wanted:
-            continue
-        prog = transforms.normalize_aic(program) if normalized else program
-        groundings = sorted({_TABLE[c][1] for c in wanted} - {None})
-        weak, grounded = _scan(db, prog, essential, groundings, uni)
-        minimal = None
-        for c in wanted:
-            _, grounding, change_minimal = _TABLE[c]
-            hits = weak if grounding is None else grounded[grounding]
-            if change_minimal:
-                minimal = minimal or set(_minimal(weak))
-                hits = [u for u in hits if u in minimal]
-            hits = tuple(sorted(hits, key=sort_key))
-            reports[c] = RepairReport(c, hits, examined)
-    return {c: reports[c] for c in classes}
+    for c in classes:
+        normalized, grounding, change_minimal = _TABLE[c]
+        hits = weak if grounding is None else grounded[normalized, grounding]
+        if change_minimal:
+            minimal = minimal or set(_minimal(weak))
+            hits = [u for u in hits if u in minimal]
+        reports[c] = RepairReport(c, tuple(sorted(hits, key=sort_key)), examined)
+    return reports
 
 
 def enumerate_repairs(

@@ -223,20 +223,27 @@ EIGHTEEN_SET = "--set=" + ",".join(f"+x{i}" for i in range(18))
 
 def test_check_respects_the_atom_bound(tmp_path, capsys):
     path = tmp_path / "instance.txt"
-    path.write_text("db: .\naic:\n" + EIGHTEEN)
     polynomial = ("weak-repair", "founded-weak-repair")
-    for cls in (c.value for c in RepairClass):
-        check = ["check", str(path), "--class", cls]
-        for bound in (["--max-atoms", "2"], []):
-            code, out, err = run(check + [EIGHTEEN_SET] + bound, capsys)
-            if cls in polynomial:
-                assert (code, out) == (0, "true\n"), cls
-            else:
-                assert (code, out) == (1, ""), (cls, bound)
-                assert err.startswith("refused: candidate has 18 atoms")
-        # The bound is the candidate's size, not the universe's.
-        code, out, _ = run(check + ["--set=+x0"], capsys)
-        assert (code, out) == (0, "false\n"), cls
+    normalized = "justified-weak-repair-normalized"
+    # On a normal program the justified walk is a closure; a disjunctive
+    # head makes it branch, except on the normalized program.
+    for extra, answered in (
+        ("", polynomial + ("justified-weak-repair", normalized)),
+        ("a, b -> -a | -b.\n", polynomial + (normalized,)),
+    ):
+        path.write_text("db: .\naic:\n" + EIGHTEEN + extra)
+        for cls in (c.value for c in RepairClass):
+            check = ["check", str(path), "--class", cls]
+            for bound in (["--max-atoms", "2"], []):
+                code, out, err = run(check + [EIGHTEEN_SET] + bound, capsys)
+                if cls in answered:
+                    assert (code, out) == (0, "true\n"), cls
+                else:
+                    assert (code, out) == (1, ""), (cls, bound)
+                    assert err.startswith("refused: candidate has 18 atoms")
+            # The bound is the candidate's size, not the universe's.
+            code, out, _ = run(check + ["--set=+x0"], capsys)
+            assert (code, out) == (0, "false\n"), cls
 
 
 def test_check_json_payload(capsys):
@@ -359,8 +366,13 @@ def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
     [
         (["lattice", "pair_delete.aic", "--verify"], 2),
         (["lattice", "mutual_pair_chain.rev", "--verify"], 2),
-        (["shift", "pair_delete.aic", "--by", "a", "--verify"], 4),
-        (["shift", "mutual_pair_chain.rev", "--by", "a", "--verify"], 4),
+        (["shift", "pair_delete.aic", "--by", "a", "--verify"], 2),
+        (["shift", "mutual_pair_chain.rev", "--by", "a", "--verify"], 2),
+        (["lattice", "pair_delete.aic"], 1),
+        (
+            ["repair", "pair_delete.aic", "--class", "justified-repair-normalized"],
+            1,
+        ),
     ],
 )
 def test_every_class_comes_from_one_scan_per_program(

@@ -137,21 +137,29 @@ def test_checks_validate_against_a_declared_universe():
 
 def test_subset_searching_checks_bound_the_candidate_not_the_universe():
     db = frozenset({"a", "b", "c"})
-    program = parse_program("a, b, c -> -a.", "aic")
     wide = Universe(["a", "b", "c"] + [f"x{i}" for i in range(13)])
     polynomial = {RepairClass.WEAK_REPAIR, RepairClass.FOUNDED_WEAK_REPAIR}
-    for cls in RepairClass:
-        # A one-atom candidate over a 16-atom universe: bounded or not, the
-        # search has one proper subset, so every class answers.
-        assert check_membership(db, program, cls, uas("-a"), wide)
-        assert check_membership(db, program, cls, uas("-a"), wide, Limits())
-        two = uas("-a, -b")
-        if cls in polynomial:
-            bounded = check_membership(db, program, cls, two, limits=Limits(1))
-            assert bounded == check_membership(db, program, cls, two)
-        else:
-            with pytest.raises(UniverseTooLarge, match="candidate has 2 atoms"):
-                check_membership(db, program, cls, two, limits=Limits(1))
+    jwr = RepairClass.JUSTIFIED_WEAK_REPAIR
+    normalized = RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED
+    # On a normal program the justified walk is a closure; a disjunctive
+    # head makes it branch, except on the normalized program.
+    for text, answered in (
+        ("a, b, c -> -a.", polynomial | {jwr, normalized}),
+        ("a, b, c -> -a | -b.", polynomial | {normalized}),
+    ):
+        program = parse_program(text, "aic")
+        for cls in RepairClass:
+            # A one-atom candidate over a 16-atom universe: bounded or not,
+            # the search has one proper subset, so every class answers.
+            assert check_membership(db, program, cls, uas("-a"), wide)
+            assert check_membership(db, program, cls, uas("-a"), wide, Limits())
+            two = uas("-a, -b")
+            if cls in answered:
+                bounded = check_membership(db, program, cls, two, limits=Limits(1))
+                assert bounded == check_membership(db, program, cls, two)
+            else:
+                with pytest.raises(UniverseTooLarge, match="candidate has 2 atoms"):
+                    check_membership(db, program, cls, two, limits=Limits(1))
 
 
 def test_enumeration_orders_sets_canonically():
