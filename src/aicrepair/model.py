@@ -21,6 +21,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -144,28 +145,18 @@ class Universe:
         object.__setattr__(self, "atoms", names)
 
     def __contains__(self, atom: str) -> bool:
-        return atom in self._index
+        return atom in self._atom_set
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    @property
-    def _index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {a: i for i, a in enumerate(self.atoms)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
-
-    def index(self, atom: str) -> int:
-        try:
-            return self._index[atom]
-        except KeyError:
-            raise UnknownAtom(atom) from None
+    @cached_property
+    def _atom_set(self) -> frozenset[str]:
+        return frozenset(self.atoms)
 
     def require(self, atoms: Iterable[str], context: str = "") -> None:
         """Name the smallest unknown atom, whatever the set iteration order."""
-        unknown = [a for a in atoms if a not in self._index]
+        unknown = [a for a in atoms if a not in self._atom_set]
         if unknown:
             raise UnknownAtom(min(unknown), context)
 
@@ -218,12 +209,14 @@ class AicRule:
 
     @property
     def nup(self) -> frozenset[Literal]:
-        """The non-updatable body part, computed on first use."""
-        nup = self.__dict__.get("_nup_cache")
-        if nup is None:
-            nup = self.body - self.up
-            object.__setattr__(self, "_nup_cache", nup)
-        return nup
+        """The non-updatable body part."""
+        return self.body - self.up
+
+    @cached_property
+    def trigger(self) -> frozenset[UpdateAction]:
+        """``ua`` of the non-updatable body: the actions that make it true,
+        computed on first use."""
+        return frozenset(ua(l) for l in self.nup)
 
     @property
     def normal(self) -> bool:
@@ -337,27 +330,17 @@ def inertia_set(
     return frozenset(rev_literal(a) for a in no_effect_set(db, result, universe))
 
 
-def entails(db: frozenset[str], x) -> bool:
-    """Satisfaction of literals, rules, and programs by a database.
+def holds(db: frozenset[str], literals: Iterable[Literal]) -> bool:
+    """A conjunction of literals holds in a database."""
+    return all((l.atom in db) == l.positive for l in literals)
 
-    Accepts a literal or revision literal, a set of those (conjunction), an
-    AIC or revision rule, or a program (tuple/list of rules). An AIC rule is
-    satisfied unless its whole body holds; a revision rule is satisfied when
-    a true body implies some true head literal.
-    """
-    if isinstance(x, Literal):
-        return (x.atom in db) == x.positive
-    if isinstance(x, RevLiteral):
-        return (x.atom in db) == x.is_in
-    if isinstance(x, AicRule):
-        return not all(entails(db, l) for l in x.body)
-    if isinstance(x, RevRule):
-        if not all(entails(db, l) for l in x.body):
-            return True
-        return any(entails(db, l) for l in x.head)
-    if isinstance(x, (set, frozenset, tuple, list)):
-        return all(entails(db, e) for e in x)
-    raise TypeError(f"entails() not defined for {type(x).__name__}")
+
+def entails(db: frozenset[str], program: AicProgram) -> bool:
+    """A database satisfies an AIC program unless some rule's whole body
+    holds in it."""
+    return not any(
+        all((l.atom in db) == l.positive for l in r.body) for r in program
+    )
 
 
 def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAction, ...]:

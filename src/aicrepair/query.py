@@ -19,7 +19,7 @@ from .model import (
     Universe,
     apply_revision,
     apply_update,
-    entails,
+    holds,
 )
 from .repairs import RepairClass, enumerate_repairs
 from .revisions import RevisionClass, enumerate_revisions
@@ -64,7 +64,7 @@ def cqa(
 
     if not repaired:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
-    holding = sum(1 for r in repaired if entails(r, query))
+    holding = sum(1 for r in repaired if holds(r, query))
     if holding == len(repaired):
         status = CqaStatus.TRUE
     elif holding == 0:

@@ -32,6 +32,7 @@ from .model import (
     apply_update,
     entails,
     essential_actions,
+    holds,
     is_consistent,
     is_normal,
     lit,
@@ -108,17 +109,18 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
         return False
     result = apply_update(db, u)
     return all(
-        any(a in r.head and entails(result, r.body - {lit(a).dual()}) for r in program)
+        any(a in r.head and holds(result, r.body - {lit(a).dual()}) for r in program)
         for a in u
     )
 
 
 def _violated(program: AicProgram, actions: frozenset[UpdateAction]):
-    """The first rule whose non-updatable body the set makes true while the
-    set holds none of its head actions, or ``None``."""
-    made_true = frozenset(lit(a) for a in actions)
+    """The first rule whose non-updatable body the set makes true (the set
+    holds its ``trigger``) while the set holds none of its head actions, or
+    ``None``."""
     return next(
-        (r for r in program if r.nup <= made_true and not r.head & actions), None
+        (r for r in program if r.trigger <= actions and not r.head & actions),
+        None,
     )
 
 

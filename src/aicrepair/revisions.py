@@ -76,6 +76,17 @@ def _aic(program: RevProgram) -> AicProgram:
     return transforms.to_aic(transforms.properize(program))
 
 
+def _translate(db, program: RevProgram, classes, actions=(), universe=None) -> AicProgram:
+    """The program as the repair engine takes it. Supported revisions
+    refuse a disjunctive program, but only after the inputs are checked
+    against a declared universe, as every other class checks them."""
+    program_aic = _aic(program)
+    if RevisionClass.SUPPORTED_REVISION in classes and not is_normal(program):
+        repairs._universe_for(db, program_aic, actions, universe)
+        repairs._require_normal(program)
+    return program_aic
+
+
 def check_supported_revision(
     db: frozenset[str],
     program: RevProgram,
@@ -125,15 +136,9 @@ def check_membership(
     universe: Universe | None = None,
     limits: Limits | None = None,
 ) -> bool:
-    """Membership test for any revision class, including normalized ones.
-
-    The candidate is checked against a declared universe before a
-    disjunctive program is refused, as for every other class."""
+    """Membership test for any revision class, including normalized ones."""
     actions = frozenset(ua(l) for l in literals)
-    program_aic = _aic(program)
-    if revision_class is RevisionClass.SUPPORTED_REVISION and not is_normal(program):
-        repairs._universe_for(db, program_aic, actions, universe)
-        repairs._require_normal(program)
+    program_aic = _translate(db, program, (revision_class,), actions, universe)
     return repairs.check_membership(
         db, program_aic, _REPAIR_CLASS[revision_class], actions, universe, limits
     )
@@ -167,10 +172,9 @@ def enumerate_classes(
     sets maps to the canonical order of the revision literals.
     """
     classes = tuple(classes)
-    if RevisionClass.SUPPORTED_REVISION in classes:
-        repairs._require_normal(program)
+    program_aic = _translate(db, program, classes, universe=universe)
     reports = repairs.enumerate_classes(
-        db, _aic(program), (_REPAIR_CLASS[c] for c in classes), universe, limits
+        db, program_aic, (_REPAIR_CLASS[c] for c in classes), universe, limits
     )
     out = {}
     for c in classes:

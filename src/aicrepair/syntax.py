@@ -43,10 +43,12 @@ from .asp import LogicProgram, LpRule
 
 SECTION_NAMES = ("universe", "db", "aic", "rev", "lp")
 
-_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
-
-# Multi-character symbols first so "->" never lexes as "-" ">".
-_PUNCT = ("->", "<-", ":-", "|", ",", ".", "(", ")", ":", "+", "-")
+# One alternative per token class, tried in order; multi-character symbols
+# come first so "->" never lexes as "-" ">", and any other character is bad.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>%[^\n]*)"
+    r"|(?P<name>[a-z][A-Za-z0-9_]*)|(?P<punct>->|<-|:-|[|,.():+-])|(?P<bad>.)"
+)
 
 
 @dataclass(frozen=True)
@@ -63,42 +65,21 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The name and punct tokens of ``text``, then an eof token. A comment
+    does not advance the column, so an eof after a trailing comment sits at
+    its ``%``."""
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(Token("name", word, line, col))
-            col += len(word)
-            i += len(word)
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col))
-                col += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        if kind in ("name", "punct"):
+            tokens.append(Token(kind, m.group(), line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        end = m.start() if kind == "comment" else m.end()
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -124,7 +105,9 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token ``ahead`` places on. The eof token is last and ``next``
+        never moves past it, so looking one past any other token is safe."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         token = self.peek()

@@ -87,6 +87,16 @@ def test_closedness_on_the_pair_constraint():
     assert not is_closed(PAIR, uas("+a, +b"))
 
 
+def test_closedness_agrees_with_the_oracle_on_every_action_set():
+    rnd = random.Random("closedness")
+    for i in range(200):
+        atoms = gen.atom_pool(rnd, rnd.randint(1, 3))
+        program = gen.aic_program(rnd, atoms, normal=i % 2 == 0)
+        # Inconsistent sets included: closedness does not ask for consistency.
+        for u in oracles.subsets(oracles.all_actions(atoms)):
+            assert is_closed(program, u) == oracles.closed_under(program, u), i
+
+
 def test_justified_weak_repair_on_the_chain():
     db = frozenset()
     assert check_justified_weak_repair(db, CHAIN, uas("+a, +b"))

@@ -146,6 +146,21 @@ def test_checks_validate_against_a_declared_universe():
         check_justified_weak_revision(frozenset({"a"}), (), rls("out(b)"), uni)
 
 
+def test_supported_revisions_validate_before_refusing_a_disjunctive_program():
+    program = parse_program("out(a) | out(b) <- in(a), in(b).", "rev")
+    uni = Universe(("a", "b"))
+    db = frozenset({"a", "z"})
+    for cls in RevisionClass:
+        with pytest.raises(UnknownAtom, match="'z'"):
+            enumerate_revisions(db, program, cls, uni)
+        with pytest.raises(UnknownAtom, match="'z'"):
+            check_membership(db, program, cls, frozenset(), uni)
+    with pytest.raises(NotNormalProgram):
+        enumerate_revisions(
+            frozenset({"a"}), program, RevisionClass.SUPPORTED_REVISION, uni
+        )
+
+
 def test_enumeration_orders_sets_canonically():
     db = frozenset()
     report = enumerate_revisions(db, CHOICE, RevisionClass.WEAK_REVISION)

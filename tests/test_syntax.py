@@ -102,6 +102,22 @@ def test_parse_error_carries_position():
     assert "expected '+atom' or '-atom'" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        # A comment does not advance the column: eof sits at its '%'.
+        ("db: a % note", 1, 7, "expected '.', found end of input"),
+        ("db: a.\n\taic:\n\ta -> @", 3, 7, "unexpected character '@'"),
+        ("db: a.\r\naic:\r\na -> b.", 3, 6, "found 'b'"),
+        ("db: a.\naic: a >", 2, 8, "unexpected character '>'"),
+    ],
+)
+def test_error_positions_count_tabs_returns_and_comments(text, line, col, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_instance(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character '@'"):
         parse_instance("db: @.")
