@@ -73,7 +73,8 @@ class UniverseTooLarge(Refusal):
         self.size = size
         self.bound = bound
         super().__init__(
-            f"{what} has {size} atoms, exhaustive bound is {bound} "
+            f"{what} has {size} atom{'' if size == 1 else 's'}, "
+            f"exhaustive bound is {bound} "
             f"(raise with AICREPAIR_MAX_ATOMS or --max-atoms)"
         )
 

@@ -36,8 +36,6 @@ from .model import (
     is_consistent,
     is_normal,
     lit,
-    ordered,
-    proper_subsets,
 )
 
 
@@ -92,13 +90,6 @@ def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
     return entails(apply_update(db, u), program)
 
 
-def _smaller_enforcing(db, program, u: frozenset[UpdateAction]) -> bool:
-    return any(
-        entails(apply_update(db, sub), program)
-        for sub in proper_subsets(ordered(u))
-    )
-
-
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     """Every action ``a`` is founded: some rule has ``a`` in its head, and
     its non-updatable body and the duals of its other head actions, that is
@@ -122,6 +113,36 @@ def _violated(program: AicProgram, actions: frozenset[UpdateAction]):
         (r for r in program if r.trigger <= actions and not r.head & actions),
         None,
     )
+
+
+def _repair_tree(db, program, moves: dict, seen: set):
+    """Yield the leaves of the repair tree, the weak repairs it reaches.
+
+    The walk starts at the empty set. At a set ``s`` the first rule whose
+    whole body holds in ``db∘s`` branches on ``s | {a}`` for every body
+    atom that ``s`` leaves alone and that ``moves`` (atom to essential
+    action) covers; a set that violates no rule is a leaf. A change-minimal
+    weak repair ``m`` inside the moves and above ``s`` satisfies that rule
+    and keeps the flips of ``s``, so it flips one of those atoms: some
+    branch stays inside ``m``, and every such ``m`` is a leaf. ``seen``
+    collects the sets visited, each once."""
+    start = frozenset()
+    seen.add(start)
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        result = apply_update(db, s)
+        rule = next((r for r in program if holds(result, r.body)), None)
+        if rule is None:
+            yield s
+            continue
+        for l in rule.body:
+            a = moves.get(l.atom)
+            if a is not None and a not in s:
+                t = s | {a}
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
 
 
 def is_closed(program: AicProgram, actions) -> bool:
@@ -210,11 +231,15 @@ def check_membership(
     disjunctive = grounding == "justified" and not is_normal(grounds_on)
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    return (
+    if not (
         check_weak_repair(db, program, u)
         and _grounded(grounding, db, grounds_on, u, uni)
-        and not (minimal and _smaller_enforcing(db, program, u))
-    )
+    ):
+        return False
+    # A weak ``u`` is change-minimal when the repair tree over its own
+    # actions reaches no other leaf: any smaller weak repair leads to one.
+    leaves = _repair_tree(db, program, {a.atom: a for a in u}, set())
+    return not minimal or all(leaf == u for leaf in leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +248,12 @@ def check_membership(
 
 @dataclass(frozen=True)
 class RepairReport:
-    """Outcome of enumerating one repair class over an instance."""
+    """Outcome of enumerating one repair class over an instance.
+
+    ``examined`` counts the candidate sets the engine visited for the
+    request: every subset of the essential actions when a weak class is
+    asked for, the sets of the repair tree when every class is
+    change-minimal."""
 
     repair_class: RepairClass
     sets: tuple[frozenset[UpdateAction], ...]
@@ -234,24 +264,12 @@ def sort_key(actions: Iterable[UpdateAction]) -> tuple:
     return tuple(sorted(map(_key, actions)))
 
 
-def _scan(db, program, essential, keys, uni) -> tuple[list, dict]:
-    """Examine every candidate once: returns the weak repairs and, per
-    requested ``(normalized, grounding)`` key, the weak repairs with that
-    grounding on the program or its normalized form (same bodies, so same
-    weak repairs), in examination order, which is smallest first."""
-    programs = {False: program}
-    if any(normalized for normalized, _ in keys):
-        programs[True] = transforms.normalize_aic(program)
-    weak: list = []
-    grounded: dict = {k: [] for k in keys}
-    for u in all_subsets(essential):
-        if not entails(apply_update(db, u), program):
-            continue
-        weak.append(u)
-        for (normalized, g), hits in grounded.items():
-            if _grounded(g, db, programs[normalized], u, uni):
-                hits.append(u)
-    return weak, grounded
+def _scan(db, program, essential) -> list:
+    """The weak repairs among all subsets of ``essential``, in examination
+    order, which is smallest first."""
+    return [
+        u for u in all_subsets(essential) if entails(apply_update(db, u), program)
+    ]
 
 
 def _minimal(sets: list[frozenset]) -> list[frozenset]:
@@ -275,28 +293,45 @@ def enumerate_classes(
 
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
-    construction. One scan of the program serves every class: the
-    normalized classes are the justified ones of the normalized program,
-    whose weak repairs and change-minimal sets are those of the program.
-    Results are sorted canonically.
+    construction. When every class is change-minimal, the leaves of the
+    repair tree hold all change-minimal weak repairs; otherwise one scan of
+    every candidate lists the weak repairs. Either way the grounding tests
+    run on that one list: the normalized classes are the justified ones of
+    the normalized program, whose weak repairs and change-minimal sets are
+    those of the program. Results are sorted canonically.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
     uni = _universe_for(db, program, universe=universe)
     limits.check_universe(uni)
     essential = essential_actions(db, uni)
-    examined = 1 << len(essential)
 
-    keys = list(dict.fromkeys(_TABLE[c][:2] for c in classes if _TABLE[c][1]))
-    weak, grounded = _scan(db, program, essential, keys, uni)
-    minimal = None
+    rows = [_TABLE[c] for c in classes]
+    if all(m for _, _, m in rows):
+        seen: set = set()
+        leaves = _repair_tree(db, program, {a.atom: a for a in essential}, seen)
+        pool = minimal = _minimal(sorted(leaves, key=len))
+        examined = len(seen)
+    else:
+        pool = _scan(db, program, essential)
+        minimal = _minimal(pool) if any(m for _, _, m in rows) else []
+        examined = 1 << len(essential)
+
+    programs = {False: program}
+    if any(normalized for normalized, _, _ in rows):
+        programs[True] = transforms.normalize_aic(program)
+    grounded = {
+        (normalized, g): {
+            u for u in pool if _grounded(g, db, programs[normalized], u, uni)
+        }
+        for normalized, g in dict.fromkeys(row[:2] for row in rows if row[1])
+    }
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]
-        hits = weak if grounding is None else grounded[normalized, grounding]
-        if change_minimal:
-            minimal = minimal or set(_minimal(weak))
-            hits = [u for u in hits if u in minimal]
+        hits = minimal if change_minimal else pool
+        if grounding:
+            hits = [u for u in hits if u in grounded[normalized, grounding]]
         reports[c] = RepairReport(c, tuple(sorted(hits, key=sort_key)), examined)
     return reports
 

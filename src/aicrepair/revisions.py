@@ -150,7 +150,11 @@ def check_membership(
 
 @dataclass(frozen=True)
 class RevisionReport:
-    """Outcome of enumerating one revision class over an instance."""
+    """Outcome of enumerating one revision class over an instance.
+
+    ``examined`` is the repair engine's count for the translated program:
+    the sets its repair tree visited when every class asked for is
+    change-minimal, every candidate of its scan otherwise."""
 
     revision_class: RevisionClass
     sets: tuple[frozenset[RevLiteral], ...]

@@ -4,7 +4,8 @@ One test per gate: golden instances with frozen expected sets, randomized
 cross-validation of every semantics against the definitional oracles plus
 the containment lattice between them, the translation correspondence, the
 shifting transport, the logic-program bridge, checker agreement over full
-candidate spaces, and one multi-class scan matching per-class enumeration.
+candidate spaces, one multi-class scan matching per-class enumeration, and
+the repair tree of the change-minimal classes matching the scan.
 All frozen values below were computed by ``tests/oracles.py`` and
 hand-checked before being written down.
 
@@ -775,7 +776,11 @@ def _one_scan_matches(kind, db, program, uni, seed) -> None:
     assert list(together) == classes, seed
     for cls in classes:
         alone = enumerate_one(db, program, cls, uni)
-        assert together[cls] == alone, f"{seed}: {cls.value}"
+        # ``examined`` differs by design: a change-minimal class alone comes
+        # from the repair tree, a request with a weak class from the scan.
+        got = together[cls]
+        assert (got.repair_class if kind == "aic" else got.revision_class) is cls
+        assert got.sets == alone.sets, f"{seed}: {cls.value}"
 
 
 def test_one_scan_matches_per_class_enumeration(capsys):
@@ -814,3 +819,102 @@ def test_one_scan_matches_per_class_enumeration(capsys):
         _one_scan_matches("aic", db, program, uni, seed)
         program = gen.rev_program(rnd, atoms, normal=normal, proper=rnd.random() < 0.5)
         _one_scan_matches("rev", db, program, uni, seed)
+
+
+# ---------------------------------------------------------------------------
+# Gate 8: the repair tree gives what the scan gives, and what the oracles give
+
+TREE_INSTANCES = 300
+TREE_ORACLE_ATOMS = 5
+TREE_MEMBERSHIP_ATOMS = 4
+
+MINIMAL_REPAIR_CLASSES = [c for c in RepairClass if repairs._TABLE[c][2]]
+MINIMAL_REVISION_CLASSES = [
+    c for c in RevisionClass if revisions._REPAIR_CLASS[c] in MINIMAL_REPAIR_CLASSES
+]
+
+
+def _database(rnd, atoms, program):
+    """A random database; half the time the first rule's body is made to
+    hold in it, so the walk has a violation to repair."""
+    db = set(gen.database(rnd, atoms))
+    if program and rnd.random() < 0.5:
+        for l in program[0].body:
+            (db.add if l.positive else db.discard)(l.atom)
+    return frozenset(db)
+
+
+def _tree_matches_scan(engine, weak, classes, db, program, uni, seed) -> dict:
+    """Each class alone (the repair tree) against the same class asked with
+    the weak class (the scan); returns the sets per class."""
+    got = {}
+    for cls in classes:
+        tree = engine.enumerate_classes(db, program, [cls], uni)[cls].sets
+        scan = engine.enumerate_classes(db, program, [weak, cls], uni)[cls].sets
+        assert tree == scan, f"{seed}: {cls.value}"
+        got[cls] = set(tree)
+    return got
+
+
+def test_repair_tree_matches_scan_and_oracles():
+    for i in range(TREE_INSTANCES):
+        seed = f"repair-tree-{i}"
+        rnd = random.Random(seed)
+        size = rnd.randint(2, 8)
+        atoms = gen.atom_pool(rnd, size)
+        uni = Universe(atoms)
+        normal = rnd.random() < 0.5
+        rules = (1, max(3, size))
+
+        program = gen.aic_program(rnd, atoms, normal=normal, rules=rules)
+        db = _database(rnd, atoms, program)
+        got = _tree_matches_scan(
+            repairs, RepairClass.WEAK_REPAIR, MINIMAL_REPAIR_CLASSES,
+            db, program, uni, seed,
+        )
+        rprogram = gen.rev_program(
+            rnd, atoms, normal=normal, proper=rnd.random() < 0.5, rules=rules
+        )
+        rdb = _database(rnd, atoms, revisions._aic(rprogram))
+        rgot = _tree_matches_scan(
+            revisions, RevisionClass.WEAK_REVISION, MINIMAL_REVISION_CLASSES,
+            rdb, rprogram, uni, seed,
+        )
+        if size > TREE_ORACLE_ATOMS:
+            continue
+
+        norm = transforms.normalize_aic(program)
+        want = {
+            RepairClass.REPAIR: oracles.repairs(db, program, atoms),
+            RepairClass.FOUNDED_REPAIR: oracles.founded_repairs(db, program, atoms),
+            RepairClass.JUSTIFIED_REPAIR: oracles.justified_repairs(db, program, atoms),
+            RepairClass.JUSTIFIED_REPAIR_NORMALIZED: oracles.justified_repairs(
+                db, norm, atoms
+            ),
+        }
+        assert got == want, seed
+        rnorm = transforms.normalize_rev(rprogram)
+        rwant = {
+            RevisionClass.REVISION: oracles.revisions(rdb, rprogram, atoms),
+            RevisionClass.FOUNDED_REVISION: oracles.founded_revisions(
+                rdb, rprogram, atoms
+            ),
+            RevisionClass.JUSTIFIED_REVISION: oracles.justified_revisions(
+                rdb, rprogram, atoms
+            ),
+            RevisionClass.JUSTIFIED_REVISION_NORMALIZED: oracles.justified_revisions(
+                rdb, rnorm, atoms
+            ),
+        }
+        assert rgot == rwant, seed
+        if size > TREE_MEMBERSHIP_ATOMS:
+            continue
+
+        # The restricted walk decides change-minimality of every candidate,
+        # inconsistent and non-essential ones included.
+        for raw in oracles.subsets(oracles.all_actions(atoms)):
+            cand = frozenset(raw)
+            for cls, members in want.items():
+                assert repairs.check_membership(db, program, cls, cand, uni) == (
+                    cand in members
+                ), f"{seed}: {cls.value} {format_set(cand)}"

@@ -369,10 +369,13 @@ def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
         (["shift", "pair_delete.aic", "--by", "a", "--verify"], 2),
         (["shift", "mutual_pair_chain.rev", "--by", "a", "--verify"], 2),
         (["lattice", "pair_delete.aic"], 1),
+        # Change-minimal classes alone come from the repair tree, not a scan.
         (
             ["repair", "pair_delete.aic", "--class", "justified-repair-normalized"],
-            1,
+            0,
         ),
+        (["cqa", "pair_delete.aic", "--class", "repair", "--query", "a"], 0),
+        (["revise", "mutual_pair_chain.rev", "--class", "revision"], 0),
     ],
 )
 def test_every_class_comes_from_one_scan_per_program(

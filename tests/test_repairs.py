@@ -182,6 +182,23 @@ def test_enumeration_orders_sets_canonically():
     )
 
 
+def test_the_repair_tree_counts_the_sets_it_visits():
+    # A weak class scans all four subsets of {-a, -b} (see above); the
+    # repair tree visits the empty set, then -a and -b, which are leaves.
+    report = enumerate_repairs(frozenset({"a", "b"}), PAIR, RepairClass.REPAIR)
+    assert report.sets == (uas("-a"), uas("-b"))
+    assert report.examined == 3
+
+
+def test_refusal_names_one_atom_in_the_singular():
+    one = parse_program("a -> -a.", "aic")
+    for program, said in ((one, "1 atom, "), (PAIR, "2 atoms, ")):
+        with pytest.raises(UniverseTooLarge, match="universe has " + said):
+            enumerate_repairs(
+                frozenset({"a"}), program, RepairClass.REPAIR, limits=Limits(0)
+            )
+
+
 def test_enumeration_respects_the_atom_bound():
     db = frozenset({"a", "b", "c"})
     program = parse_program("a, b, c -> -a.", "aic")
