@@ -5,6 +5,10 @@ A rule is *simple* when no atom occurs in it twice (across head, positive
 body, and negative body). Simplicity is what makes the constraint encoding
 well-behaved: the encoded rule's body is consistent and its non-updatable
 part is exactly the original body.
+
+An answer set is a minimal model of its reduct, tested by :func:`model.walk`
+from the empty set: a set that violates a reduct rule grows by one of its head
+atoms in the interpretation, and the walk must reach no model but that one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .model import (
     Universe,
     UpdateAction,
     all_subsets,
-    proper_subsets,
+    walk,
 )
 
 
@@ -93,9 +97,11 @@ def is_model_positive(interp: frozenset[str], program: LogicProgram) -> bool:
 def is_answer_set(program: LogicProgram, interp: frozenset[str]) -> bool:
     """True when the interpretation is a minimal model of its own reduct."""
     fixed = reduct(program, interp)
-    return is_model_positive(interp, fixed) and not any(
-        is_model_positive(s, fixed) for s in proper_subsets(sorted(interp))
-    )
+    def branch(s):
+        rule = next((r for r in fixed if r.pos_body <= s and not r.head & s), None)
+        return None if rule is None else rule.head & interp
+    models = walk(frozenset(), branch)
+    return is_model_positive(interp, fixed) and all(m == interp for m in models)
 
 
 def answer_sets(
@@ -106,7 +112,7 @@ def answer_sets(
     """All answer sets, enumerated over subsets of the universe atoms and
     returned sorted."""
     limits = limits or Limits()
-    uni = universe or Universe.collect(program)
+    uni = Universe.collect(program) if universe is None else universe
     for r in program:
         uni.require(r.atoms(), "rule")
     limits.check_universe(uni)

@@ -358,10 +358,29 @@ def all_subsets(items: Iterable) -> Iterator[frozenset]:
         yield from map(frozenset, itertools.combinations(pool, k))
 
 
-def proper_subsets(items: Iterable) -> Iterator[frozenset]:
-    """:func:`all_subsets` without its last subset, the full set."""
-    pool = tuple(items)
-    return itertools.islice(all_subsets(pool), (1 << len(pool)) - 1)
+def walk(start: frozenset, branch, seen: set | None = None) -> Iterator[frozenset]:
+    """Yield the leaves reached upward from ``start``, visiting each set once.
+
+    ``branch(s)`` returns ``None`` at a leaf, or else the elements outside
+    ``s`` to add one at a time (none: a dead end); ``seen``, when given,
+    collects the sets visited. Completeness: if every non-leaf set inside a
+    target ``T`` that holds ``start`` offers a move inside ``T``, the walk
+    reaches a leaf inside ``T``: it expands every set it visits, and sets
+    only grow inside the finite ``T``."""
+    seen = set() if seen is None else seen
+    seen.add(start)
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        moves = branch(s)
+        if moves is None:
+            yield s
+            continue
+        for x in moves:
+            t = s | {x}
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
 
 
 # ---------------------------------------------------------------------------

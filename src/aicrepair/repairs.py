@@ -36,6 +36,7 @@ from .model import (
     is_consistent,
     is_normal,
     lit,
+    walk,
 )
 
 
@@ -115,34 +116,22 @@ def _violated(program: AicProgram, actions: frozenset[UpdateAction]):
     )
 
 
-def _repair_tree(db, program, moves: dict, seen: set):
-    """Yield the leaves of the repair tree, the weak repairs it reaches.
+def _repair_tree(db, program, moves: dict, seen: set | None = None):
+    """The leaves of the repair tree, the weak repairs it reaches.
 
-    The walk starts at the empty set. At a set ``s`` the first rule whose
-    whole body holds in ``db∘s`` branches on ``s | {a}`` for every body
-    atom that ``s`` leaves alone and that ``moves`` (atom to essential
-    action) covers; a set that violates no rule is a leaf. A change-minimal
-    weak repair ``m`` inside the moves and above ``s`` satisfies that rule
-    and keeps the flips of ``s``, so it flips one of those atoms: some
-    branch stays inside ``m``, and every such ``m`` is a leaf. ``seen``
-    collects the sets visited, each once."""
-    start = frozenset()
-    seen.add(start)
-    todo = [start]
-    while todo:
-        s = todo.pop()
+    From the empty set, at a set ``s`` the first rule whose whole body holds
+    in ``db∘s`` branches on every body atom that ``s`` leaves alone and that
+    ``moves`` (atom to essential action) covers. A change-minimal weak
+    repair ``m`` above ``s`` inside the moves keeps the flips of ``s`` and
+    satisfies the rule, so it flips one: by :func:`walk`, ``m`` is a leaf."""
+    def branch(s):
         result = apply_update(db, s)
         rule = next((r for r in program if holds(result, r.body)), None)
         if rule is None:
-            yield s
-            continue
-        for l in rule.body:
-            a = moves.get(l.atom)
-            if a is not None and a not in s:
-                t = s | {a}
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
+            return None
+        flips = (moves.get(l.atom) for l in rule.body)
+        return [a for a in flips if a is not None and a not in s]
+    return walk(frozenset(), branch, seen)
 
 
 def is_closed(program: AicProgram, actions) -> bool:
@@ -157,31 +146,18 @@ def _justified(db, program, e: frozenset[UpdateAction], uni: Universe) -> bool:
     ``ne``, ``e | ne`` is closed, and no ``ne | e'`` with ``e'`` a proper
     subset of ``e`` is closed.
 
-    The last test walks up from ``ne``: a set that violates a rule grows by
-    one of the rule's head actions in ``e``. Any closed ``T`` between ``ne``
-    and ``e | ne`` contains such an action of every rule a subset of it
-    violates, so the walk reaches a closed set inside ``T``; it branches
-    only at disjunctive heads, and on a normal program it is the least
-    closure of ``ne``."""
+    The last test is a :func:`walk` up from ``ne``: a set that violates a
+    rule grows by one of its head actions in ``e``, one of which any closed
+    set above it inside ``e | ne`` holds. It branches only at disjunctive
+    heads; on a normal program it is the least closure of ``ne``."""
     ne = _no_effect(db, apply_update(db, e), uni)
     full = e | ne
     if e & ne or not is_closed(program, full):
         return False
-    seen = {ne}
-    todo = [ne]
-    while todo:
-        s = todo.pop()
+    def branch(s):
         rule = _violated(program, s)
-        if rule is None:
-            if s != full:
-                return False
-            continue
-        for a in rule.head & e:
-            t = s | {a}
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return True
+        return None if rule is None else rule.head & e
+    return all(leaf == full for leaf in walk(ne, branch))
 
 
 def check_justified_weak_repair(
@@ -231,15 +207,14 @@ def check_membership(
     disjunctive = grounding == "justified" and not is_normal(grounds_on)
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    if not (
-        check_weak_repair(db, program, u)
-        and _grounded(grounding, db, grounds_on, u, uni)
-    ):
-        return False
     # A weak ``u`` is change-minimal when the repair tree over its own
     # actions reaches no other leaf: any smaller weak repair leads to one.
-    leaves = _repair_tree(db, program, {a.atom: a for a in u}, set())
-    return not minimal or all(leaf == u for leaf in leaves)
+    tree = _repair_tree(db, program, {a.atom: a for a in u}) if minimal else ()
+    return (
+        check_weak_repair(db, program, u)
+        and _grounded(grounding, db, grounds_on, u, uni)
+        and all(leaf == u for leaf in tree)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def shift_instance(
 ) -> ShiftWitness:
     """Shift a whole instance, validating the shift set against its universe."""
     w = frozenset(by)
-    uni = universe or Universe.collect(db, w, program)
+    uni = Universe.collect(db, w, program) if universe is None else universe
     uni.require(db, "database")
     uni.require(w, "shift set")
     return ShiftWitness(w, db, program, shift_db(db, w), shift(program, w))

@@ -44,6 +44,7 @@ SEMANTICS_INSTANCES = 1000
 CORRESPONDENCE_INSTANCES = 1000
 SHIFT_INSTANCES = 300
 BRIDGE_PROGRAMS = 500
+NON_SIMPLE_PROGRAMS = 3000
 CHECKER_INSTANCES = 150
 
 AIC_CLASSES = {
@@ -682,6 +683,31 @@ def test_answer_set_bridge():
                 ).sets
             )
             assert jr_engine == jwr_engine, seed
+
+
+def test_answer_sets_of_non_simple_programs():
+    # gen.lp_program builds simple rules only; here an atom may sit in any
+    # two parts of a rule, and every interpretation is tested.
+    overlaps = {"head/pos": 0, "head/neg": 0, "pos/neg": 0}
+    for i in range(NON_SIMPLE_PROGRAMS):
+        seed = f"lp-any-{i}"
+        rnd = random.Random(seed)
+        atoms = "abcde"[: rnd.randint(1, 5)]
+        program = tuple(
+            asp.LpRule(*(
+                frozenset(a for a in atoms if rnd.random() < 0.3) for _ in range(3)
+            ))
+            for _ in range(rnd.randint(1, 4))
+        )
+        for r in program:
+            overlaps["head/pos"] += bool(r.head & r.pos_body)
+            overlaps["head/neg"] += bool(r.head & r.neg_body)
+            overlaps["pos/neg"] += bool(r.pos_body & r.neg_body)
+        want = oracles.answer_sets(program, atoms)
+        got = {m for m in oracles.subsets(atoms) if asp.is_answer_set(program, m)}
+        assert got == want, seed
+        assert set(asp.answer_sets(program, Universe(tuple(atoms)))) == want, seed
+    assert min(overlaps.values()) > 100, overlaps
 
 
 # ---------------------------------------------------------------------------

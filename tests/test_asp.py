@@ -3,7 +3,7 @@ encoding."""
 
 import pytest
 
-from aicrepair.errors import NotSimpleRule, UniverseTooLarge
+from aicrepair.errors import NotSimpleRule, UniverseTooLarge, UnknownAtom
 from aicrepair.model import Limits, Literal, Universe, UpdateAction
 from aicrepair.asp import (
     LpRule,
@@ -74,6 +74,13 @@ def test_negation_chooses_by_stability():
 def test_answer_sets_over_a_declared_universe():
     program = lp("a.")
     assert answer_sets(program, Universe(("a", "b"))) == (frozenset({"a"}),)
+
+
+def test_an_empty_declared_universe_is_not_replaced():
+    for universe in (Universe(()), Universe(("b",))):
+        with pytest.raises(UnknownAtom, match="unknown atom 'a' in rule"):
+            answer_sets(lp("a."), universe)
+    assert answer_sets((), Universe(())) == (frozenset(),)
 
 
 def test_answer_sets_respect_the_atom_bound():

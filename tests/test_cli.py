@@ -305,6 +305,15 @@ def test_shift_has_no_format_option(capsys):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
+def test_shift_checks_the_shift_set_against_an_empty_universe(tmp_path, capsys):
+    path = tmp_path / "empty.aic"
+    path.write_text("universe: .\ndb: .\naic:\n-> false.\n")
+    for extra in ([], ["--verify"]):
+        code, out, err = run(["shift", str(path), "--by", "z", *extra], capsys)
+        assert (code, out) == (2, "")
+        assert "unknown atom 'z' in shift set" in err
+
+
 def test_shift_verify_reports_class_count_on_stderr(capsys):
     code, _, err = run(
         ["shift", str(GOLDEN / "pair_delete.aic"), "--by", "a", "--verify"], capsys

@@ -1,5 +1,6 @@
 """Core model: literals, actions, the update algebra, and universes."""
 
+import collections
 import os
 import random
 import subprocess
@@ -39,9 +40,9 @@ from aicrepair.model import (
     lit,
     no_effect_set,
     ordered,
-    proper_subsets,
     rev_literal,
     ua,
+    walk,
 )
 
 atoms_st = st.sampled_from(("a", "b", "c", "dee", "x1"))
@@ -227,8 +228,28 @@ def test_subset_iterators():
         positions = [sorted(items.index(x) for x in s) for s in subsets]
         assert positions == sorted(positions, key=lambda p: (len(p), p))
         assert subsets[-1] == frozenset(items)
-        assert list(proper_subsets(items)) == subsets[:-1]
-        assert list(proper_subsets(iter(items))) == subsets[:-1]
+
+
+def test_walk_visits_each_set_once_and_yields_only_leaves():
+    calls = collections.Counter()
+
+    def branch(s):
+        calls[s] += 1
+        if s == {1}:
+            return []  # a dead end
+        return None if len(s) == 3 else {1, 2, 3} - s
+
+    seen = set()
+    assert list(walk(frozenset(), branch, seen)) == [frozenset({1, 2, 3})]
+    assert set(calls.values()) == {1}
+    assert seen == set(calls) == set(all_subsets((1, 2, 3)))
+
+
+def test_walk_from_a_dead_end_or_a_leaf():
+    seen = set()
+    assert list(walk(frozenset({"a"}), lambda s: (), seen)) == []
+    assert seen == {frozenset({"a"})}
+    assert list(walk(frozenset({"a"}), lambda s: None)) == [frozenset({"a"})]
 
 
 # ---------------------------------------------------------------------------
