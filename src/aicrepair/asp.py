@@ -9,6 +9,10 @@ part is exactly the original body.
 An answer set is a minimal model of its reduct, tested by :func:`model.walk`
 from the empty set: a set that violates a reduct rule grows by one of its head
 atoms in the interpretation, and the walk must reach no model but that one.
+Every answer set is a classical model of the program, so only the models are
+tested. They come from :func:`model.clause_search` over the empty database: a
+rule is violated where the body of its encoding (:func:`aic_of_rule`), the
+positive body, ``not`` the negative body and ``not`` the head, holds.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
-    all_subsets,
+    clause_search,
     walk,
 )
 
@@ -109,15 +113,21 @@ def answer_sets(
     universe: Universe | None = None,
     limits: Limits | None = None,
 ) -> tuple[frozenset[str], ...]:
-    """All answer sets, enumerated over subsets of the universe atoms and
-    returned sorted."""
+    """All answer sets, sorted: the classical models over the universe
+    atoms that are answer sets."""
     limits = limits or Limits()
     uni = Universe.collect(program) if universe is None else universe
     for r in program:
         uni.require(r.atoms(), "rule")
     limits.check_universe(uni)
-    found = [m for m in all_subsets(uni.atoms) if is_answer_set(program, m)]
-    return tuple(sorted(found, key=sorted))
+    bodies = (
+        frozenset(Literal(a) for a in r.pos_body)
+        | frozenset(Literal(a, False) for a in r.neg_body | r.head)
+        for r in program
+    )
+    models, _ = clause_search(frozenset(), bodies, uni.atoms)
+    found = (frozenset(map(uni.atoms.__getitem__, t)) for t in models)
+    return tuple(m for m in found if is_answer_set(program, m))
 
 
 def aic_of_rule(rule: LpRule) -> AicRule:

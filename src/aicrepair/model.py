@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -350,12 +349,61 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def all_subsets(items: Iterable) -> Iterator[frozenset]:
-    """All subsets of ``items``, smallest first, so each comes after its
-    proper subsets; one size in the lexicographic order of ``items``."""
-    pool = tuple(items)
-    for k in range(len(pool) + 1):
-        yield from map(frozenset, itertools.combinations(pool, k))
+def clause_search(
+    db: frozenset[str], bodies: Iterable[frozenset[Literal]], atoms: tuple[str, ...]
+) -> tuple[list[tuple[int, ...]], int]:
+    """The subsets of ``atoms`` whose flip makes no body hold in ``db``, and
+    the number of search nodes visited.
+
+    Each subset is the tuple of its positions in ``atoms``, and the list is
+    sorted, the canonical order of the sets when ``atoms`` is. Each body is
+    compiled once into the bits ``m`` of its atoms and the bits ``f`` of
+    those whose literal fails in ``db``: flipping the set ``x`` makes the
+    body hold exactly when ``x & m == f``. A body holding an atom and its
+    dual never holds and is dropped. An atom outside ``atoms`` keeps its
+    ``db`` value: a body whose literal on it fails is dropped, and a
+    literal on it that holds is ignored. A body left with no atom
+    holds whatever is flipped, so no set qualifies. The search assigns
+    ``atoms`` in order, depth first, and tests each clause when its last
+    atom is assigned, cutting the branch there."""
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    clauses: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    for body in bodies:
+        if not is_consistent(body):
+            continue
+        m = f = 0
+        for l in body:
+            fails = (l.atom in db) != l.positive
+            b = bit.get(l.atom)
+            if b is None:
+                if fails:
+                    break
+            else:
+                m |= b
+                if fails:
+                    f |= b
+        else:
+            if not m:
+                return [], 0
+            clauses[m.bit_length() - 1].append((m, f))
+
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+    todo = [(0, 0, ())]
+    while todo:
+        i, x, positions = todo.pop()
+        nodes += 1
+        if i == len(atoms):
+            found.append(positions)
+            continue
+        for y, t in ((x, positions), (x | 1 << i, positions + (i,))):
+            for m, f in clauses[i]:
+                if y & m == f:
+                    break
+            else:
+                todo.append((i + 1, y, t))
+    found.sort()
+    return found, nodes
 
 
 def walk(start: frozenset, branch, seen: set | None = None) -> Iterator[frozenset]:

@@ -28,8 +28,8 @@ from .model import (
     UpdateAction,
     _key,
     _no_effect,
-    all_subsets,
     apply_update,
+    clause_search,
     entails,
     essential_actions,
     holds,
@@ -226,9 +226,8 @@ class RepairReport:
     """Outcome of enumerating one repair class over an instance.
 
     ``examined`` counts the candidate sets the engine visited for the
-    request: every subset of the essential actions when a weak class is
-    asked for, the sets of the repair tree when every class is
-    change-minimal."""
+    request: the nodes of the clause search when a weak class is asked
+    for, the sets of the repair tree when every class is change-minimal."""
 
     repair_class: RepairClass
     sets: tuple[frozenset[UpdateAction], ...]
@@ -239,22 +238,26 @@ def sort_key(actions: Iterable[UpdateAction]) -> tuple:
     return tuple(sorted(map(_key, actions)))
 
 
-def _scan(db, program, essential) -> list:
-    """The weak repairs among all subsets of ``essential``, in examination
-    order, which is smallest first."""
-    return [
-        u for u in all_subsets(essential) if entails(apply_update(db, u), program)
-    ]
+def _scan(db, program, actions: tuple[UpdateAction, ...]) -> tuple[list, int]:
+    """The weak repairs among the subsets of ``actions``, essential actions
+    in universe order, in canonical order, and the number of nodes the
+    clause search visited."""
+    found, nodes = clause_search(
+        db, (r.body for r in program), tuple(a.atom for a in actions)
+    )
+    return [frozenset(map(actions.__getitem__, t)) for t in found], nodes
 
 
 def _minimal(sets: list[frozenset]) -> list[frozenset]:
-    """The members of ``sets`` with no proper subset among them. ``sets``
-    lists each set after its proper subsets (smallest first does)."""
+    """The members of ``sets`` with no proper subset among them, in the
+    order of ``sets``. Smallest first, each set is compared only with the
+    minimal ones kept before it."""
     kept: list = []
-    for u in sets:
+    for u in sorted(sets, key=len):
         if not any(v < u for v in kept):
             kept.append(u)
-    return kept
+    keep = set(kept)
+    return [u for u in sets if u in keep]
 
 
 def enumerate_classes(
@@ -269,35 +272,44 @@ def enumerate_classes(
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
     construction. When every class is change-minimal, the leaves of the
-    repair tree hold all change-minimal weak repairs; otherwise one scan of
-    every candidate lists the weak repairs. Either way the grounding tests
-    run on that one list: the normalized classes are the justified ones of
-    the normalized program, whose weak repairs and change-minimal sets are
-    those of the program. Results are sorted canonically.
+    repair tree hold all change-minimal weak repairs; otherwise one clause
+    search lists the weak repairs. Every action of a founded or justified
+    set is in some rule head, and normalizing keeps the heads, so the
+    grounding tests run only on the sets inside the heads; when every class
+    is grounded, the search itself flips only head actions. The
+    normalized classes are the justified ones of the normalized program,
+    whose weak repairs and change-minimal sets are those of the program.
+    Results are in canonical order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
     uni = _universe_for(db, program, universe=universe)
     limits.check_universe(uni)
     essential = essential_actions(db, uni)
+    heads = frozenset().union(*(r.head for r in program))
 
     rows = [_TABLE[c] for c in classes]
     if all(m for _, _, m in rows):
         seen: set = set()
         leaves = _repair_tree(db, program, {a.atom: a for a in essential}, seen)
-        pool = minimal = _minimal(sorted(leaves, key=len))
+        pool = minimal = _minimal(sorted(leaves, key=sort_key))
         examined = len(seen)
     else:
-        pool = _scan(db, program, essential)
+        if all(g for _, g, _ in rows):
+            # Every member is inside the heads, and so are its subsets, the
+            # weak repairs its minimality is tested against.
+            essential = tuple(a for a in essential if a in heads)
+        pool, examined = _scan(db, program, essential)
         minimal = _minimal(pool) if any(m for _, _, m in rows) else []
-        examined = 1 << len(essential)
 
     programs = {False: program}
     if any(normalized for normalized, _, _ in rows):
         programs[True] = transforms.normalize_aic(program)
     grounded = {
         (normalized, g): {
-            u for u in pool if _grounded(g, db, programs[normalized], u, uni)
+            u
+            for u in pool
+            if u <= heads and _grounded(g, db, programs[normalized], u, uni)
         }
         for normalized, g in dict.fromkeys(row[:2] for row in rows if row[1])
     }
@@ -307,7 +319,7 @@ def enumerate_classes(
         hits = minimal if change_minimal else pool
         if grounding:
             hits = [u for u in hits if u in grounded[normalized, grounding]]
-        reports[c] = RepairReport(c, tuple(sorted(hits, key=sort_key)), examined)
+        reports[c] = RepairReport(c, tuple(hits), examined)
     return reports
 
 

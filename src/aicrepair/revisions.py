@@ -154,7 +154,7 @@ class RevisionReport:
 
     ``examined`` is the repair engine's count for the translated program:
     the sets its repair tree visited when every class asked for is
-    change-minimal, every candidate of its scan otherwise."""
+    change-minimal, the nodes of its clause search otherwise."""
 
     revision_class: RevisionClass
     sets: tuple[frozenset[RevLiteral], ...]
@@ -172,7 +172,7 @@ def enumerate_classes(
 
     The program is translated once and the repair engine enumerates the
     matching repair classes in one call, so supported revisions are the
-    founded weak hits of the same scan. The canonical order of the repair
+    founded weak hits of the same search. The canonical order of the repair
     sets maps to the canonical order of the revision literals.
     """
     classes = tuple(classes)

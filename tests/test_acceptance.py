@@ -4,8 +4,9 @@ One test per gate: golden instances with frozen expected sets, randomized
 cross-validation of every semantics against the definitional oracles plus
 the containment lattice between them, the translation correspondence, the
 shifting transport, the logic-program bridge, checker agreement over full
-candidate spaces, one multi-class scan matching per-class enumeration, and
-the repair tree of the change-minimal classes matching the scan.
+candidate spaces, one multi-class scan matching per-class enumeration, the
+repair tree of the change-minimal classes matching the scan, and the clause
+search matching a plain scan of every subset.
 All frozen values below were computed by ``tests/oracles.py`` and
 hand-checked before being written down.
 
@@ -15,6 +16,7 @@ rebuilds its instance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -27,11 +29,18 @@ from aicrepair import asp, cli, repairs, revisions, transforms
 from aicrepair.errors import UniverseTooLarge
 from aicrepair.model import (
     DEFAULT_MAX_ATOMS,
+    AicRule,
     Literal,
+    RevLiteral,
+    RevRule,
     Universe,
     UpdateAction,
+    apply_update,
+    entails,
+    essential_actions,
     is_normal,
     lit,
+    rev_literal,
     ua,
 )
 from aicrepair.repairs import RepairClass, enumerate_repairs
@@ -944,3 +953,147 @@ def test_repair_tree_matches_scan_and_oracles():
                 assert repairs.check_membership(db, program, cls, cand, uni) == (
                     cand in members
                 ), f"{seed}: {cls.value} {format_set(cand)}"
+
+
+# ---------------------------------------------------------------------------
+# Gate 9: the clause search gives what a plain scan of every subset gives
+
+PLAIN_INSTANCES = 300
+PLAIN_ORACLE_ATOMS = 5
+
+
+def _plain_repair_classes(db, program, uni, classes) -> dict:
+    """Each class from a plain scan: the subsets of the essential actions
+    after which no rule body holds, in canonical order; a change-minimal
+    class keeps those with no proper subset among them, a grounded class
+    those that pass the engine's grounding test."""
+    essential = essential_actions(db, uni)
+    every = (
+        frozenset(c)
+        for k in range(len(essential) + 1)
+        for c in itertools.combinations(essential, k)
+    )
+    weak = sorted(
+        (u for u in every if entails(apply_update(db, u), program)),
+        key=repairs.sort_key,
+    )
+    kept: list = []
+    for u in sorted(weak, key=len):
+        if not any(v < u for v in kept):
+            kept.append(u)
+    minimal = set(kept)
+    programs = {False: program, True: transforms.normalize_aic(program)}
+    grounded = {
+        (normalized, g): {
+            u for u in weak if repairs._grounded(g, db, programs[normalized], u, uni)
+        }
+        for normalized, g in {repairs._TABLE[c][:2] for c in classes}
+    }
+    out = {}
+    for cls in classes:
+        normalized, grounding, change_minimal = repairs._TABLE[cls]
+        out[cls] = tuple(
+            u
+            for u in weak
+            if (u in minimal or not change_minimal)
+            and u in grounded[normalized, grounding]
+        )
+    return out
+
+
+def _plain_revision_classes(db, program, uni, classes) -> dict:
+    aic = revisions._aic(program)
+    plain = _plain_repair_classes(
+        db, aic, uni, {revisions._REPAIR_CLASS[c] for c in classes}
+    )
+    return {
+        c: tuple(
+            frozenset(map(rev_literal, u)) for u in plain[revisions._REPAIR_CLASS[c]]
+        )
+        for c in classes
+    }
+
+
+def _with_dual_pair(rnd, program, atoms):
+    """Now and then one rule's body also holds an atom and its dual; such a
+    body never holds."""
+    if not program or rnd.random() < 0.7:
+        return program
+    k = rnd.randrange(len(program))
+    r, a = program[k], rnd.choice(atoms)
+    if isinstance(r, AicRule):
+        r = AicRule(r.body | {Literal(a), Literal(a, False)}, r.head)
+    else:
+        r = RevRule(r.head, r.body | {RevLiteral(a, True), RevLiteral(a, False)})
+    return program[:k] + (r,) + program[k + 1:]
+
+
+def _matches_plain(engine, classes, grounded, want, db, program, uni, rnd, seed):
+    """All classes in one call (as ``lattice`` asks), the founded and
+    justified ones alone (their search flips head actions only), and a
+    random mix."""
+    mix = rnd.sample(classes, rnd.randint(1, len(classes)))
+    for request in (classes, grounded, mix):
+        got = engine.enumerate_classes(db, program, request, uni)
+        for cls in request:
+            assert got[cls].sets == want[cls], f"{seed}: {cls.value} of {request}"
+
+
+def test_clause_search_matches_plain_scan_and_oracles():
+    aic_grounded = [c for c in RepairClass if repairs._TABLE[c][1]]
+    for i in range(PLAIN_INSTANCES):
+        seed = f"clause-search-{i}"
+        rnd = random.Random(seed)
+        size = rnd.randint(2, 10)
+        atoms = gen.atom_pool(rnd, size)
+        # Atoms past ``used`` are free: declared, but in no rule.
+        used = atoms[: max(1, size - rnd.choice((0, 0, 1, 2)))]
+        uni = Universe(atoms)
+        normal = rnd.random() < 0.5
+        rules = (1, max(3, size))
+
+        program = gen.aic_program(rnd, used, normal=normal, rules=rules)
+        program = _with_dual_pair(rnd, program, used)
+        db = _database(rnd, atoms, program)
+        classes = list(RepairClass)
+        want = _plain_repair_classes(db, program, uni, classes)
+        _matches_plain(
+            repairs, classes, aic_grounded, want, db, program, uni, rnd, seed
+        )
+
+        rprogram = gen.rev_program(
+            rnd, used, normal=normal, proper=rnd.random() < 0.5, rules=rules
+        )
+        rprogram = _with_dual_pair(rnd, rprogram, used)
+        rdb = _database(rnd, atoms, revisions._aic(rprogram))
+        rclasses = [
+            c
+            for c in RevisionClass
+            if c is not RevisionClass.SUPPORTED_REVISION or is_normal(rprogram)
+        ]
+        rwant = _plain_revision_classes(rdb, rprogram, uni, rclasses)
+        rgrounded = [c for c in rclasses if revisions._REPAIR_CLASS[c] in aic_grounded]
+        _matches_plain(
+            revisions, rclasses, rgrounded, rwant, rdb, rprogram, uni, rnd, seed
+        )
+        if size > PLAIN_ORACLE_ATOMS:
+            continue
+
+        norm = oracles.normalize(program)
+        assert {key: set(want[cls]) for key, cls in AIC_CLASSES.items()} == (
+            _aic_oracle(db, program, atoms)
+        ), seed
+        assert set(want[RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED]) == (
+            oracles.justified_weak_repairs(db, norm, atoms)
+        ), seed
+        rnorm = oracles.normalize_rev(rprogram)
+        assert {key: set(rwant[cls]) for key, cls in REV_CLASSES.items()} == (
+            _rev_oracle(rdb, rprogram, atoms)
+        ), seed
+        assert set(rwant[RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED]) == (
+            oracles.justified_weak_revisions(rdb, rnorm, atoms)
+        ), seed
+        if RevisionClass.SUPPORTED_REVISION in rwant:
+            assert set(rwant[RevisionClass.SUPPORTED_REVISION]) == (
+                oracles.supported_revisions(rdb, rprogram, atoms)
+            ), seed

@@ -1,6 +1,7 @@
 """Core model: literals, actions, the update algebra, and universes."""
 
 import collections
+import itertools
 import os
 import random
 import subprocess
@@ -27,9 +28,9 @@ from aicrepair.model import (
     RevRule,
     Universe,
     UpdateAction,
-    all_subsets,
     apply_revision,
     apply_update,
+    clause_search,
     entails,
     essential_actions,
     holds,
@@ -213,21 +214,37 @@ def test_essential_actions_flip_every_atom():
     )
 
 
+def _subsets(items) -> list[tuple]:
+    return [c for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
 def test_subset_iterators():
-    for items in (
-        [UpdateAction("b", True), UpdateAction("a", False), UpdateAction("c", True)],
-        ["d", "a", "c", "b"],
-        ["a"],
-        [],
-    ):
-        subsets = list(all_subsets(items))
-        assert len(set(subsets)) == len(subsets) == 2 ** len(items)
-        assert all(s <= set(items) for s in subsets)
-        # Smallest first; one size in the lexicographic order of the
-        # positions in the given list, whatever the items' own order.
-        positions = [sorted(items.index(x) for x in s) for s in subsets]
-        assert positions == sorted(positions, key=lambda p: (len(p), p))
-        assert subsets[-1] == frozenset(items)
+    # With no bodies the clause search lists every subset once, as sorted
+    # positions in the given order of the atoms, whatever their names, and
+    # visits every node of the binary tree.
+    for atoms in (("d", "a", "c", "b"), ("a",), ()):
+        found, nodes = clause_search(frozenset(), (), atoms)
+        assert found == sorted(_subsets(range(len(atoms))))
+        assert nodes == 2 ** (len(atoms) + 1) - 1
+
+
+def test_clause_search_compiles_each_body_once():
+    db = frozenset({"a"})
+    a, not_a, b, not_b = Literal("a"), Literal("a", False), Literal("b"), Literal("b", False)
+    # ``a`` holds unless ``a`` is flipped; ``a, not a`` never holds.
+    assert clause_search(db, [{a}], ("a", "b"))[0] == [(0,), (0, 1)]
+    assert clause_search(db, [{a, not_a}], ("a",))[0] == [(), (0,)]
+    # ``b`` stays out of ``db`` when it is not searched: ``b`` fails, so
+    # the body never holds, and ``not b`` holds, so the body is ``a``.
+    assert clause_search(db, [{a, b}], ("a",))[0] == [(), (0,)]
+    assert clause_search(db, [{a, not_b}], ("a",))[0] == [(0,)]
+    # A body left with no searched atom holds whatever is flipped.
+    assert clause_search(db, [{not_b}], ("a",)) == ([], 0)
+    assert clause_search(db, [()], ()) == ([], 0)
+    # Each clause cuts where its last atom is assigned: the branch that
+    # keeps ``a`` is cut at depth 1, so the nodes are the root, ``{a}``
+    # and its two children.
+    assert clause_search(db, [{a}], ("a", "b"))[1] == 4
 
 
 def test_walk_visits_each_set_once_and_yields_only_leaves():
@@ -242,7 +259,7 @@ def test_walk_visits_each_set_once_and_yields_only_leaves():
     seen = set()
     assert list(walk(frozenset(), branch, seen)) == [frozenset({1, 2, 3})]
     assert set(calls.values()) == {1}
-    assert seen == set(calls) == set(all_subsets((1, 2, 3)))
+    assert seen == set(calls) == set(map(frozenset, _subsets((1, 2, 3))))
 
 
 def test_walk_from_a_dead_end_or_a_leaf():

@@ -176,15 +176,17 @@ def test_enumeration_orders_sets_canonically():
     db = frozenset({"a", "b"})
     report = enumerate_repairs(db, PAIR, RepairClass.WEAK_REPAIR)
     assert report.sets == (uas("-a"), uas("-a, -b"), uas("-b"))
-    assert report.examined == 4
+    assert report.examined == 6
     assert [sort_key(s) for s in report.sets] == sorted(
         sort_key(s) for s in report.sets
     )
 
 
 def test_the_repair_tree_counts_the_sets_it_visits():
-    # A weak class scans all four subsets of {-a, -b} (see above); the
-    # repair tree visits the empty set, then -a and -b, which are leaves.
+    # A weak class runs the clause search (see above): it visits the root,
+    # both choices for -a, and the three sets that flip a or b but not the
+    # empty one, which the rule's clause cuts. The repair tree visits the
+    # empty set, then -a and -b, which are leaves.
     report = enumerate_repairs(frozenset({"a", "b"}), PAIR, RepairClass.REPAIR)
     assert report.sets == (uas("-a"), uas("-b"))
     assert report.examined == 3
