@@ -27,7 +27,9 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
+    clause,
     clause_search,
+    members,
     walk,
 )
 
@@ -99,13 +101,29 @@ def is_model_positive(interp: frozenset[str], program: LogicProgram) -> bool:
 
 
 def is_answer_set(program: LogicProgram, interp: frozenset[str]) -> bool:
-    """True when the interpretation is a minimal model of its own reduct."""
-    fixed = reduct(program, interp)
+    """True when the interpretation is a minimal model of its own reduct.
+
+    The walk runs on masks over the atoms of ``interp``. Only the reduct
+    rules whose positive body lies inside ``interp`` count: the others are
+    satisfied by every set inside it, and a head atom outside ``interp`` is
+    never added."""
+    bit = {a: 1 << i for i, a in enumerate(interp)}
+    fixed = [
+        (sum(map(bit.__getitem__, r.pos_body)), sum(map(bit.get, r.head & interp)))
+        for r in program
+        if not r.neg_body & interp and r.pos_body <= interp
+    ]
+
     def branch(s):
-        rule = next((r for r in fixed if r.pos_body <= s and not r.head & s), None)
-        return None if rule is None else rule.head & interp
-    models = walk(frozenset(), branch)
-    return is_model_positive(interp, fixed) and all(m == interp for m in models)
+        for pos, head in fixed:
+            if not pos & ~s and not head & s:
+                return head
+        return None
+
+    full = (1 << len(bit)) - 1
+    return all(head for _, head in fixed) and all(
+        m == full for m in walk(0, branch)
+    )
 
 
 def answer_sets(
@@ -120,14 +138,15 @@ def answer_sets(
     for r in program:
         uni.require(r.atoms(), "rule")
     limits.check_universe(uni)
+    bit = {a: 1 << i for i, a in enumerate(uni.atoms)}
     bodies = (
         frozenset(Literal(a) for a in r.pos_body)
         | frozenset(Literal(a, False) for a in r.neg_body | r.head)
         for r in program
     )
-    models, _ = clause_search(frozenset(), bodies, uni.atoms)
-    found = (frozenset(map(uni.atoms.__getitem__, t)) for t in models)
-    return tuple(m for m in found if is_answer_set(program, m))
+    compiled = (clause(frozenset(), b, bit) for b in bodies)
+    models, _ = clause_search((c for c in compiled if c is not None), len(uni))
+    return tuple(m for m in members(uni.atoms, models) if is_answer_set(program, m))
 
 
 def aic_of_rule(rule: LpRule) -> AicRule:

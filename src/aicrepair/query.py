@@ -13,14 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import (
-    Limits,
-    Literal,
-    Universe,
-    apply_revision,
-    apply_update,
-    holds,
-)
+from .model import Limits, Literal, Universe, clause
 from .repairs import RepairClass, enumerate_repairs
 from .revisions import RevisionClass, enumerate_revisions
 
@@ -51,24 +44,27 @@ def cqa(
     limits: Limits | None = None,
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
-    chosen class. Query atoms must lie in ``universe`` when one is given."""
+    chosen class. Query atoms must lie in ``universe`` when one is given.
+    The query is compiled over the positions of the hits, so it holds in
+    the database repaired by the mask ``x`` exactly when ``x & m == f``."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")
     if isinstance(semantics, RepairClass):
         report = enumerate_repairs(db, program, semantics, universe, limits)
-        repaired = [apply_update(db, u) for u in report.sets]
     else:
         report = enumerate_revisions(db, program, semantics, universe, limits)
-        repaired = [apply_revision(db, u) for u in report.sets]
 
-    if not repaired:
+    total = len(report.hits)
+    if not total:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
-    holding = sum(1 for r in repaired if holds(r, query))
-    if holding == len(repaired):
+    bit = {a.atom: 1 << i for i, a in enumerate(report.actions)}
+    m, f = clause(db, query, bit) or (0, 1)  # (0, 1): a query that never holds
+    holding = sum(1 for x in report.hits if x & m == f)
+    if holding == total:
         status = CqaStatus.TRUE
     elif holding == 0:
         status = CqaStatus.FALSE
     else:
         status = CqaStatus.UNKNOWN
-    return CqaVerdict(status, holding, len(repaired))
+    return CqaVerdict(status, holding, total)

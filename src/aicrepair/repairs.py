@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import transforms
@@ -26,16 +27,19 @@ from .model import (
     Limits,
     Universe,
     UpdateAction,
-    _key,
-    _no_effect,
     apply_update,
+    clause,
     clause_search,
+    # Unused here: the benchmark's tracer (perfbench/tracing.py) counts the
+    # calls made through this name, so it stays importable.
     entails,
     essential_actions,
     holds,
     is_consistent,
     is_normal,
     lit,
+    members,
+    positions,
     walk,
 )
 
@@ -82,20 +86,127 @@ def _essential(db, actions: frozenset[UpdateAction]) -> bool:
     return all((a.atom not in db) == a.insert for a in actions)
 
 
+class _Compiled:
+    """A program over the bit positions of ``actions``, essential actions
+    in universe order: bit ``i`` of a mask ``x`` flips ``actions[i]``, and
+    position order is canonical order. An action that does not flip
+    ``db`` is the no-effect action of its atom, the dual of the essential
+    one: it is in the no-effect set of ``x`` exactly when ``x`` leaves its
+    bit 0, and always outside the positions, where atoms keep their ``db``
+    value. Each part is compiled on first use."""
+
+    def __init__(self, db, program: AicProgram, actions: tuple[UpdateAction, ...]):
+        self.db, self.program, self.n = db, program, len(actions)
+        self.bit = {a.atom: 1 << i for i, a in enumerate(actions)}
+
+    def _split(self, actions) -> tuple[int, int, set[bool]]:
+        """The essential bits and the no-effect bits of ``actions``, and
+        whether each action outside the positions flips ``db``."""
+        e = n = 0
+        outside = set()
+        for a in actions:
+            b, flips = self.bit.get(a.atom, 0), (a.atom in self.db) != a.insert
+            if not b:
+                outside.add(flips)
+            elif flips:
+                e |= b
+            else:
+                n |= b
+        return e, n, outside
+
+    @cached_property
+    def bodies(self) -> list[tuple[int, int] | None]:
+        return [clause(self.db, r.body, self.bit) for r in self.program]
+
+    @cached_property
+    def clauses(self) -> list[tuple[int, int]]:
+        """The clauses of the bodies that can hold, in program order."""
+        return [c for c in self.bodies if c is not None]
+
+    @cached_property
+    def support(self) -> dict[int, list[tuple[int, int]]]:
+        """Per bit of an essential head action ``a``, the clauses of
+        ``body − {dual(a)}``: ``a`` is founded when one of them holds.
+        ``dual(a)`` holds in ``db``, so it drops its bit from the clause of
+        the body; a body that never holds is compiled again without it."""
+        support: dict[int, list] = {}
+        for r, body in zip(self.program, self.bodies):
+            for a in r.head:
+                b = self._split((a,))[0]
+                if not b:
+                    continue
+                if body is None:
+                    c = clause(self.db, r.body - {lit(a).dual()}, self.bit)
+                else:
+                    c = body[0] & ~b, body[1]
+                if c is not None:
+                    support.setdefault(b, []).append(c)
+        return support
+
+    @cached_property
+    def rules(self) -> list[tuple[int, int, int, int]]:
+        """Each rule some set can violate, its trigger and head split into
+        essential and no-effect bits: ``(te, tn, he, hn)``. A trigger flip
+        outside the positions is in no set, and a head no-effect action
+        outside them in every set; their rules are dropped."""
+        out = []
+        for r in self.program:
+            te, tn, never = self._split(r.trigger)
+            he, hn, always = self._split(r.head)
+            if True not in never and False not in always:
+                out.append((te, tn, he, hn))
+        return out
+
+    def weak(self, x: int) -> bool:
+        return all(x & m != f for m, f in self.clauses)
+
+    def founded(self, x: int) -> bool:
+        support, y = self.support, x
+        while y:
+            b = y & -y
+            y ^= b
+            if not any(x & m == f for m, f in support.get(b, ())):
+                return False
+        return True
+
+    def justified(self, x: int) -> bool:
+        """``x`` and its no-effect actions ``ne`` form a justified action
+        set: ``x | ne`` is closed, and no ``ne | e`` with ``e`` a proper
+        subset of ``x`` is. Only a rule whose no-effect trigger avoids
+        ``x`` and whose no-effect head lies inside ``x`` can be violated:
+        by ``ne | e`` when ``e`` holds its essential trigger and none of
+        its essential head. The last test is a :func:`walk` from ``ne``: a
+        violating set grows by one of the rule's head bits in ``x``, one
+        of which any closed set above it inside ``x | ne`` holds. It
+        branches only at disjunctive heads; on a normal program it is the
+        least closure of ``ne``."""
+        live = [
+            (te, he) for te, tn, he, hn in self.rules if not tn & x and not hn & ~x
+        ]
+        if any(not te & ~x and not he & x for te, he in live):
+            return False
+
+        def branch(s):
+            for te, he in live:
+                if not te & ~s and not he & s:
+                    return he & x
+            return None
+
+        return all(leaf == x for leaf in walk(0, branch))
+
+
 def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
     """Consistent, every action changes the database, result satisfies all
     constraints."""
-    u = frozenset(actions)
-    if not is_consistent(u) or not _essential(db, u):
-        return False
-    return entails(apply_update(db, u), program)
+    return check_membership(db, program, RepairClass.WEAK_REPAIR, actions)
 
 
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     """Every action ``a`` is founded: some rule has ``a`` in its head, and
     its non-updatable body and the duals of its other head actions, that is
     its whole body but the dual of ``a``, hold in the updated database. An
-    inconsistent set is not founded."""
+    inconsistent set is not founded. The definition on sets, which the
+    engine's test on masks (``_Compiled.founded``) must agree with."""
     u = frozenset(actions)
     if not is_consistent(u):
         return False
@@ -106,58 +217,27 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     )
 
 
-def _violated(program: AicProgram, actions: frozenset[UpdateAction]):
-    """The first rule whose non-updatable body the set makes true (the set
-    holds its ``trigger``) while the set holds none of its head actions, or
-    ``None``."""
-    return next(
-        (r for r in program if r.trigger <= actions and not r.head & actions),
-        None,
-    )
-
-
-def _repair_tree(db, program, moves: dict, seen: set | None = None):
+def _repair_tree(clauses: list[tuple[int, int]], moves: int, seen: set | None = None):
     """The leaves of the repair tree, the weak repairs it reaches.
 
-    From the empty set, at a set ``s`` the first rule whose whole body holds
-    in ``db∘s`` branches on every body atom that ``s`` leaves alone and that
-    ``moves`` (atom to essential action) covers. A change-minimal weak
-    repair ``m`` above ``s`` inside the moves keeps the flips of ``s`` and
-    satisfies the rule, so it flips one: by :func:`walk`, ``m`` is a leaf."""
+    From the empty set, at a mask ``s`` the first rule whose whole body
+    holds in ``db∘s`` branches on every body bit that ``s`` leaves alone
+    and that ``moves`` holds. A change-minimal weak repair ``m`` above
+    ``s`` inside the moves keeps the flips of ``s`` and satisfies the rule,
+    so it flips one: by :func:`walk`, ``m`` is a leaf."""
     def branch(s):
-        result = apply_update(db, s)
-        rule = next((r for r in program if holds(result, r.body)), None)
-        if rule is None:
-            return None
-        flips = (moves.get(l.atom) for l in rule.body)
-        return [a for a in flips if a is not None and a not in s]
-    return walk(frozenset(), branch, seen)
+        for m, f in clauses:
+            if s & m == f:
+                return m & moves & ~s
+        return None
+    return walk(0, branch, seen)
 
 
 def is_closed(program: AicProgram, actions) -> bool:
     """Closedness under the rules: whenever all non-updatable body literals
     of a rule are made true by the set, the set contains a head action."""
-    return _violated(program, frozenset(actions)) is None
-
-
-def _justified(db, program, e: frozenset[UpdateAction], uni: Universe) -> bool:
-    """A consistent ``e`` over a validated universe, together with its
-    no-effect actions ``ne``, is a justified action set: ``e`` avoids
-    ``ne``, ``e | ne`` is closed, and no ``ne | e'`` with ``e'`` a proper
-    subset of ``e`` is closed.
-
-    The last test is a :func:`walk` up from ``ne``: a set that violates a
-    rule grows by one of its head actions in ``e``, one of which any closed
-    set above it inside ``e | ne`` holds. It branches only at disjunctive
-    heads; on a normal program it is the least closure of ``ne``."""
-    ne = _no_effect(db, apply_update(db, e), uni)
-    full = e | ne
-    if e & ne or not is_closed(program, full):
-        return False
-    def branch(s):
-        rule = _violated(program, s)
-        return None if rule is None else rule.head & e
-    return all(leaf == full for leaf in walk(ne, branch))
+    u = frozenset(actions)
+    return all(not r.trigger <= u or r.head & u for r in program)
 
 
 def check_justified_weak_repair(
@@ -165,10 +245,9 @@ def check_justified_weak_repair(
 ) -> bool:
     """The candidate together with its no-effect actions must form a
     justified action set, and must itself avoid no-effect actions."""
-    e = frozenset(actions)
-    if not is_consistent(e):
-        return False
-    return _justified(db, program, e, _universe_for(db, program, e, universe))
+    return check_membership(
+        db, program, RepairClass.JUSTIFIED_WEAK_REPAIR, actions, universe
+    )
 
 
 def _require_normal(program) -> None:
@@ -178,11 +257,11 @@ def _require_normal(program) -> None:
             raise NotNormalProgram(str(r))
 
 
-def _grounded(grounding, db, program, u, uni) -> bool:
+def _grounded(grounding, compiled: _Compiled, x: int) -> bool:
     if grounding == "founded":
-        return is_founded_set(db, program, u)
+        return compiled.founded(x)
     if grounding == "justified":
-        return _justified(db, program, u, uni)
+        return compiled.justified(x)
     return True
 
 
@@ -199,7 +278,9 @@ def check_membership(
     body. Atoms outside a declared universe are rejected up front. Given
     ``limits``, a candidate on more atoms than the bound is refused when
     the test searches its subsets (a change-minimal class, or a justified
-    walk on a disjunctive program); without it no check is refused."""
+    walk on a disjunctive program); without it no check is refused. A
+    consistent candidate of essential actions becomes a mask over the
+    essential actions of the universe, and every test runs on it."""
     normalized, grounding, minimal = _TABLE[repair_class]
     u = frozenset(actions)
     uni = _universe_for(db, program, u, universe)
@@ -207,13 +288,19 @@ def check_membership(
     disjunctive = grounding == "justified" and not is_normal(grounds_on)
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    # A weak ``u`` is change-minimal when the repair tree over its own
-    # actions reaches no other leaf: any smaller weak repair leads to one.
-    tree = _repair_tree(db, program, {a.atom: a for a in u}) if minimal else ()
+    if not is_consistent(u) or not _essential(db, u):
+        return False
+    essential = essential_actions(db, uni)
+    compiled = _Compiled(db, program, essential)
+    x = sum(compiled.bit[a.atom] for a in u)
+    grounds = _Compiled(db, grounds_on, essential) if normalized else compiled
+    # A weak ``x`` is change-minimal when the repair tree over its own
+    # bits reaches no other leaf: any smaller weak repair leads to one.
+    tree = _repair_tree(compiled.clauses, x) if minimal else ()
     return (
-        check_weak_repair(db, program, u)
-        and _grounded(grounding, db, grounds_on, u, uni)
-        and all(leaf == u for leaf in tree)
+        compiled.weak(x)
+        and _grounded(grounding, grounds, x)
+        and all(leaf == x for leaf in tree)
     )
 
 
@@ -225,39 +312,41 @@ def check_membership(
 class RepairReport:
     """Outcome of enumerating one repair class over an instance.
 
-    ``examined`` counts the candidate sets the engine visited for the
-    request: the nodes of the clause search when a weak class is asked
-    for, the sets of the repair tree when every class is change-minimal."""
+    ``hits`` are the members as masks over ``actions``, the essential
+    actions the engine searched, in universe order: bit ``i`` stands for
+    ``actions[i]``, and the hits are in canonical order. Every report of
+    one engine call shares its ``actions``. ``sets``, the members as
+    frozensets in the same order, is built on first read. ``examined``
+    counts the candidate sets the engine visited for the request: the
+    nodes of the clause search when a weak class is asked for, the sets of
+    the repair tree when every class is change-minimal."""
 
     repair_class: RepairClass
-    sets: tuple[frozenset[UpdateAction], ...]
+    actions: tuple[UpdateAction, ...]
+    hits: tuple[int, ...]
     examined: int
 
-
-def sort_key(actions: Iterable[UpdateAction]) -> tuple:
-    return tuple(sorted(map(_key, actions)))
-
-
-def _scan(db, program, actions: tuple[UpdateAction, ...]) -> tuple[list, int]:
-    """The weak repairs among the subsets of ``actions``, essential actions
-    in universe order, in canonical order, and the number of nodes the
-    clause search visited."""
-    found, nodes = clause_search(
-        db, (r.body for r in program), tuple(a.atom for a in actions)
-    )
-    return [frozenset(map(actions.__getitem__, t)) for t in found], nodes
+    @cached_property
+    def sets(self) -> tuple[frozenset[UpdateAction], ...]:
+        return tuple(members(self.actions, self.hits))
 
 
-def _minimal(sets: list[frozenset]) -> list[frozenset]:
-    """The members of ``sets`` with no proper subset among them, in the
-    order of ``sets``. Smallest first, each set is compared only with the
+def _scan(compiled: _Compiled) -> tuple[list[int], int]:
+    """The weak repairs among the masks over the compiled positions, in
+    canonical order, and the number of nodes the clause search visited."""
+    return clause_search(compiled.clauses, compiled.n)
+
+
+def _minimal(masks: list[int]) -> list[int]:
+    """The members of ``masks`` with no proper subset among them, in the
+    order of ``masks``. Smallest first, each mask is compared only with the
     minimal ones kept before it."""
-    kept: list = []
-    for u in sorted(sets, key=len):
-        if not any(v < u for v in kept):
+    kept: list[int] = []
+    for u in sorted(masks, key=int.bit_count):
+        if all(v & u != v for v in kept):
             kept.append(u)
     keep = set(kept)
-    return [u for u in sets if u in keep]
+    return [u for u in masks if u in keep]
 
 
 def enumerate_classes(
@@ -271,15 +360,16 @@ def enumerate_classes(
 
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
-    construction. When every class is change-minimal, the leaves of the
-    repair tree hold all change-minimal weak repairs; otherwise one clause
-    search lists the weak repairs. Every action of a founded or justified
-    set is in some rule head, and normalizing keeps the heads, so the
-    grounding tests run only on the sets inside the heads; when every class
-    is grounded, the search itself flips only head actions. The
-    normalized classes are the justified ones of the normalized program,
-    whose weak repairs and change-minimal sets are those of the program.
-    Results are in canonical order.
+    construction; the program is compiled once over their bit positions.
+    When every class is change-minimal, the leaves of the repair tree hold
+    all change-minimal weak repairs; otherwise one clause search lists the
+    weak repairs. A justified set is founded, so every action of a grounded
+    set has a support clause that holds, and normalizing keeps the support
+    clauses: the grounding tests run only on the sets whose every bit has
+    one. When every class is grounded, the search itself flips only head
+    actions. The normalized classes are the justified ones of the
+    normalized program, whose weak repairs and change-minimal sets are
+    those of the program. Results are in canonical order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -289,37 +379,41 @@ def enumerate_classes(
     heads = frozenset().union(*(r.head for r in program))
 
     rows = [_TABLE[c] for c in classes]
-    if all(m for _, _, m in rows):
+    minimal_only = all(m for _, _, m in rows)
+    if all(g for _, g, _ in rows) and not minimal_only:
+        # Every member is inside the heads, and so are its subsets, the
+        # weak repairs its minimality is tested against.
+        essential = tuple(a for a in essential if a in heads)
+    programs = {False: _Compiled(db, program, essential)}
+    compiled = programs[False]
+    if minimal_only:
         seen: set = set()
-        leaves = _repair_tree(db, program, {a.atom: a for a in essential}, seen)
-        pool = minimal = _minimal(sorted(leaves, key=sort_key))
+        leaves = _repair_tree(compiled.clauses, (1 << compiled.n) - 1, seen)
+        pool = minimal = _minimal(sorted(leaves, key=positions))
         examined = len(seen)
     else:
-        if all(g for _, g, _ in rows):
-            # Every member is inside the heads, and so are its subsets, the
-            # weak repairs its minimality is tested against.
-            essential = tuple(a for a in essential if a in heads)
-        pool, examined = _scan(db, program, essential)
+        pool, examined = _scan(compiled)
         minimal = _minimal(pool) if any(m for _, _, m in rows) else []
 
-    programs = {False: program}
     if any(normalized for normalized, _, _ in rows):
-        programs[True] = transforms.normalize_aic(program)
+        programs[True] = _Compiled(db, transforms.normalize_aic(program), essential)
+    keys = dict.fromkeys(row[:2] for row in rows if row[1])
+    supported = sum(compiled.support) if keys else 0
     grounded = {
         (normalized, g): {
-            u
-            for u in pool
-            if u <= heads and _grounded(g, db, programs[normalized], u, uni)
+            x
+            for x in pool
+            if not x & ~supported and _grounded(g, programs[normalized], x)
         }
-        for normalized, g in dict.fromkeys(row[:2] for row in rows if row[1])
+        for normalized, g in keys
     }
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]
         hits = minimal if change_minimal else pool
         if grounding:
-            hits = [u for u in hits if u in grounded[normalized, grounding]]
-        reports[c] = RepairReport(c, tuple(hits), examined)
+            hits = [x for x in hits if x in grounded[normalized, grounding]]
+        reports[c] = RepairReport(c, essential, tuple(hits), examined)
     return reports
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import repairs, transforms
@@ -34,6 +35,7 @@ from .model import (
     # calls made through this name, so it stays importable.
     entails,
     is_normal,
+    members,
     rev_literal,
     ua,
 )
@@ -150,15 +152,18 @@ def check_membership(
 
 @dataclass(frozen=True)
 class RevisionReport:
-    """Outcome of enumerating one revision class over an instance.
-
-    ``examined`` is the repair engine's count for the translated program:
-    the sets its repair tree visited when every class asked for is
-    change-minimal, the nodes of its clause search otherwise."""
+    """Outcome of enumerating one revision class over an instance: a
+    :class:`repairs.RepairReport` of the translated program whose
+    ``actions`` are the revision literals of the essential actions."""
 
     revision_class: RevisionClass
-    sets: tuple[frozenset[RevLiteral], ...]
+    actions: tuple[RevLiteral, ...]
+    hits: tuple[int, ...]
     examined: int
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[RevLiteral], ...]:
+        return tuple(members(self.actions, self.hits))
 
 
 def enumerate_classes(
@@ -172,19 +177,21 @@ def enumerate_classes(
 
     The program is translated once and the repair engine enumerates the
     matching repair classes in one call, so supported revisions are the
-    founded weak hits of the same search. The canonical order of the repair
-    sets maps to the canonical order of the revision literals.
+    founded weak hits of the same search. The hits carry over unchanged:
+    the canonical order of the repair sets maps to the canonical order of
+    the revision literals, and the shared action tuple is mapped once.
     """
     classes = tuple(classes)
     program_aic = _translate(db, program, classes, universe=universe)
     reports = repairs.enumerate_classes(
         db, program_aic, (_REPAIR_CLASS[c] for c in classes), universe, limits
     )
+    literals = None
     out = {}
     for c in classes:
         report = reports[_REPAIR_CLASS[c]]
-        sets = tuple(frozenset(rev_literal(a) for a in s) for s in report.sets)
-        out[c] = RevisionReport(c, sets, report.examined)
+        literals = literals or tuple(map(rev_literal, report.actions))
+        out[c] = RevisionReport(c, literals, report.hits, report.examined)
     return out
 
 

@@ -50,6 +50,12 @@ def apply(db, actions) -> frozenset[str]:
     return (frozenset(db) | inserted) - deleted
 
 
+def canonical_key(actions) -> tuple:
+    """Sort sets of update actions into canonical order: by their elements,
+    each sorted by atom, the insertion before the deletion."""
+    return tuple(sorted((a.atom, not a.insert) for a in actions))
+
+
 def all_actions(atoms) -> list[UpdateAction]:
     return [UpdateAction(a, s) for a in sorted(atoms) for s in (True, False)]
 

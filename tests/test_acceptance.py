@@ -5,8 +5,9 @@ cross-validation of every semantics against the definitional oracles plus
 the containment lattice between them, the translation correspondence, the
 shifting transport, the logic-program bridge, checker agreement over full
 candidate spaces, one multi-class scan matching per-class enumeration, the
-repair tree of the change-minimal classes matching the scan, and the clause
-search matching a plain scan of every subset.
+repair tree of the change-minimal classes matching the scan, the clause
+search matching a plain scan of every subset, and the engine's tests on
+masks matching their definitions on sets.
 All frozen values below were computed by ``tests/oracles.py`` and
 hand-checked before being written down.
 
@@ -962,11 +963,41 @@ PLAIN_INSTANCES = 300
 PLAIN_ORACLE_ATOMS = 5
 
 
+def _justified_on_sets(db, program, e, atoms) -> bool:
+    """The justified test on frozensets: ``e`` and its no-effect actions
+    ``ne`` are disjoint, ``e | ne`` is closed, and a search up from ``ne``,
+    where a set that violates a rule grows by one of that rule's head
+    actions in ``e``, reaches no closed set but ``e | ne``."""
+    ne = oracles.ne(db, oracles.apply(db, e), atoms)
+    full = e | ne
+    if e & ne or not repairs.is_closed(program, full):
+        return False
+    todo, seen = [ne], {ne}
+    while todo:
+        s = todo.pop()
+        rule = next((r for r in program if r.trigger <= s and not r.head & s), None)
+        if rule is None and s != full:
+            return False
+        for t in (s | {a} for a in (rule.head & e if rule else ())):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return True
+
+
+def _grounded_on_sets(grounding, db, program, u, uni) -> bool:
+    if grounding == "founded":
+        return repairs.is_founded_set(db, program, u)
+    if grounding == "justified":
+        return _justified_on_sets(db, program, u, uni.atoms)
+    return True
+
+
 def _plain_repair_classes(db, program, uni, classes) -> dict:
     """Each class from a plain scan: the subsets of the essential actions
     after which no rule body holds, in canonical order; a change-minimal
     class keeps those with no proper subset among them, a grounded class
-    those that pass the engine's grounding test."""
+    those that pass the grounding test on frozensets."""
     essential = essential_actions(db, uni)
     every = (
         frozenset(c)
@@ -975,7 +1006,7 @@ def _plain_repair_classes(db, program, uni, classes) -> dict:
     )
     weak = sorted(
         (u for u in every if entails(apply_update(db, u), program)),
-        key=repairs.sort_key,
+        key=oracles.canonical_key,
     )
     kept: list = []
     for u in sorted(weak, key=len):
@@ -985,7 +1016,7 @@ def _plain_repair_classes(db, program, uni, classes) -> dict:
     programs = {False: program, True: transforms.normalize_aic(program)}
     grounded = {
         (normalized, g): {
-            u for u in weak if repairs._grounded(g, db, programs[normalized], u, uni)
+            u for u in weak if _grounded_on_sets(g, db, programs[normalized], u, uni)
         }
         for normalized, g in {repairs._TABLE[c][:2] for c in classes}
     }
@@ -1097,3 +1128,103 @@ def test_clause_search_matches_plain_scan_and_oracles():
             assert set(rwant[RevisionClass.SUPPORTED_REVISION]) == (
                 oracles.supported_revisions(rdb, rprogram, atoms)
             ), seed
+
+
+# ---------------------------------------------------------------------------
+# Gate 10: the engine's tests on masks give what the definitions on sets give
+
+MASK_INSTANCES = 300
+MASK_ORACLE_ATOMS = 5
+
+
+def _masks_match_sets(db, program, uni, seed) -> dict:
+    """Every weak repair of a plain scan, as a mask over all essential
+    actions and, when inside the heads, over the essential head actions
+    alone (the positions of a request of grounded classes only): founded,
+    justified on the program and on its normalization, and the
+    change-minimal filter each agree with their definitions on sets.
+    Returns each class as a set of frozensets."""
+    essential = essential_actions(db, uni)
+    weak = [
+        frozenset(c)
+        for k in range(len(essential) + 1)
+        for c in itertools.combinations(essential, k)
+        if entails(apply_update(db, frozenset(c)), program)
+    ]
+    norm = transforms.normalize_aic(program)
+    heads = frozenset().union(*(r.head for r in program))
+    got = {"wr": set(weak), "fwr": set(), "jwr": set(), "njwr": set()}
+    for actions in (essential, tuple(a for a in essential if a in heads)):
+        compiled = repairs._Compiled(db, program, actions)
+        normalized = repairs._Compiled(db, norm, actions)
+        for u in weak:
+            if not u <= set(actions):
+                continue
+            x = sum(1 << i for i, a in enumerate(actions) if a in u)
+            where = f"{seed}: {format_set(u)} over {len(actions)} positions"
+            founded = compiled.founded(x)
+            assert founded == repairs.is_founded_set(db, program, u), where
+            justified = compiled.justified(x)
+            assert justified == _justified_on_sets(db, program, u, uni.atoms), where
+            njustified = normalized.justified(x)
+            assert njustified == _justified_on_sets(db, norm, u, uni.atoms), where
+            for key, member in (("fwr", founded), ("jwr", justified), ("njwr", njustified)):
+                if member:
+                    got[key].add(u)
+
+    def mask(u):
+        return sum(1 << i for i, a in enumerate(essential) if a in u)
+
+    minimal = [u for u in weak if not any(v < u for v in weak)]
+    assert repairs._minimal([mask(u) for u in weak]) == [mask(u) for u in minimal], seed
+    got["r"] = set(minimal)
+    return got
+
+
+def test_mask_predicates_match_the_definitions_on_sets():
+    for i in range(MASK_INSTANCES):
+        seed = f"masks-{i}"
+        rnd = random.Random(seed)
+        size = rnd.randint(2, 10)
+        atoms = gen.atom_pool(rnd, size)
+        # Atoms past ``used`` are free: declared, but in no rule.
+        used = atoms[: max(1, size - rnd.choice((0, 0, 1, 2)))]
+        uni = Universe(atoms)
+        normal = rnd.random() < 0.5
+        rules = (1, max(3, size))
+
+        program = gen.aic_program(rnd, used, normal=normal, rules=rules)
+        program = _with_dual_pair(rnd, program, used)
+        db = _database(rnd, atoms, program)
+        got = _masks_match_sets(db, program, uni, seed)
+
+        rprogram = gen.rev_program(
+            rnd, used, normal=normal, proper=rnd.random() < 0.5, rules=rules
+        )
+        rprogram = _with_dual_pair(rnd, rprogram, used)
+        raic = revisions._aic(rprogram)
+        rdb = _database(rnd, atoms, raic)
+        rgot = _masks_match_sets(rdb, raic, uni, seed)
+        if size > MASK_ORACLE_ATOMS:
+            continue
+
+        assert got == {
+            "wr": oracles.weak_repairs(db, program, atoms),
+            "r": oracles.repairs(db, program, atoms),
+            "fwr": oracles.founded_weak_repairs(db, program, atoms),
+            "jwr": oracles.justified_weak_repairs(db, program, atoms),
+            "njwr": oracles.justified_weak_repairs(
+                db, oracles.normalize(program), atoms
+            ),
+        }, seed
+        rnorm = oracles.normalize_rev(rprogram)
+        assert {
+            key: {frozenset(map(rev_literal, u)) for u in sets}
+            for key, sets in rgot.items()
+        } == {
+            "wr": oracles.weak_revisions(rdb, rprogram, atoms),
+            "r": oracles.revisions(rdb, rprogram, atoms),
+            "fwr": oracles.founded_weak_revisions(rdb, rprogram, atoms),
+            "jwr": oracles.justified_weak_revisions(rdb, rprogram, atoms),
+            "njwr": oracles.justified_weak_revisions(rdb, rnorm, atoms),
+        }, seed

@@ -5,6 +5,8 @@ the golden directory) and the matching ``.out`` file holds its exact
 stdout.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import aicrepair
-from aicrepair import cli, model, repairs
+from aicrepair import cli, model, repairs, transforms
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
 
@@ -331,6 +333,65 @@ def test_shift_verify_reports_class_count_on_stderr(capsys):
     )
     assert code == 0
     assert err == "shift-verify: ok (8 classes)\n"
+
+
+def _wrong_db(witness):
+    return dataclasses.replace(witness, shifted_db=witness.shifted_db ^ {"b"})
+
+
+def _rule_dropped(witness):
+    return dataclasses.replace(witness, shifted_program=witness.shifted_program[1:])
+
+
+@pytest.mark.parametrize("fault", [_wrong_db, _rule_dropped])
+@pytest.mark.parametrize(
+    "name, first",
+    [("pair_delete.aic", "weak-repair"), ("mutual_pair_chain.rev", "weak-revision")],
+)
+def test_shift_verify_refuses_a_wrong_witness(name, first, fault, capsys, monkeypatch):
+    shift_instance = transforms.shift_instance
+    monkeypatch.setattr(
+        transforms, "shift_instance", lambda *a, **k: fault(shift_instance(*a, **k))
+    )
+    code, _, err = run(["shift", str(GOLDEN / name), "--by", "a", "--verify"], capsys)
+    assert code == 1
+    assert err == f"refused: shift verification failed for {first}\n"
+
+
+# Recorded before sets were printed from bit positions: the largest outputs
+# of the golden instances, 12,960 sets each.
+PINNED_OUTPUTS = {
+    "weak-repair": (
+        12960,
+        "10a08ea79cde87d4fe55675ccd47746af6ac40c828119dc629576aafee68a434",
+    ),
+    "weak-revision-json": (
+        1,
+        "dc7a3237cb744f402d2eb379cc769d04158b1daf9a0eb0220de1fc2fd9981111",
+    ),
+}
+
+
+def _pinned(out: str) -> tuple[int, str]:
+    return out.count("\n"), hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_the_largest_outputs_are_byte_identical(tmp_path, capsys):
+    wide = str(GOLDEN / "wide16.aic")
+    code, out, _ = run(
+        ["repair", wide, "--class", "weak-repair", "--max-atoms", "16"], capsys
+    )
+    assert code == 0
+    assert _pinned(out) == PINNED_OUTPUTS["weak-repair"]
+
+    code, out, _ = run(["translate", wide, "--to", "rev"], capsys)
+    assert code == 0
+    rev = tmp_path / "wide16.rev"
+    rev.write_text(out)
+    argv = ["revise", str(rev), "--class", "weak-revision", "--format", "json"]
+    code, out, _ = run([*argv, "--max-atoms", "16"], capsys)
+    assert code == 0
+    assert _pinned(out) == PINNED_OUTPUTS["weak-revision-json"]
 
 
 def test_lattice_verify_text_summary(capsys):

@@ -30,6 +30,7 @@ from aicrepair.model import (
     UpdateAction,
     apply_revision,
     apply_update,
+    clause,
     clause_search,
     entails,
     essential_actions,
@@ -41,6 +42,7 @@ from aicrepair.model import (
     lit,
     no_effect_set,
     ordered,
+    positions,
     rev_literal,
     ua,
     walk,
@@ -218,12 +220,21 @@ def _subsets(items) -> list[tuple]:
     return [c for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
 
 
+def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
+    """Compile the bodies over ``atoms`` and search; the masks found come
+    back as position tuples."""
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    clauses = [c for c in (clause(db, body, bit) for body in bodies) if c is not None]
+    found, nodes = clause_search(clauses, len(atoms))
+    return [tuple(positions(x)) for x in found], nodes
+
+
 def test_subset_iterators():
-    # With no bodies the clause search lists every subset once, as sorted
-    # positions in the given order of the atoms, whatever their names, and
+    # With no bodies the clause search lists every subset once, in the
+    # order of their sorted positions, whatever the names of the atoms, and
     # visits every node of the binary tree.
     for atoms in (("d", "a", "c", "b"), ("a",), ()):
-        found, nodes = clause_search(frozenset(), (), atoms)
+        found, nodes = _search(frozenset(), (), atoms)
         assert found == sorted(_subsets(range(len(atoms))))
         assert nodes == 2 ** (len(atoms) + 1) - 1
 
@@ -231,20 +242,25 @@ def test_subset_iterators():
 def test_clause_search_compiles_each_body_once():
     db = frozenset({"a"})
     a, not_a, b, not_b = Literal("a"), Literal("a", False), Literal("b"), Literal("b", False)
-    # ``a`` holds unless ``a`` is flipped; ``a, not a`` never holds.
-    assert clause_search(db, [{a}], ("a", "b"))[0] == [(0,), (0, 1)]
-    assert clause_search(db, [{a, not_a}], ("a",))[0] == [(), (0,)]
+    # ``a`` holds unless ``a`` is flipped: its clause is bit 0, failing
+    # nowhere; ``a, not a`` never holds.
+    assert clause(db, {a}, {"a": 1}) == (1, 0)
+    assert clause(db, {a, not_a}, {"a": 1}) is None
+    assert _search(db, [{a}], ("a", "b"))[0] == [(0,), (0, 1)]
+    assert _search(db, [{a, not_a}], ("a",))[0] == [(), (0,)]
     # ``b`` stays out of ``db`` when it is not searched: ``b`` fails, so
     # the body never holds, and ``not b`` holds, so the body is ``a``.
-    assert clause_search(db, [{a, b}], ("a",))[0] == [(), (0,)]
-    assert clause_search(db, [{a, not_b}], ("a",))[0] == [(0,)]
+    assert clause(db, {a, b}, {"a": 1}) is None
+    assert clause(db, {a, not_b}, {"a": 1}) == (1, 0)
+    assert _search(db, [{a, b}], ("a",))[0] == [(), (0,)]
+    assert _search(db, [{a, not_b}], ("a",))[0] == [(0,)]
     # A body left with no searched atom holds whatever is flipped.
-    assert clause_search(db, [{not_b}], ("a",)) == ([], 0)
-    assert clause_search(db, [()], ()) == ([], 0)
+    assert _search(db, [{not_b}], ("a",)) == ([], 0)
+    assert _search(db, [()], ()) == ([], 0)
     # Each clause cuts where its last atom is assigned: the branch that
     # keeps ``a`` is cut at depth 1, so the nodes are the root, ``{a}``
     # and its two children.
-    assert clause_search(db, [{a}], ("a", "b"))[1] == 4
+    assert _search(db, [{a}], ("a", "b"))[1] == 4
 
 
 def test_walk_visits_each_set_once_and_yields_only_leaves():
@@ -252,21 +268,21 @@ def test_walk_visits_each_set_once_and_yields_only_leaves():
 
     def branch(s):
         calls[s] += 1
-        if s == {1}:
-            return []  # a dead end
-        return None if len(s) == 3 else {1, 2, 3} - s
+        if s == 0b001:
+            return 0  # a dead end
+        return None if s == 0b111 else 0b111 & ~s
 
     seen = set()
-    assert list(walk(frozenset(), branch, seen)) == [frozenset({1, 2, 3})]
+    assert list(walk(0, branch, seen)) == [0b111]
     assert set(calls.values()) == {1}
-    assert seen == set(calls) == set(map(frozenset, _subsets((1, 2, 3))))
+    assert seen == set(calls) == set(range(8))
 
 
 def test_walk_from_a_dead_end_or_a_leaf():
     seen = set()
-    assert list(walk(frozenset({"a"}), lambda s: (), seen)) == []
-    assert seen == {frozenset({"a"})}
-    assert list(walk(frozenset({"a"}), lambda s: None)) == [frozenset({"a"})]
+    assert list(walk(0b10, lambda s: 0, seen)) == []
+    assert seen == {0b10}
+    assert list(walk(0b10, lambda s: None)) == [0b10]
 
 
 # ---------------------------------------------------------------------------

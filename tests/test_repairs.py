@@ -21,7 +21,6 @@ from aicrepair.repairs import (
     enumerate_repairs,
     is_closed,
     is_founded_set,
-    sort_key,
     _minimal,
 )
 from aicrepair.syntax import parse_actions, parse_program
@@ -74,10 +73,12 @@ def test_foundedness_needs_a_witness_rule():
     assert not is_founded_set(db, program, uas("-b"))
 
 
-@given(st.lists(st.frozensets(st.integers(0, 4), max_size=4), max_size=12))
-def test_minimal_filter_on_sets_listed_smallest_first(sets):
-    sets.sort(key=len)
-    assert _minimal(sets) == [u for u in sets if not any(v < u for v in sets)]
+@given(st.lists(st.integers(0, 31), max_size=12))
+def test_minimal_filter_on_sets_listed_smallest_first(masks):
+    # Sets are masks: ``v`` is a proper subset of ``u`` when ``v & u == v``
+    # and ``v != u``. The filter keeps the order it was given.
+    want = [u for u in masks if not any(v & u == v != u for v in masks)]
+    assert _minimal(masks) == want
 
 
 def test_closedness_on_the_pair_constraint():
@@ -177,9 +178,10 @@ def test_enumeration_orders_sets_canonically():
     report = enumerate_repairs(db, PAIR, RepairClass.WEAK_REPAIR)
     assert report.sets == (uas("-a"), uas("-a, -b"), uas("-b"))
     assert report.examined == 6
-    assert [sort_key(s) for s in report.sets] == sorted(
-        sort_key(s) for s in report.sets
-    )
+    keys = [oracles.canonical_key(s) for s in report.sets]
+    assert keys == sorted(keys)
+    assert report.actions == (UpdateAction("a", False), UpdateAction("b", False))
+    assert report.hits == (0b01, 0b11, 0b10)
 
 
 def test_the_repair_tree_counts_the_sets_it_visits():
