@@ -6,19 +6,19 @@ body, and negative body). Simplicity is what makes the constraint encoding
 well-behaved: the encoded rule's body is consistent and its non-updatable
 part is exactly the original body.
 
-An answer set is a minimal model of its reduct, tested by :func:`model.walk`
-from the empty set: a set that violates a reduct rule grows by one of its head
-atoms in the interpretation, and the walk must reach no model but that one.
-Every answer set is a classical model of the program, so only the models are
-tested. They come from :func:`model.clause_search` over the empty database: a
-rule is violated where the body of its encoding (:func:`aic_of_rule`), the
-positive body, ``not`` the negative body and ``not`` the head, holds.
+Answer sets are an image of the repair semantics: the answer sets of a
+simple program are the justified weak repairs of its encoding
+(:func:`aic_of_program`) over the empty database, read as the atoms they
+insert. Any program is first made simple without changing its answer sets
+(:func:`_simplified`), so :func:`answer_sets` and :func:`is_answer_set` are
+each one call into :mod:`repairs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import repairs
 from .errors import NotSimpleRule
 from .model import (
     AicProgram,
@@ -27,11 +27,9 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
-    clause,
-    clause_search,
     members,
-    walk,
 )
+from .repairs import RepairClass
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,7 @@ class LpRule:
     """A disjunctive rule ``a1 | ... | ak :- b1, ..., bm, not c1, ..., not cn``.
 
     All three parts are atom sets; an empty head is a constraint. The rule
-    with every part empty is the unsatisfiable constraint; the reduct
-    produces it when it strips the negative body of a triggered constraint.
+    with every part empty is the unsatisfiable constraint.
     """
 
     head: frozenset[str]
@@ -82,47 +79,29 @@ def is_simple(program: LogicProgram) -> bool:
     return all(r.simple for r in program)
 
 
-def reduct(program: LogicProgram, interp: frozenset[str]) -> LogicProgram:
-    """The Gelfond-Lifschitz reduct: drop rules blocked by the
-    interpretation, strip negative bodies from the rest."""
-    out = []
-    for r in program:
-        if r.neg_body & interp:
-            continue
-        out.append(r if not r.neg_body else LpRule(r.head, r.pos_body))
-    return tuple(out)
-
-
-def is_model_positive(interp: frozenset[str], program: LogicProgram) -> bool:
-    """Model check for a negation-free program."""
-    return all(
-        not r.pos_body <= interp or r.head & interp for r in program
+def _simplified(program: LogicProgram) -> LogicProgram:
+    """A simple program with the same answer sets. A rule whose positive
+    body meets its negative body or its head holds in every set, and goes.
+    An atom in both the head and the negative body leaves the head: in a
+    candidate ``M`` that holds it the rule's reduct is deleted, and
+    otherwise it is false in ``M`` and in every subset, so it never
+    satisfies the head."""
+    return tuple(
+        LpRule(r.head - r.neg_body, r.pos_body, r.neg_body)
+        for r in program
+        if not r.pos_body & (r.neg_body | r.head)
     )
 
 
 def is_answer_set(program: LogicProgram, interp: frozenset[str]) -> bool:
-    """True when the interpretation is a minimal model of its own reduct.
-
-    The walk runs on masks over the atoms of ``interp``. Only the reduct
-    rules whose positive body lies inside ``interp`` count: the others are
-    satisfied by every set inside it, and a head atom outside ``interp`` is
-    never added."""
-    bit = {a: 1 << i for i, a in enumerate(interp)}
-    fixed = [
-        (sum(map(bit.__getitem__, r.pos_body)), sum(map(bit.get, r.head & interp)))
-        for r in program
-        if not r.neg_body & interp and r.pos_body <= interp
-    ]
-
-    def branch(s):
-        for pos, head in fixed:
-            if not pos & ~s and not head & s:
-                return head
-        return None
-
-    full = (1 << len(bit)) - 1
-    return all(head for _, head in fixed) and all(
-        m == full for m in walk(0, branch)
+    """True when inserting the atoms of ``interp`` is a justified weak repair
+    of the simplified program's encoding over the empty database. Atoms
+    are validated as in :func:`repairs.check_membership`."""
+    return repairs.check_membership(
+        frozenset(),
+        aic_of_program(_simplified(program)),
+        RepairClass.JUSTIFIED_WEAK_REPAIR,
+        (UpdateAction(a, True) for a in interp),
     )
 
 
@@ -131,22 +110,21 @@ def answer_sets(
     universe: Universe | None = None,
     limits: Limits | None = None,
 ) -> tuple[frozenset[str], ...]:
-    """All answer sets, sorted: the classical models over the universe
-    atoms that are answer sets."""
-    limits = limits or Limits()
+    """All answer sets, sorted: the justified weak repairs of the simplified
+    program's encoding over the empty database. Every action is an
+    insertion, so canonical order is atom order. The universe and its atom
+    bound are those of the program as given."""
     uni = Universe.collect(program) if universe is None else universe
     for r in program:
         uni.require(r.atoms(), "rule")
-    limits.check_universe(uni)
-    bit = {a: 1 << i for i, a in enumerate(uni.atoms)}
-    bodies = (
-        frozenset(Literal(a) for a in r.pos_body)
-        | frozenset(Literal(a, False) for a in r.neg_body | r.head)
-        for r in program
+    report = repairs.enumerate_repairs(
+        frozenset(),
+        aic_of_program(_simplified(program)),
+        RepairClass.JUSTIFIED_WEAK_REPAIR,
+        uni,
+        limits,
     )
-    compiled = (clause(frozenset(), b, bit) for b in bodies)
-    models, _ = clause_search((c for c in compiled if c is not None), len(uni))
-    return tuple(m for m in members(uni.atoms, models) if is_answer_set(program, m))
+    return tuple(members(tuple(a.atom for a in report.actions), report.hits))
 
 
 def aic_of_rule(rule: LpRule) -> AicRule:

@@ -195,12 +195,6 @@ class _Compiled:
         return all(leaf == x for leaf in walk(0, branch))
 
 
-def check_weak_repair(db: frozenset[str], program: AicProgram, actions) -> bool:
-    """Consistent, every action changes the database, result satisfies all
-    constraints."""
-    return check_membership(db, program, RepairClass.WEAK_REPAIR, actions)
-
-
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     """Every action ``a`` is founded: some rule has ``a`` in its head, and
     its non-updatable body and the duals of its other head actions, that is

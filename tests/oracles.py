@@ -353,15 +353,19 @@ def models_positive(interp, rules) -> bool:
     )
 
 
+def reduct(program, m) -> list[tuple[frozenset, frozenset]]:
+    """The Gelfond-Lifschitz reduct by ``m``: the rules whose negative body
+    avoids ``m``, as pairs of head atoms and positive body."""
+    return [(r.head, r.pos_body) for r in program if not (r.neg_body & m)]
+
+
 def answer_sets(program, atoms) -> set[frozenset]:
     found = set()
     for m in subsets(sorted(atoms)):
-        reduct = [
-            (r.head, r.pos_body) for r in program if not (r.neg_body & m)
-        ]
-        if not models_positive(m, reduct):
+        rules = reduct(program, m)
+        if not models_positive(m, rules):
             continue
-        if any(models_positive(n, reduct) for n in subsets(m) if n != m):
+        if any(models_positive(n, rules) for n in subsets(m) if n != m):
             continue
         found.add(m)
     return found

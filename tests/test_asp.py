@@ -1,9 +1,11 @@
 """Disjunctive logic programs: reducts, answer sets, and the constraint
-encoding."""
+encoding. The reduct lives in the oracles; the package computes answer sets
+through the repair engine."""
 
 import pytest
 
-from aicrepair.errors import NotSimpleRule, UniverseTooLarge, UnknownAtom
+import oracles
+from aicrepair.errors import InputError, NotSimpleRule, UniverseTooLarge, UnknownAtom
 from aicrepair.model import Limits, Literal, Universe, UpdateAction
 from aicrepair.asp import (
     LpRule,
@@ -11,9 +13,7 @@ from aicrepair.asp import (
     aic_of_rule,
     answer_sets,
     is_answer_set,
-    is_model_positive,
     is_simple,
-    reduct,
 )
 from aicrepair.syntax import parse_program
 
@@ -34,17 +34,19 @@ def test_rule_flags_and_printing():
 
 def test_reduct_keeps_or_strips_by_the_interpretation():
     program = lp("a :- not b.")
-    assert reduct(program, frozenset()) == (LpRule(frozenset({"a"}), frozenset()),)
-    assert reduct(program, frozenset({"b"})) == ()
+    assert oracles.reduct(program, frozenset()) == [(frozenset({"a"}), frozenset())]
+    assert oracles.reduct(program, frozenset({"b"})) == []
     positive = lp("a :- b.")
-    assert reduct(positive, frozenset({"a", "b"})) == positive
+    assert oracles.reduct(positive, frozenset({"a", "b"})) == [
+        (r.head, r.pos_body) for r in positive
+    ]
 
 
 def test_reduct_of_a_constraint_can_be_the_empty_rule():
     program = lp("false :- not c.")
-    (falsum,) = reduct(program, frozenset())
-    assert falsum == LpRule(frozenset(), frozenset())
-    assert not is_model_positive(frozenset(), (falsum,))
+    (falsum,) = oracles.reduct(program, frozenset())
+    assert falsum == (frozenset(), frozenset())
+    assert not oracles.models_positive(frozenset(), (falsum,))
     assert answer_sets(program, Universe(("c",))) == ()
 
 
@@ -53,6 +55,11 @@ def test_minimal_model_check():
     assert is_answer_set(program, frozenset({"a", "b"}))
     assert not is_answer_set(program, frozenset({"b"}))
     assert not is_answer_set(program, frozenset())
+
+
+def test_a_malformed_atom_is_an_input_error():
+    with pytest.raises(InputError, match="invalid atom name 'A'"):
+        is_answer_set(lp("a."), frozenset({"A"}))
 
 
 def test_unsupported_atoms_are_rejected():

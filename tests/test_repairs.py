@@ -17,7 +17,6 @@ from aicrepair.repairs import (
     RepairClass,
     check_justified_weak_repair,
     check_membership,
-    check_weak_repair,
     enumerate_repairs,
     is_closed,
     is_founded_set,
@@ -44,7 +43,6 @@ def test_justified_check_accepts_disjunctive_programs():
 
 def test_inconsistent_candidates_are_rejected_not_errors():
     bad = uas("+a, -a")
-    assert not check_weak_repair(frozenset(), CHAIN, bad)
     assert not check_justified_weak_repair(frozenset(), CHAIN, bad)
     for cls in RepairClass:
         assert not check_membership(frozenset(), CHAIN, cls, bad)
@@ -54,14 +52,15 @@ def test_inconsistent_candidates_are_rejected_not_errors():
 def test_weak_repair_requires_every_action_to_change_something():
     db = frozenset({"a"})
     program = parse_program("a, not b -> +b.", "aic")
-    assert check_weak_repair(db, program, uas("+b"))
-    assert not check_weak_repair(db, program, uas("+a, +b"))
+    weak = RepairClass.WEAK_REPAIR
+    assert check_membership(db, program, weak, uas("+b"))
+    assert not check_membership(db, program, weak, uas("+a, +b"))
 
 
 def test_repair_is_a_minimal_weak_repair():
     db = frozenset({"a", "b"})
     program = parse_program("a, b -> -a.", "aic")
-    assert check_weak_repair(db, program, uas("-a, -b"))
+    assert check_membership(db, program, RepairClass.WEAK_REPAIR, uas("-a, -b"))
     for u, member in (("-a, -b", False), ("-a", True), ("-b", True)):
         assert check_membership(db, program, RepairClass.REPAIR, uas(u)) is member
 
