@@ -75,6 +75,11 @@ def _load(path: str) -> Instance:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte, offset = exc.object[exc.start], exc.start
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text (byte 0x{byte:02x} at offset {offset})"
+        ) from exc
     return parse_instance(text)
 
 

@@ -192,9 +192,11 @@ class AicRule:
     def __post_init__(self):
         object.__setattr__(self, "body", frozenset(self.body))
         object.__setattr__(self, "head", frozenset(self.head))
-        for action in ordered(self.head):
-            if lit(action).dual() not in self.body:
-                raise UpdatableConditionViolated(action, self._raw_text())
+        missing = [
+            a for a in self.head if Literal(a.atom, not a.insert) not in self.body
+        ]
+        if missing:
+            raise UpdatableConditionViolated(min(missing, key=_key), self._raw_text())
 
     def _raw_text(self) -> str:
         body = ", ".join(str(l) for l in ordered(self.body))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .model import (
+    RESERVED_WORDS,
     AicProgram,
     AicRule,
     Literal,
@@ -43,44 +44,25 @@ from .asp import LogicProgram, LpRule
 
 SECTION_NAMES = ("universe", "db", "aic", "rev", "lp")
 
-# One alternative per token class, tried in order; multi-character symbols
-# come first so "->" never lexes as "-" ">", and any other character is bad.
-_TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>%[^\n]*)"
-    r"|(?P<name>[a-z][A-Za-z0-9_]*)|(?P<punct>->|<-|:-|[|,.():+-])|(?P<bad>.)"
-)
+# Names and symbols; multi-character symbols come first so "->" never lexes
+# as "-" ">". Whitespace and comments separate them.
+_TOKEN = r"[a-z][A-Za-z0-9_]*|->|<-|:-|[|,.():+-]"
+_SPACE = r"[ \t\r\n]+|%[^\n]*"
+# The longest prefix of a text that lexes: the character after it is bad.
+_LEXABLE_RE = re.compile(rf"(?:{_SPACE}|{_TOKEN})*")
+_SPACE_RE = re.compile(rf"(?:{_SPACE})*")
+# One token and the space after it: from the end of a text's leading space,
+# the matches of a text that lexes follow each other with no gap.
+_TOKEN_RE = re.compile(rf"({_TOKEN})(?:{_SPACE})*")
+_TRAILING_COMMENT_RE = re.compile(r"%[^\n]*\Z")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "punct" or "eof"
-    text: str
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        return f"'{self.text}'"
+def _describe(token: str) -> str:
+    return f"'{token}'" if token else "end of input"
 
 
-def tokenize(text: str) -> list[Token]:
-    """The name and punct tokens of ``text``, then an eof token. A comment
-    does not advance the column, so an eof after a trailing comment sits at
-    its ``%``."""
-    tokens: list[Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        if kind in ("name", "punct"):
-            tokens.append(Token(kind, m.group(), line, col))
-        elif kind == "newline":
-            line, line_start = line + 1, m.end()
-        end = m.start() if kind == "comment" else m.end()
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 @dataclass(frozen=True)
@@ -100,65 +82,80 @@ class Instance:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """A parser over the tokens of one text: plain strings, names being the
+    ones that start with a lowercase letter, then ``""`` for the end of
+    input. Positions are worked out from the text only when an error is
+    raised."""
+
+    def __init__(self, text: str):
+        end = _LEXABLE_RE.match(text).end()
+        if end < len(text):
+            raise ParseError(
+                f"unexpected character {text[end]!r}", *_line_col(text, end)
+            )
+        self.text = text
+        self.start = _SPACE_RE.match(text).end()
+        self.tokens = _TOKEN_RE.findall(text, self.start)
+        self.tokens.append("")
         self.pos = 0
+        self.items: dict = {}
 
-    def peek(self, ahead: int = 0) -> Token:
-        """The token ``ahead`` places on. The eof token is last and ``next``
-        never moves past it, so looking one past any other token is safe."""
-        return self.tokens[self.pos + ahead]
+    def fail(self, message: str, index: int | None = None):
+        """Raise at token ``index`` (by default the current one). The end of
+        input after a trailing comment sits at its ``%``."""
+        index = self.pos if index is None else index
+        if self.tokens[index]:
+            matches = _TOKEN_RE.finditer(self.text, self.start)
+            offset = [m.start() for m in matches][index]
+        else:
+            comment = _TRAILING_COMMENT_RE.search(self.text)
+            offset = comment.start() if comment else len(self.text)
+        raise ParseError(message, *_line_col(self.text, offset))
 
-    def next(self) -> Token:
-        token = self.peek()
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def fail(self, message: str, token: Token | None = None):
-        token = token or self.peek()
-        raise ParseError(message, token.line, token.col)
-
-    def expect(self, text: str) -> Token:
-        token = self.peek()
-        if token.kind != "punct" or token.text != text:
-            self.fail(f"expected '{text}', found {token.describe()}")
-        return self.next()
-
-    def at(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "punct" and token.text == text
+    def expect(self, text: str) -> None:
+        token = self.tokens[self.pos]
+        if token != text:
+            self.fail(f"expected '{text}', found {_describe(token)}")
+        self.pos += 1
 
     def at_section_start(self) -> bool:
-        return (
-            self.peek().kind == "name"
-            and self.peek(1).kind == "punct"
-            and self.peek(1).text == ":"
-        )
+        """At a name followed by ``:``; the eof token is last and never
+        passed, so looking one past any other token is safe."""
+        tokens, pos = self.tokens, self.pos
+        return tokens[pos + 1] == ":" and tokens[pos][:1].islower()
+
+    def made(self, cls, atom: str, flag: bool):
+        """The one ``cls(atom, flag)`` of this parse: a literal, action or
+        revision literal is built once however often it occurs."""
+        key = (cls, atom, flag)
+        item = self.items.get(key)
+        if item is None:
+            item = self.items[key] = cls(atom, flag)
+        return item
 
     def separated(self, parse_one, sep: str) -> list:
         """One or more items read by ``parse_one``, separated by ``sep``."""
         items = [parse_one()]
-        while self.at(sep):
-            self.next()
+        while self.tokens[self.pos] == sep:
+            self.pos += 1
             items.append(parse_one())
         return items
 
     def head(self, parse_one) -> list:
         """A rule head: ``|``-separated items, or ``false`` for none."""
-        if self.peek().kind == "name" and self.peek().text == "false":
-            self.next()
+        if self.tokens[self.pos] == "false":
+            self.pos += 1
             return []
         return self.separated(parse_one, "|")
 
     def atom(self) -> str:
-        token = self.peek()
-        if token.kind != "name":
-            self.fail(f"expected an atom, found {token.describe()}")
-        if token.text in ("not", "false"):
-            self.fail(f"'{token.text}' is a reserved word, not an atom")
-        self.next()
-        return token.text
+        token = self.tokens[self.pos]
+        if not token[:1].islower():
+            self.fail(f"expected an atom, found {_describe(token)}")
+        if token in RESERVED_WORDS:
+            self.fail(f"'{token}' is a reserved word, not an atom")
+        self.pos += 1
+        return token
 
     # -- sections ------------------------------------------------------
 
@@ -167,14 +164,11 @@ class _Parser:
         db: frozenset[str] | None = None
         kind: str | None = None
         program: tuple = ()
-        while self.peek().kind != "eof":
+        while name := self.tokens[self.pos]:
             if not self.at_section_start():
-                self.fail(
-                    f"expected a section header, found {self.peek().describe()}"
-                )
-            header = self.peek()
-            name = self.next().text
-            self.expect(":")
+                self.fail(f"expected a section header, found {_describe(name)}")
+            header = self.pos
+            self.pos += 2
             if name not in SECTION_NAMES:
                 self.fail(f"unknown section '{name}:'", header)
             if name == "universe":
@@ -194,36 +188,31 @@ class _Parser:
                 kind = name
                 program = self.rules(name)
         if kind is None:
-            token = self.peek()
-            raise ParseError(
-                "missing program section (one of aic:, rev:, lp:)",
-                token.line,
-                token.col,
-            )
+            self.fail("missing program section (one of aic:, rev:, lp:)")
         if db is None:
-            token = self.peek()
-            raise ParseError("missing db section", token.line, token.col)
-        instance = Instance(kind, db, program, universe)
+            self.fail("missing db section")
         if universe is not None:
             universe.require(db, context="db section")
+            known = frozenset(universe.atoms)
             for rule in program:
-                universe.require(rule.atoms(), context=f"rule '{rule}'")
-        return instance
+                if not rule.atoms() <= known:
+                    universe.require(rule.atoms(), context=f"rule '{rule}'")
+        return Instance(kind, db, program, universe)
 
     def atom_list(self) -> list[str]:
         """A comma-separated atom list ending in '.'; possibly empty."""
         atoms: list[str] = []
-        if self.at("."):
-            self.next()
+        if self.tokens[self.pos] == ".":
+            self.pos += 1
             return atoms
         while True:
-            token = self.peek()
+            index = self.pos
             name = self.atom()
             if name in atoms:
-                self.fail(f"duplicate atom '{name}'", token)
+                self.fail(f"duplicate atom '{name}'", index)
             atoms.append(name)
-            if self.at(","):
-                self.next()
+            if self.tokens[self.pos] == ",":
+                self.pos += 1
                 continue
             self.expect(".")
             return atoms
@@ -235,61 +224,61 @@ class _Parser:
             "lp": self.lp_rule,
         }[kind]
         rules = []
-        while self.peek().kind != "eof" and not self.at_section_start():
+        while self.tokens[self.pos] and not self.at_section_start():
             rules.append(parse_rule())
         return tuple(rules)
 
     # -- constraint rules ----------------------------------------------
 
     def aic_rule(self) -> AicRule:
-        body = [] if self.at("->") else self.separated(self.literal, ",")
+        at_arrow = self.tokens[self.pos] == "->"
+        body = [] if at_arrow else self.separated(self.literal, ",")
         self.expect("->")
         head = self.head(self.action)
         self.expect(".")
         return AicRule(frozenset(body), frozenset(head))
 
     def literal(self) -> Literal:
-        if self.peek().kind == "name" and self.peek().text == "not":
-            self.next()
-            return Literal(self.atom(), positive=False)
-        return Literal(self.atom())
+        positive = self.tokens[self.pos] != "not"
+        if not positive:
+            self.pos += 1
+        return self.made(Literal, self.atom(), positive)
 
     def action(self) -> UpdateAction:
-        token = self.peek()
-        if token.kind == "punct" and token.text in ("+", "-"):
-            self.next()
-            return UpdateAction(self.atom(), insert=token.text == "+")
-        self.fail(f"expected '+atom' or '-atom', found {token.describe()}")
-        raise AssertionError("unreachable")
+        token = self.tokens[self.pos]
+        if token != "+" and token != "-":
+            self.fail(f"expected '+atom' or '-atom', found {_describe(token)}")
+        self.pos += 1
+        return self.made(UpdateAction, self.atom(), token == "+")
 
     # -- revision rules ------------------------------------------------
 
     def rev_rule(self) -> RevRule:
         head = self.head(self.rev_literal)
         self.expect("<-")
-        body = [] if self.at(".") else self.separated(self.rev_literal, ",")
+        at_dot = self.tokens[self.pos] == "."
+        body = [] if at_dot else self.separated(self.rev_literal, ",")
         self.expect(".")
         return RevRule(frozenset(head), frozenset(body))
 
     def rev_literal(self) -> RevLiteral:
-        token = self.peek()
-        if token.kind == "name" and token.text in ("in", "out"):
-            self.next()
-            self.expect("(")
-            atom = self.atom()
-            self.expect(")")
-            return RevLiteral(atom, is_in=token.text == "in")
-        self.fail(f"expected 'in(atom)' or 'out(atom)', found {token.describe()}")
-        raise AssertionError("unreachable")
+        token = self.tokens[self.pos]
+        if token != "in" and token != "out":
+            self.fail(f"expected 'in(atom)' or 'out(atom)', found {_describe(token)}")
+        self.pos += 1
+        self.expect("(")
+        atom = self.atom()
+        self.expect(")")
+        return self.made(RevLiteral, atom, token == "in")
 
     # -- disjunctive rules ---------------------------------------------
 
     def lp_rule(self) -> LpRule:
         head = self.head(self.atom)
         body: list[Literal] = []
-        if self.at(":-"):
-            self.next()
-            if not self.at("."):
+        if self.tokens[self.pos] == ":-":
+            self.pos += 1
+            if self.tokens[self.pos] != ".":
                 body = self.separated(self.literal, ",")
         if not (head or body):
             self.fail("a rule needs a head or a body")
@@ -305,32 +294,26 @@ def parse_instance(text: str) -> Instance:
     Raises :class:`ParseError` on malformed input and, when a universe
     is declared, :class:`UnknownAtom` for atoms outside it.
     """
-    return _Parser(tokenize(text)).instance()
+    return _Parser(text).instance()
 
 
 def parse_program(text: str, kind: str) -> tuple:
     """Parse a bare rule list of the given kind ("aic", "rev" or "lp")."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     rules = parser.rules(kind)
-    token = parser.peek()
-    if token.kind != "eof":
-        raise ParseError(
-            f"unexpected {token.describe()} after the last rule",
-            token.line,
-            token.col,
-        )
+    token = parser.tokens[parser.pos]
+    if token:
+        parser.fail(f"unexpected {_describe(token)} after the last rule")
     return rules
 
 
 def _parse_comma_list(text: str, parse_one) -> frozenset:
-    parser = _Parser(tokenize(text))
-    at_end = parser.peek().kind == "eof"
+    parser = _Parser(text)
+    at_end = not parser.tokens[0]
     items = [] if at_end else parser.separated(lambda: parse_one(parser), ",")
-    token = parser.peek()
-    if token.kind != "eof":
-        raise ParseError(
-            f"unexpected {token.describe()}", token.line, token.col
-        )
+    token = parser.tokens[parser.pos]
+    if token:
+        parser.fail(f"unexpected {_describe(token)}")
     return frozenset(items)
 
 

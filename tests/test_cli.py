@@ -2,7 +2,8 @@
 
 Each ``tests/golden/*.cmd`` file holds one command line (paths relative to
 the golden directory) and the matching ``.out`` file holds its exact
-stdout.
+stdout. A command whose input is rejected has an ``.err`` file instead: its
+exact stderr, after exit code 2 and an empty stdout.
 """
 
 import dataclasses
@@ -51,10 +52,13 @@ def run_fresh(argv, **env):
 def test_golden_replay(cmd_file, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     argv = shlex.split(cmd_file.read_text().strip())
-    expected = cmd_file.with_suffix(".out").read_text()
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out == expected
+    code, out, err = run(argv, capsys)
+    if cmd_file.with_suffix(".err").exists():
+        assert (code, out) == (2, "")
+        assert err == cmd_file.with_suffix(".err").read_text()
+    else:
+        assert code == 0
+        assert out == cmd_file.with_suffix(".out").read_text()
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -64,6 +68,14 @@ def test_missing_file_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read")
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.aic"
+    path.write_bytes(b"db: a.\naic:\na -> -a.\n\xff")
+    code, out, err = run(["repair", str(path), "--class", "repair"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text (byte 0xff at offset 21)\n"
 
 
 def test_kind_mismatch_is_an_input_error(capsys):

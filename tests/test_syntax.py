@@ -1,5 +1,6 @@
 """Parsing and canonical printing of the text format."""
 
+import json
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
+import parse_corpus
 from aicrepair.errors import InputError, ParseError, UnknownAtom, UpdatableConditionViolated
 from aicrepair.model import Literal, RevLiteral, Universe, UpdateAction
 from aicrepair.syntax import (
@@ -200,6 +202,17 @@ TOKENS = ("a", "b", "not", "false", "universe", "db", "aic", "rev", "lp", "in",
           "out", "->", "<-", ":-", "|", ",", ".", "(", ")", ":", "+", "-",
           "\n", "%", "B", "1")
 texts_st = st.one_of(st.text(), st.lists(st.sampled_from(TOKENS)).map(" ".join))
+
+
+def test_parse_outcomes_match_the_frozen_corpus():
+    """Every parser's result or exact error, ``line:col`` included, on 3,000
+    seeded texts; regenerate with ``python tests/parse_corpus.py``."""
+    frozen = Path(parse_corpus.PATH).read_text(encoding="utf-8")
+    entries = json.loads(frozen)
+    assert len(entries) == 3000
+    for entry in entries:
+        assert parse_corpus.outcomes(entry["text"]) == entry
+    assert parse_corpus.dump(entries) == frozen
 
 
 @given(texts_st)
