@@ -22,7 +22,7 @@ import functools
 import json
 import sys
 from types import ModuleType
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
@@ -125,25 +125,29 @@ def _class_for(instance: Instance, command: str, name: str):
         ) from None
 
 
-def _rows(actions: tuple, hits) -> Iterator[list[str]]:
-    """Each hit as the strings of its actions, in canonical order. One
-    string per position is computed once, and the strings of each byte of
-    set bits once, when the byte is first met."""
+def _rows(actions: tuple, hits) -> list[tuple[str, ...]]:
+    """Each hit as the strings of its actions, in canonical order. Per
+    part of 8 positions, the strings of each byte of set bits that occurs
+    among the hits are computed once, and one comprehension appends them
+    to every row."""
     names = [str(a) for a in actions]
-    parts = [({}, k) for k in range(0, len(names), 8)]
-    for x in hits:
-        row: list[str] = []
-        for part, k in parts:
-            byte = x >> k & 255
-            strings = part.get(byte)
-            if strings is None:
-                strings = part[byte] = [names[k + i] for i in positions(byte)]
-            row += strings
-        yield row
+    rows = [()] * len(hits)
+    for k in range(0, len(names), 8):
+        part = [x >> k & 255 for x in hits]
+        strings = {b: tuple([names[k + i] for i in positions(b)]) for b in set(part)}
+        rows = [row + strings[b] for row, b in zip(rows, part)]
+    return rows
 
 
-def _braced(row: list[str]) -> str:
-    return "{" + ", ".join(row) + "}"
+def _write_rows(rows: list[tuple[str, ...]], before: str, after: str) -> None:
+    """Write each row as a braced set between ``before`` and ``after``. The
+    rows go out in slices of 1024: the strings of every row and the whole
+    text are never held at once with the rows."""
+    for k in range(0, len(rows), 1024):
+        strings = map(", ".join, rows[k:k + 1024])
+        sys.stdout.write(
+            before + "{" + ("}" + after + before + "{").join(strings) + "}" + after
+        )
 
 
 def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
@@ -163,10 +167,10 @@ def cmd_enumerate(args) -> int:
     actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
     rows = _rows(actions, hits[cls])
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "class": cls.value, "sets": list(rows)}
+        payload = {"schema": SCHEMA_VERSION, "class": cls.value, "sets": rows}
         print(json.dumps(payload))
     else:
-        sys.stdout.write("".join(_braced(row) + "\n" for row in rows))
+        _write_rows(rows, "", "\n")
     return 0
 
 
@@ -349,7 +353,6 @@ def cmd_lattice(args) -> int:
     kind = _kind(instance, "lattice")
     classes = _classes(instance)
     actions, hits = _enumerate(instance, args, instance.db, instance.program, classes)
-    listing = [(c.value, _rows(actions, hits[c])) for c in classes]
     relations = None
     if args.verify:
         normalized = kind.normalize(instance.program)
@@ -359,7 +362,7 @@ def cmd_lattice(args) -> int:
     if args.format == "json":
         payload: dict = {
             "schema": SCHEMA_VERSION,
-            "classes": {name: list(rows) for name, rows in listing},
+            "classes": {c.value: _rows(actions, hits[c]) for c in classes},
         }
         if relations is not None:
             payload["relations"] = [
@@ -367,9 +370,10 @@ def cmd_lattice(args) -> int:
             ]
         print(json.dumps(payload))
     else:
-        for name, rows in listing:
-            joined = " ".join(map(_braced, rows))
-            print(f"{name}: {joined}" if joined else f"{name}:")
+        for c in classes:
+            sys.stdout.write(f"{c.value}:")
+            _write_rows(_rows(actions, hits[c]), " ", "")
+            sys.stdout.write("\n")
         if relations is not None:
             for text, holds in relations:
                 if not holds:

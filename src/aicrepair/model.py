@@ -375,26 +375,50 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
     """The masks over ``n`` positions that make no clause hold (``x & m !=
     f`` for every ``(m, f)``), and the number of search nodes visited.
 
-    The search assigns the positions in order, depth first, and tests each
-    clause when its last position is assigned, cutting the branch there. A
-    clause with no position always holds, so no mask qualifies. The masks
-    come out in the order of their sorted positions: from a node the search
-    first follows the branch that sets no further bit, then each child that
-    sets one more, lowest first, with its whole subtree."""
+    A clause with no position always holds, so no mask qualifies. Position
+    ``i`` is a cut when no clause holds bits both below ``i`` and at or
+    above it; the cuts split the positions into blocks that no clause
+    crosses, so the masks are the unions of one mask per block, each found
+    by :func:`_block_search` on the block's own clauses, and joined by
+    :func:`_product`, last block first. The masks come out in the order of
+    their sorted positions. The nodes are summed over the blocks: ``3`` for
+    a block of one position in no clause, ``1`` when there is no position."""
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    spans = 0
     for m, f in clauses:
         if not m:
             return [], 0
-        by_last[m.bit_length() - 1].append((m, f))
+        top = m.bit_length()
+        by_last[top - 1].append((m, f))
+        # The positions low + 1 .. high that the clause crosses.
+        spans |= (1 << top) - 2 * (m & -m)
+    starts = [0, *positions(((1 << n) - 1) & ~(spans | 1))]
+    found, nodes = _block_search(by_last, starts[-1], n)
+    for lo, hi in zip(reversed(starts[:-1]), reversed(starts[1:])):
+        low, visited = _block_search(by_last, lo, hi)
+        found = _product(low, found)
+        nodes += visited
+    return found, nodes
 
+
+def _block_search(
+    by_last: list[list[tuple[int, int]]], lo: int, hi: int
+) -> tuple[list[int], int]:
+    """The masks over positions ``lo`` to ``hi - 1`` that make no clause
+    of the block hold, and the nodes visited. The search assigns the
+    positions in order, depth first, and tests each clause when its last
+    position (``by_last``) is assigned, cutting the branch there. From a
+    node it first follows the branch that sets no further bit, then each
+    child that sets one more, lowest first, with its whole subtree, so the
+    masks come out in the order of their sorted positions."""
     found: list[int] = []
     nodes = 1
-    todo = [(0, 0)]
+    todo = [(lo, 0)]
     while todo:
         start, x = todo.pop()
         i = start
         children = []
-        while i < n:
+        while i < hi:
             checks = by_last[i]
             y = x | 1 << i
             for m, f in checks:
@@ -414,6 +438,32 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
         nodes += i - start + len(children)
         todo.extend(reversed(children))
     return found, nodes
+
+
+def _product(low: list[int], high: list[int]) -> list[int]:
+    """Every ``a | b`` with ``a`` of ``low`` and ``b`` of ``high``, where
+    every position of ``high`` lies above those of ``low`` and both lists
+    are in the order of their sorted positions, in that order too. Sorted
+    positions compare as sequences, so ``a`` itself (``b = 0``) comes
+    first, then the members of ``low`` that extend ``a`` above its top
+    bit, which follow ``a`` in ``low``, each with its own unions, and only
+    then ``a | b`` for each other ``b``: ``{0} ∪ {4}`` follows ``{0, 1}``.
+    A stack holds the members of ``low`` whose extensions are still being
+    listed."""
+    has_empty = bool(high) and not high[0]
+    rest = high[1:] if has_empty else high
+    out: list[int] = []
+    pending: list[int] = []
+    for a in low:
+        while pending and a & (1 << pending[-1].bit_length()) - 1 != pending[-1]:
+            t = pending.pop()
+            out += [t | b for b in rest]
+        if has_empty:
+            out.append(a)
+        pending.append(a)
+    for t in reversed(pending):
+        out += [t | b for b in rest]
+    return out
 
 
 def walk(start: int, branch, seen: set[int] | None = None) -> Iterator[int]:

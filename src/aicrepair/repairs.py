@@ -312,8 +312,9 @@ class RepairReport:
     one engine call shares its ``actions``. ``sets``, the members as
     frozensets in the same order, is built on first read. ``examined``
     counts the candidate sets the engine visited for the request: the
-    nodes of the clause search when a weak class is asked for, the sets of
-    the repair tree when every class is change-minimal."""
+    nodes of the clause search, summed over the position blocks it splits
+    into, when a weak class is asked for; the sets of the repair tree when
+    every class is change-minimal."""
 
     repair_class: RepairClass
     actions: tuple[UpdateAction, ...]

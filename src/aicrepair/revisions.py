@@ -154,7 +154,9 @@ def check_membership(
 class RevisionReport:
     """Outcome of enumerating one revision class over an instance: a
     :class:`repairs.RepairReport` of the translated program whose
-    ``actions`` are the revision literals of the essential actions."""
+    ``actions`` are the revision literals of the essential actions.
+    ``examined`` is that report's count: the clause search's nodes summed
+    over its position blocks, or the sets of the repair tree."""
 
     revision_class: RevisionClass
     actions: tuple[RevLiteral, ...]

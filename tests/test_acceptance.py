@@ -6,8 +6,9 @@ the containment lattice between them, the translation correspondence, the
 shifting transport, the logic-program bridge, checker agreement over full
 candidate spaces, one multi-class scan matching per-class enumeration, the
 repair tree of the change-minimal classes matching the scan, the clause
-search matching a plain scan of every subset, and the engine's tests on
-masks matching their definitions on sets.
+search matching a plain scan of every subset, the engine's tests on masks
+matching their definitions on sets, and the search split into position
+blocks matching a brute-force scan.
 All frozen values below were computed by ``tests/oracles.py`` and
 hand-checked before being written down.
 
@@ -17,6 +18,7 @@ rebuilds its instance.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -26,7 +28,7 @@ import pytest
 
 import gen
 import oracles
-from aicrepair import asp, cli, repairs, revisions, transforms
+from aicrepair import asp, cli, model, repairs, revisions, transforms
 from aicrepair.errors import UniverseTooLarge
 from aicrepair.model import (
     DEFAULT_MAX_ATOMS,
@@ -37,10 +39,12 @@ from aicrepair.model import (
     Universe,
     UpdateAction,
     apply_update,
+    clause_search,
     entails,
     essential_actions,
     is_normal,
     lit,
+    positions,
     rev_literal,
     ua,
 )
@@ -1224,3 +1228,131 @@ def test_mask_predicates_match_the_definitions_on_sets():
             "jwr": oracles.justified_weak_revisions(rdb, rprogram, atoms),
             "njwr": oracles.justified_weak_revisions(rdb, rnorm, atoms),
         }, seed
+
+
+# ---------------------------------------------------------------------------
+# Gate 11: the search split into position blocks gives what a brute-force
+# scan gives, on clause sets and on instances made of components
+
+BLOCK_CLAUSE_SETS = 20000
+BLOCK_POSITIONS = 10
+COMPONENT_INSTANCES = 40
+COMPONENT_ATOMS = 12
+
+#: Every mask over ``n`` positions, in the order of their sorted positions.
+_CANONICAL = [sorted(range(1 << n), key=positions) for n in range(BLOCK_POSITIONS + 1)]
+
+
+def _clause_set(rnd, n) -> list[tuple[int, int]]:
+    """0-6 clauses over ``n`` positions. In half the sets each clause lies
+    in a window of 1-3 positions, so cuts fire; positions in no clause are
+    free. Now and then a clause has no position, and always when ``n`` is
+    0: then no mask qualifies."""
+    narrow = rnd.random() < 0.5
+    clauses = []
+    for _ in range(rnd.randint(0, 6)):
+        if not n or rnd.random() < 0.02:
+            clauses.append((0, 0))
+            continue
+        lo = rnd.randrange(n) if narrow else 0
+        window = range(lo, min(n, lo + rnd.randint(1, 3))) if narrow else range(n)
+        held = [i for i in window if rnd.random() < 0.6] or [rnd.choice(window)]
+        m = sum(1 << i for i in held)
+        clauses.append((m, m & rnd.getrandbits(n)))
+    return clauses
+
+
+def test_block_search_matches_brute_force():
+    for i in range(BLOCK_CLAUSE_SETS):
+        rnd = random.Random(f"block-search-{i}")
+        n = rnd.randint(0, BLOCK_POSITIONS)
+        clauses = _clause_set(rnd, n)
+        want = _CANONICAL[n]
+        for m, f in clauses:
+            want = [x for x in want if x & m != f]
+        found, nodes = clause_search(clauses, n)
+        assert found == want, f"block-search-{i}: {n} positions, {clauses}"
+        assert (nodes == 0) == any(not m for m, _ in clauses), f"block-search-{i}"
+
+
+def _renamed(program, to: dict):
+    """The program with every atom ``a`` renamed to ``to[a]``."""
+    def move(xs):
+        return frozenset(dataclasses.replace(x, atom=to[x.atom]) for x in xs)
+
+    return tuple(
+        AicRule(move(r.body), move(r.head))
+        if isinstance(r, AicRule)
+        else RevRule(move(r.head), move(r.body))
+        for r in program
+    )
+
+
+def _components(rnd):
+    """2-4 components of 2-3 atoms over contiguous names, then 0-3 free
+    atoms, at most ``COMPONENT_ATOMS`` in all; returns the atoms, the
+    components and the free atoms as one-atom groups."""
+    sizes = [rnd.randint(2, 3) for _ in range(rnd.randint(2, 4))]
+    free = rnd.randint(0, min(3, COMPONENT_ATOMS - sum(sizes)))
+    atoms = gen.atom_pool(rnd, sum(sizes) + free)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    components = [atoms[a:b] for a, b in zip(starts, starts[1:])]
+    return atoms, components, [(a,) for a in atoms[starts[-1]:]]
+
+
+def test_position_blocks_match_plain_scan(monkeypatch):
+    blocks = {"contiguous": 0, "interleaved": 0}
+    block_search = model._block_search
+
+    def counting(by_last, lo, hi):
+        blocks[naming] += 1
+        return block_search(by_last, lo, hi)
+
+    monkeypatch.setattr(model, "_block_search", counting)
+    aic_grounded = [c for c in RepairClass if repairs._TABLE[c][1]]
+    for i in range(COMPONENT_INSTANCES):
+        seed = f"position-blocks-{i}"
+        rnd = random.Random(seed)
+        atoms, components, free = _components(rnd)
+        uni = Universe(atoms)
+        normal = rnd.random() < 0.5
+        program, rprogram, db, rdb = (), (), frozenset(), frozenset()
+        for part in components:
+            rules = (1, len(part) + 1)
+            p = gen.aic_program(rnd, part, normal=normal, rules=rules)
+            r = gen.rev_program(
+                rnd, part, normal=normal, proper=rnd.random() < 0.5, rules=rules
+            )
+            program, rprogram = program + p, rprogram + r
+            db |= _database(rnd, part, p)
+            rdb |= _database(rnd, part, revisions._aic(r))
+        db |= gen.database(rnd, [a for (a,) in free])
+        rdb |= gen.database(rnd, [a for (a,) in free])
+        # The interleaved naming takes one atom of each group in turn, so
+        # the clauses of each component cross those of the others.
+        groups = components + free
+        turns = [g[k] for k in range(3) for g in groups if k < len(g)]
+        for naming, to in (
+            ("contiguous", {a: a for a in atoms}),
+            ("interleaved", dict(zip(turns, atoms))),
+        ):
+            where = f"{seed} {naming}"
+            p, r = _renamed(program, to), _renamed(rprogram, to)
+            d = frozenset(to[a] for a in db)
+            rd = frozenset(to[a] for a in rdb)
+            classes = list(RepairClass)
+            want = _plain_repair_classes(d, p, uni, classes)
+            _matches_plain(repairs, classes, aic_grounded, want, d, p, uni, rnd, where)
+            rclasses = [
+                c
+                for c in RevisionClass
+                if c is not RevisionClass.SUPPORTED_REVISION or is_normal(r)
+            ]
+            rwant = _plain_revision_classes(rd, r, uni, rclasses)
+            rgrounded = [
+                c for c in rclasses if revisions._REPAIR_CLASS[c] in aic_grounded
+            ]
+            _matches_plain(
+                revisions, rclasses, rgrounded, rwant, rd, r, uni, rnd, where
+            )
+    assert blocks["contiguous"] > 2 * blocks["interleaved"], blocks

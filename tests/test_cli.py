@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -404,6 +405,91 @@ def test_the_largest_outputs_are_byte_identical(tmp_path, capsys):
     code, out, _ = run([*argv, "--max-atoms", "16"], capsys)
     assert code == 0
     assert _pinned(out) == PINNED_OUTPUTS["weak-revision-json"]
+
+
+# The big listings of ``wide16.aic`` and of a renaming that interleaves its
+# components, as (exit code, lines, bytes, sha256) in ``wide16_digests.json``,
+# recorded before the weak search was split into position blocks. On
+# ``wide16.aic`` the components hold contiguous positions, so the search
+# splits there; on the renaming they interleave, so it splits only at the
+# last free atom.
+DIGESTS = GOLDEN / "wide16_digests.json"
+DIGEST_COMMANDS = {
+    "weak-repair": ["repair", "--class", "weak-repair"],
+    "weak-repair-json": ["repair", "--class", "weak-repair", "--format", "json"],
+    "founded-weak-repair": ["repair", "--class", "founded-weak-repair"],
+    "lattice-verify": ["lattice", "--verify"],
+    "lattice-json": ["lattice", "--format", "json"],
+}
+
+
+def _interleaved(text: str) -> str:
+    """``wide16.aic`` with atom ``i`` of the 4 x 4 grid of its sorted atoms
+    (components a-d, e-h, i-l and free atoms m-p) renamed to the
+    transposed cell: component ``g``'s atoms take positions ``g``, ``g +
+    4``, ``g + 8`` and ``g + 12``."""
+    names = "abcdefghijklmnop"
+    return re.sub(
+        r"\b[a-p]\b",
+        lambda m: names[4 * (names.index(m[0]) % 4) + names.index(m[0]) // 4],
+        text,
+    )
+
+
+def _digest_instances(tmp_path) -> dict[str, str]:
+    wide = GOLDEN / "wide16.aic"
+    interleaved = tmp_path / "wide16_interleaved.aic"
+    interleaved.write_text(_interleaved(wide.read_text()))
+    return {"wide16": str(wide), "wide16-interleaved": str(interleaved)}
+
+
+def _digest_outputs(tmp_path, capsys) -> dict:
+    """(exit code, stdout) per instance and command."""
+    out = {}
+    for name, path in _digest_instances(tmp_path).items():
+        for key, argv in DIGEST_COMMANDS.items():
+            code, text, _ = run([argv[0], path, *argv[1:], "--max-atoms", "16"], capsys)
+            out[name, key] = code, text
+    return out
+
+
+def test_the_big_listings_match_their_frozen_digests(tmp_path, capsys):
+    frozen = json.loads(DIGESTS.read_text())
+    outputs = _digest_outputs(tmp_path, capsys)
+    for name, table in frozen.items():
+        assert table.keys() == DIGEST_COMMANDS.keys()
+        for key, want in table.items():
+            code, text = outputs[name, key]
+            got = {
+                "code": code,
+                "lines": text.count("\n"),
+                "bytes": len(text.encode()),
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            }
+            assert got == want, f"{name} {key}"
+
+
+def _split_rows(text: str) -> list[list[str]]:
+    """The braced sets of a line of text output, as lists of strings."""
+    return [row.split(", ") if row else [] for row in re.findall(r"\{([^}]*)\}", text)]
+
+
+def test_json_sets_are_the_text_rows_split_back(tmp_path, capsys):
+    outputs = {k: text for k, (_, text) in _digest_outputs(tmp_path, capsys).items()}
+    for name in _digest_instances(tmp_path):
+        listed = json.loads(outputs[name, "weak-repair-json"])["sets"]
+        text = outputs[name, "weak-repair"].splitlines()
+        assert listed == [_split_rows(line)[0] for line in text], name
+        assert len(listed) == 12960
+
+        classes = json.loads(outputs[name, "lattice-json"])["classes"]
+        lines = outputs[name, "lattice-verify"].splitlines()
+        assert lines[-1] == "lattice: ok (14 relations)"
+        assert len(lines) == len(classes) + 1
+        for line, (cls, sets) in zip(lines, classes.items()):
+            head, _, rest = line.partition(":")
+            assert head == cls, name
+            assert sets == _split_rows(rest), f"{name} {cls}"
 
 
 def test_lattice_verify_text_summary(capsys):
