@@ -43,13 +43,12 @@ from .model import (
 )
 from .repairs import (
     RepairClass,
-    RepairReport,
+    Report,
     check_membership,
     enumerate_repairs,
 )
 from .revisions import (
     RevisionClass,
-    RevisionReport,
     check_supported_revision,
     enumerate_revisions,
 )
@@ -87,11 +86,10 @@ __all__ = [
     "ParseError",
     "Refusal",
     "RepairClass",
-    "RepairReport",
+    "Report",
     "RevLiteral",
     "RevRule",
     "RevisionClass",
-    "RevisionReport",
     "Universe",
     "UniverseTooLarge",
     "UnknownAtom",

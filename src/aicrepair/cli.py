@@ -17,12 +17,13 @@ object (``"schema": 1``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import functools
 import json
 import sys
 from types import ModuleType
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
@@ -31,7 +32,6 @@ from .repairs import RepairClass
 from .revisions import RevisionClass
 from .syntax import (
     Instance,
-    format_db,
     # Unused here: the benchmark's tracer (perfbench/tracing.py) times the
     # calls made through this name, so it stays importable.
     format_set,
@@ -139,7 +139,7 @@ def _rows(actions: tuple, hits) -> list[tuple[str, ...]]:
     return rows
 
 
-def _write_rows(rows: list[tuple[str, ...]], before: str, after: str) -> None:
+def _write_rows(rows: Sequence[Sequence[str]], before: str, after: str) -> None:
     """Write each row as a braced set between ``before`` and ``after``. The
     rows go out in slices of 1024: the strings of every row and the whole
     text are never held at once with the rows."""
@@ -148,6 +148,16 @@ def _write_rows(rows: list[tuple[str, ...]], before: str, after: str) -> None:
         sys.stdout.write(
             before + "{" + ("}" + after + before + "{").join(strings) + "}" + after
         )
+
+
+def _print_json(**fields) -> None:
+    """Write one JSON object: the schema version, then ``fields`` in order."""
+    print(json.dumps({"schema": SCHEMA_VERSION, **fields}))
+
+
+def _print_instance(instance: Instance, **changes) -> None:
+    """Print ``instance`` with the given fields replaced, in canonical form."""
+    sys.stdout.write(print_instance(dataclasses.replace(instance, **changes)))
 
 
 def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
@@ -167,8 +177,7 @@ def cmd_enumerate(args) -> int:
     actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
     rows = _rows(actions, hits[cls])
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "class": cls.value, "sets": rows}
-        print(json.dumps(payload))
+        _print_json(**{"class": cls.value}, sets=rows)
     else:
         _write_rows(rows, "", "\n")
     return 0
@@ -186,7 +195,7 @@ def cmd_check(args) -> int:
         _limits(args),
     )
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "member": member}))
+        _print_json(member=member)
     else:
         print("true" if member else "false")
     return 0
@@ -200,28 +209,20 @@ def cmd_translate(args) -> int:
     else:
         _expect_kind(instance, "aic", "translate --to rev")
         program = transforms.to_rev(instance.program)
-    out = Instance(args.to, instance.db, program, instance.declared_universe)
-    sys.stdout.write(print_instance(out))
+    _print_instance(instance, kind=args.to, program=program)
     return 0
 
 
 def cmd_normalize(args) -> int:
     instance = _load(args.file)
     program = _kind(instance, "normalize").normalize(instance.program)
-    out = Instance(instance.kind, instance.db, program, instance.declared_universe)
-    sys.stdout.write(print_instance(out))
+    _print_instance(instance, program=program)
     return 0
 
 
 def cmd_properize(args) -> int:
     instance = _expect_kind(_load(args.file), "rev", "properize")
-    out = Instance(
-        "rev",
-        instance.db,
-        transforms.properize(instance.program),
-        instance.declared_universe,
-    )
-    sys.stdout.write(print_instance(out))
+    _print_instance(instance, program=transforms.properize(instance.program))
     return 0
 
 
@@ -232,13 +233,7 @@ def cmd_shift(args) -> int:
     witness = transforms.shift_instance(
         instance.db, instance.program, by, universe=instance.universe()
     )
-    out = Instance(
-        instance.kind,
-        witness.shifted_db,
-        witness.shifted_program,
-        instance.declared_universe,
-    )
-    sys.stdout.write(print_instance(out))
+    _print_instance(instance, db=witness.shifted_db, program=witness.shifted_program)
     if args.verify:
         checked = _verify_shift(instance, witness, args)
         print(f"shift-verify: ok ({checked} classes)", file=sys.stderr)
@@ -272,12 +267,11 @@ def cmd_answer_sets(args) -> int:
     models = asp.answer_sets(
         instance.program, universe=instance.universe(), limits=_limits(args)
     )
+    rows = [sorted(m) for m in models]
     if args.format == "json":
-        rows = [sorted(m) for m in models]
-        print(json.dumps({"schema": SCHEMA_VERSION, "sets": rows}))
+        _print_json(sets=rows)
     else:
-        for m in models:
-            print(format_db(m))
+        _write_rows(rows, "", "\n")
     return 0
 
 
@@ -294,13 +288,9 @@ def cmd_cqa(args) -> int:
         limits=_limits(args),
     )
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "status": verdict.status.value,
-            "holding": verdict.holding,
-            "total": verdict.total,
-        }
-        print(json.dumps(payload))
+        _print_json(
+            status=verdict.status.value, holding=verdict.holding, total=verdict.total
+        )
     else:
         print(verdict.status.value)
     return 0
@@ -358,32 +348,26 @@ def cmd_lattice(args) -> int:
         normalized = kind.normalize(instance.program)
         _, norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
         relations = _relations(hits, norm, classes)
+    violated = [text for text, holds in relations or () if not holds]
 
     if args.format == "json":
-        payload: dict = {
-            "schema": SCHEMA_VERSION,
-            "classes": {c.value: _rows(actions, hits[c]) for c in classes},
-        }
+        fields: dict = {"classes": {c.value: _rows(actions, hits[c]) for c in classes}}
         if relations is not None:
-            payload["relations"] = [
+            fields["relations"] = [
                 {"relation": text, "holds": holds} for text, holds in relations
             ]
-        print(json.dumps(payload))
+        _print_json(**fields)
     else:
         for c in classes:
             sys.stdout.write(f"{c.value}:")
             _write_rows(_rows(actions, hits[c]), " ", "")
             sys.stdout.write("\n")
         if relations is not None:
-            for text, holds in relations:
-                if not holds:
-                    print(f"lattice: violated {text}")
-            if all(holds for _, holds in relations):
+            for text in violated:
+                print(f"lattice: violated {text}")
+            if not violated:
                 print(f"lattice: ok ({len(relations)} relations)")
-
-    if relations is not None and not all(holds for _, holds in relations):
-        return 1
-    return 0
+    return 1 if violated else 0
 
 
 def _add_common(parser) -> None:

@@ -170,21 +170,21 @@ class _Compiled:
         return True
 
     def justified(self, x: int) -> bool:
-        """``x`` and its no-effect actions ``ne`` form a justified action
-        set: ``x | ne`` is closed, and no ``ne | e`` with ``e`` a proper
-        subset of ``x`` is. Only a rule whose no-effect trigger avoids
-        ``x`` and whose no-effect head lies inside ``x`` can be violated:
-        by ``ne | e`` when ``e`` holds its essential trigger and none of
-        its essential head. The last test is a :func:`walk` from ``ne``: a
-        violating set grows by one of the rule's head bits in ``x``, one
-        of which any closed set above it inside ``x | ne`` holds. It
-        branches only at disjunctive heads; on a normal program it is the
-        least closure of ``ne``."""
+        """``x``, a weak repair of the compiled program, and its no-effect
+        actions ``ne`` form a justified action set: no ``ne | e`` with
+        ``e`` a proper subset of ``x`` is closed. Only a rule whose
+        no-effect trigger avoids ``x`` and whose no-effect head lies inside
+        ``x`` can be violated: by ``ne | e`` when ``e`` holds its essential
+        trigger and none of its essential head. For ``e = x`` its whole
+        body would hold in ``db∘x``, so ``x | ne`` is closed as ``x`` is
+        weak. The test is a :func:`walk` from ``ne``: a violating set grows
+        by one of the rule's head bits in ``x``, one of which any closed
+        set above it inside ``x | ne`` holds. It branches only at
+        disjunctive heads; on a normal program it is the least closure of
+        ``ne``."""
         live = [
             (te, he) for te, tn, he, hn in self.rules if not tn & x and not hn & ~x
         ]
-        if any(not te & ~x and not he & x for te, he in live):
-            return False
 
         def branch(s):
             for te, he in live:
@@ -303,11 +303,12 @@ def check_membership(
 
 
 @dataclass(frozen=True)
-class RepairReport:
-    """Outcome of enumerating one repair class over an instance.
+class Report:
+    """Outcome of enumerating one repair or revision class over an instance.
 
     ``hits`` are the members as masks over ``actions``, the essential
-    actions the engine searched, in universe order: bit ``i`` stands for
+    actions the engine searched, in universe order (their revision literals
+    when ``semantics`` is a revision class): bit ``i`` stands for
     ``actions[i]``, and the hits are in canonical order. Every report of
     one engine call shares its ``actions``. ``sets``, the members as
     frozensets in the same order, is built on first read. ``examined``
@@ -316,13 +317,13 @@ class RepairReport:
     into, when a weak class is asked for; the sets of the repair tree when
     every class is change-minimal."""
 
-    repair_class: RepairClass
-    actions: tuple[UpdateAction, ...]
+    semantics: enum.Enum
+    actions: tuple
     hits: tuple[int, ...]
     examined: int
 
     @cached_property
-    def sets(self) -> tuple[frozenset[UpdateAction], ...]:
+    def sets(self) -> tuple[frozenset, ...]:
         return tuple(members(self.actions, self.hits))
 
 
@@ -350,7 +351,7 @@ def enumerate_classes(
     classes: Iterable[RepairClass],
     universe: Universe | None = None,
     limits: Limits | None = None,
-) -> dict[RepairClass, RepairReport]:
+) -> dict[RepairClass, Report]:
     """Exhaustively enumerate the members of several repair classes.
 
     Candidates are the subsets of the essential actions (one polarity per
@@ -408,7 +409,7 @@ def enumerate_classes(
         hits = minimal if change_minimal else pool
         if grounding:
             hits = [x for x in hits if x in grounded[normalized, grounding]]
-        reports[c] = RepairReport(c, essential, tuple(hits), examined)
+        reports[c] = Report(c, essential, tuple(hits), examined)
     return reports
 
 
@@ -418,7 +419,7 @@ def enumerate_repairs(
     repair_class: RepairClass,
     universe: Universe | None = None,
     limits: Limits | None = None,
-) -> RepairReport:
+) -> Report:
     """Exhaustively enumerate all members of one repair class."""
     return enumerate_classes(db, program, (repair_class,), universe, limits)[
         repair_class

@@ -20,22 +20,18 @@ revisions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from . import repairs, transforms
 from .model import (
     AicProgram,
     Limits,
-    RevLiteral,
     RevProgram,
     Universe,
     # Unused here: the benchmark's tracer (perfbench/tracing.py) counts the
     # calls made through this name, so it stays importable.
     entails,
     is_normal,
-    members,
     rev_literal,
     ua,
 )
@@ -150,31 +146,13 @@ def check_membership(
 # Enumeration
 
 
-@dataclass(frozen=True)
-class RevisionReport:
-    """Outcome of enumerating one revision class over an instance: a
-    :class:`repairs.RepairReport` of the translated program whose
-    ``actions`` are the revision literals of the essential actions.
-    ``examined`` is that report's count: the clause search's nodes summed
-    over its position blocks, or the sets of the repair tree."""
-
-    revision_class: RevisionClass
-    actions: tuple[RevLiteral, ...]
-    hits: tuple[int, ...]
-    examined: int
-
-    @cached_property
-    def sets(self) -> tuple[frozenset[RevLiteral], ...]:
-        return tuple(members(self.actions, self.hits))
-
-
 def enumerate_classes(
     db: frozenset[str],
     program: RevProgram,
     classes: Iterable[RevisionClass],
     universe: Universe | None = None,
     limits: Limits | None = None,
-) -> dict[RevisionClass, RevisionReport]:
+) -> dict[RevisionClass, repairs.Report]:
     """Exhaustively enumerate the members of several revision classes.
 
     The program is translated once and the repair engine enumerates the
@@ -193,7 +171,7 @@ def enumerate_classes(
     for c in classes:
         report = reports[_REPAIR_CLASS[c]]
         literals = literals or tuple(map(rev_literal, report.actions))
-        out[c] = RevisionReport(c, literals, report.hits, report.examined)
+        out[c] = repairs.Report(c, literals, report.hits, report.examined)
     return out
 
 
@@ -203,7 +181,7 @@ def enumerate_revisions(
     revision_class: RevisionClass,
     universe: Universe | None = None,
     limits: Limits | None = None,
-) -> RevisionReport:
+) -> repairs.Report:
     """Exhaustively enumerate all members of one revision class."""
     return enumerate_classes(db, program, (revision_class,), universe, limits)[
         revision_class

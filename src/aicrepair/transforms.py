@@ -141,15 +141,13 @@ def shift_db(db: frozenset[str], by: Iterable[str]) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class ShiftWitness:
-    """A shifted instance together with what produced it.
+    """A shifted instance together with the shift set that produced it.
 
     ``transport`` carries candidate solutions between the two sides; applied
     twice it is the identity, which is what verification checks exploit.
     """
 
     by: frozenset[str]
-    db: frozenset[str]
-    program: AicProgram | RevProgram
     shifted_db: frozenset[str]
     shifted_program: AicProgram | RevProgram
 
@@ -168,4 +166,4 @@ def shift_instance(
     uni = Universe.collect(db, w, program) if universe is None else universe
     uni.require(db, "database")
     uni.require(w, "shift set")
-    return ShiftWitness(w, db, program, shift_db(db, w), shift(program, w))
+    return ShiftWitness(w, shift_db(db, w), shift(program, w))

@@ -815,7 +815,7 @@ def _one_scan_matches(kind, db, program, uni, seed) -> None:
         # ``examined`` differs by design: a change-minimal class alone comes
         # from the repair tree, a request with a weak class from the scan.
         got = together[cls]
-        assert (got.repair_class if kind == "aic" else got.revision_class) is cls
+        assert got.semantics is cls
         assert got.sets == alone.sets, f"{seed}: {cls.value}"
 
 

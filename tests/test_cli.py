@@ -500,6 +500,29 @@ def test_lattice_verify_text_summary(capsys):
     assert out.rstrip().endswith("lattice: ok (15 relations)")
 
 
+def test_lattice_verify_reports_violated_relations(capsys, monkeypatch):
+    # Dropping the first rule of every normalized program splits the
+    # founded classes of pair_delete.aic from their normalized ones.
+    normalize_aic = transforms.normalize_aic
+    monkeypatch.setattr(transforms, "normalize_aic", lambda p: normalize_aic(p)[1:])
+    argv = ["lattice", str(GOLDEN / "pair_delete.aic"), "--verify"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    violated = [
+        line.removeprefix("lattice: violated ")
+        for line in out.splitlines()
+        if line.startswith("lattice: violated ")
+    ]
+    assert "normalized:founded-repair == founded-repair" in violated
+    assert "lattice: ok" not in out
+
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 1
+    assert '"holds": false' in out
+    relations = json.loads(out)["relations"]
+    assert [r["relation"] for r in relations if not r["holds"]] == violated
+
+
 def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
     code, out, _ = run(
         [

@@ -212,4 +212,4 @@ def test_enumeration_respects_the_atom_bound():
 def test_normalized_enumeration_reports_the_requested_class():
     db = frozenset({"a", "b"})
     report = enumerate_repairs(db, PAIR, RepairClass.JUSTIFIED_REPAIR_NORMALIZED)
-    assert report.repair_class is RepairClass.JUSTIFIED_REPAIR_NORMALIZED
+    assert report.semantics is RepairClass.JUSTIFIED_REPAIR_NORMALIZED

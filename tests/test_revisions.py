@@ -171,7 +171,7 @@ def test_normalized_enumeration_reports_the_requested_class():
     report = enumerate_revisions(
         frozenset(), CHOICE, RevisionClass.JUSTIFIED_REVISION_NORMALIZED
     )
-    assert report.revision_class is RevisionClass.JUSTIFIED_REVISION_NORMALIZED
+    assert report.semantics is RevisionClass.JUSTIFIED_REVISION_NORMALIZED
     assert all(
         check_membership(
             frozenset(), CHOICE, RevisionClass.JUSTIFIED_REVISION_NORMALIZED, u
