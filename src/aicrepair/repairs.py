@@ -211,20 +211,29 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     )
 
 
-def _repair_tree(clauses: list[tuple[int, int]], moves: int, seen: set | None = None):
-    """The leaves of the repair tree, the weak repairs it reaches.
+def _least(
+    clauses: list[tuple[int, int]], moves: int, seen: set | None = None
+) -> list[int]:
+    """The change-minimal weak repairs inside ``moves``, in canonical order.
 
-    From the empty set, at a mask ``s`` the first rule whose whole body
-    holds in ``db∘s`` branches on every body bit that ``s`` leaves alone
-    and that ``moves`` holds. A change-minimal weak repair ``m`` above
-    ``s`` inside the moves keeps the flips of ``s`` and satisfies the rule,
-    so it flips one: by :func:`walk`, ``m`` is a leaf."""
+    The repair tree is a :func:`walk` from the empty set: at a mask ``s``
+    the first rule whose whole body holds in ``db∘s`` branches on every
+    body bit that ``s`` leaves alone and that ``moves`` holds, and its
+    leaves are weak repairs. Every change-minimal weak repair ``m`` inside
+    the moves is a leaf: above any ``s`` inside ``m``, ``m`` keeps the
+    flips of ``s`` and satisfies the rule, so it flips one. Every weak
+    repair holds a change-minimal one, so a leaf is change-minimal when it
+    holds none of the leaves kept before it, smallest first."""
     def branch(s):
         for m, f in clauses:
             if s & m == f:
                 return m & moves & ~s
         return None
-    return walk(0, branch, seen)
+    kept: list[int] = []
+    for u in sorted(walk(0, branch, seen), key=int.bit_count):
+        if all(v & u != v for v in kept):
+            kept.append(u)
+    return sorted(kept, key=positions)
 
 
 def is_closed(program: AicProgram, actions) -> bool:
@@ -288,13 +297,10 @@ def check_membership(
     compiled = _Compiled(db, program, essential)
     x = sum(compiled.bit[a.atom] for a in u)
     grounds = _Compiled(db, grounds_on, essential) if normalized else compiled
-    # A weak ``x`` is change-minimal when the repair tree over its own
-    # bits reaches no other leaf: any smaller weak repair leads to one.
-    tree = _repair_tree(compiled.clauses, x) if minimal else ()
     return (
         compiled.weak(x)
         and _grounded(grounding, grounds, x)
-        and all(leaf == x for leaf in tree)
+        and (not minimal or _least(compiled.clauses, x) == [x])
     )
 
 
@@ -312,10 +318,10 @@ class Report:
     ``actions[i]``, and the hits are in canonical order. Every report of
     one engine call shares its ``actions``. ``sets``, the members as
     frozensets in the same order, is built on first read. ``examined``
-    counts the candidate sets the engine visited for the request: the
+    counts the candidate sets the engine visited for the request: the sets
+    of the repair tree, when a change-minimal class is asked for, plus the
     nodes of the clause search, summed over the position blocks it splits
-    into, when a weak class is asked for; the sets of the repair tree when
-    every class is change-minimal."""
+    into, when a weak class is."""
 
     semantics: enum.Enum
     actions: tuple
@@ -325,24 +331,6 @@ class Report:
     @cached_property
     def sets(self) -> tuple[frozenset, ...]:
         return tuple(members(self.actions, self.hits))
-
-
-def _scan(compiled: _Compiled) -> tuple[list[int], int]:
-    """The weak repairs among the masks over the compiled positions, in
-    canonical order, and the number of nodes the clause search visited."""
-    return clause_search(compiled.clauses, compiled.n)
-
-
-def _minimal(masks: list[int]) -> list[int]:
-    """The members of ``masks`` with no proper subset among them, in the
-    order of ``masks``. Smallest first, each mask is compared only with the
-    minimal ones kept before it."""
-    kept: list[int] = []
-    for u in sorted(masks, key=int.bit_count):
-        if all(v & u != v for v in kept):
-            kept.append(u)
-    keep = set(kept)
-    return [u for u in masks if u in keep]
 
 
 def enumerate_classes(
@@ -357,15 +345,16 @@ def enumerate_classes(
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
     construction; the program is compiled once over their bit positions.
-    When every class is change-minimal, the leaves of the repair tree hold
-    all change-minimal weak repairs; otherwise one clause search lists the
-    weak repairs. A justified set is founded, so every action of a grounded
-    set has a support clause that holds, and normalizing keeps the support
-    clauses: the grounding tests run only on the sets whose every bit has
-    one. When every class is grounded, the search itself flips only head
-    actions. The normalized classes are the justified ones of the
-    normalized program, whose weak repairs and change-minimal sets are
-    those of the program. Results are in canonical order.
+    The change-minimal weak repairs come from the repair tree (see
+    :func:`_least`), and only a weak class asks for the clause search that
+    lists every weak repair. A justified set is founded, so every action
+    of a grounded set has a support clause that holds, and normalizing
+    keeps the support clauses: the grounding tests run only on the sets
+    whose every bit has one. When every class is grounded, the tree and
+    the search flip only head actions. The normalized classes are the
+    justified ones of the normalized program, whose weak repairs and
+    change-minimal sets are those of the program. Results are in canonical
+    order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -375,21 +364,20 @@ def enumerate_classes(
     heads = frozenset().union(*(r.head for r in program))
 
     rows = [_TABLE[c] for c in classes]
-    minimal_only = all(m for _, _, m in rows)
-    if all(g for _, g, _ in rows) and not minimal_only:
+    if all(g for _, g, _ in rows):
         # Every member is inside the heads, and so are its subsets, the
         # weak repairs its minimality is tested against.
         essential = tuple(a for a in essential if a in heads)
     programs = {False: _Compiled(db, program, essential)}
     compiled = programs[False]
-    if minimal_only:
-        seen: set = set()
-        leaves = _repair_tree(compiled.clauses, (1 << compiled.n) - 1, seen)
-        pool = minimal = _minimal(sorted(leaves, key=positions))
-        examined = len(seen)
-    else:
-        pool, examined = _scan(compiled)
-        minimal = _minimal(pool) if any(m for _, _, m in rows) else []
+    seen: set = set()
+    pool = minimal = []
+    nodes = 0
+    if any(m for _, _, m in rows):
+        pool = minimal = _least(compiled.clauses, (1 << compiled.n) - 1, seen)
+    if not all(m for _, _, m in rows):
+        pool, nodes = clause_search(compiled.clauses, compiled.n)
+    examined = len(seen) + nodes
 
     if any(normalized for normalized, _, _ in rows):
         programs[True] = _Compiled(db, transforms.normalize_aic(program), essential)

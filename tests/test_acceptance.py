@@ -812,8 +812,9 @@ def _one_scan_matches(kind, db, program, uni, seed) -> None:
     assert list(together) == classes, seed
     for cls in classes:
         alone = enumerate_one(db, program, cls, uni)
-        # ``examined`` differs by design: a change-minimal class alone comes
-        # from the repair tree, a request with a weak class from the scan.
+        # ``examined`` differs by design: a class alone counts only the
+        # repair tree or only the clause search, a request with both kinds
+        # of class counts the sets of both.
         got = together[cls]
         assert got.semantics is cls
         assert got.sets == alone.sets, f"{seed}: {cls.value}"
@@ -864,10 +865,24 @@ TREE_INSTANCES = 300
 TREE_ORACLE_ATOMS = 5
 TREE_MEMBERSHIP_ATOMS = 4
 
-MINIMAL_REPAIR_CLASSES = [c for c in RepairClass if repairs._TABLE[c][2]]
-MINIMAL_REVISION_CLASSES = [
-    c for c in RevisionClass if revisions._REPAIR_CLASS[c] in MINIMAL_REPAIR_CLASSES
-]
+# Each change-minimal class and its weak counterpart, the class of the same
+# grounding without minimality.
+MINIMAL_REPAIR_CLASSES = {
+    RepairClass.REPAIR: RepairClass.WEAK_REPAIR,
+    RepairClass.FOUNDED_REPAIR: RepairClass.FOUNDED_WEAK_REPAIR,
+    RepairClass.JUSTIFIED_REPAIR: RepairClass.JUSTIFIED_WEAK_REPAIR,
+    RepairClass.JUSTIFIED_REPAIR_NORMALIZED: (
+        RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED
+    ),
+}
+MINIMAL_REVISION_CLASSES = {
+    RevisionClass.REVISION: RevisionClass.WEAK_REVISION,
+    RevisionClass.FOUNDED_REVISION: RevisionClass.FOUNDED_WEAK_REVISION,
+    RevisionClass.JUSTIFIED_REVISION: RevisionClass.JUSTIFIED_WEAK_REVISION,
+    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: (
+        RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED
+    ),
+}
 
 
 def _database(rnd, atoms, program):
@@ -880,14 +895,19 @@ def _database(rnd, atoms, program):
     return frozenset(db)
 
 
-def _tree_matches_scan(engine, weak, classes, db, program, uni, seed) -> dict:
-    """Each class alone (the repair tree) against the same class asked with
-    the weak class (the scan); returns the sets per class."""
+def _tree_matches_scan(engine, weak, counterparts, db, program, uni, seed) -> dict:
+    """Each change-minimal class alone (the repair tree) against its
+    definition on the listings of the clause search: the minimal members
+    of the ``weak`` listing that its weak counterpart lists too. Returns
+    the sets per class."""
+    listed = engine.enumerate_classes(db, program, counterparts.values(), uni)
+    sets = listed[weak].sets
+    minimal = {u for u in sets if not any(v < u for v in sets)}
     got = {}
-    for cls in classes:
+    for cls, counterpart in counterparts.items():
         tree = engine.enumerate_classes(db, program, [cls], uni)[cls].sets
-        scan = engine.enumerate_classes(db, program, [weak, cls], uni)[cls].sets
-        assert tree == scan, f"{seed}: {cls.value}"
+        want = tuple(u for u in listed[counterpart].sets if u in minimal)
+        assert tree == want, f"{seed}: {cls.value}"
         got[cls] = set(tree)
     return got
 
@@ -1142,7 +1162,8 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
     actions and, when inside the heads, over the essential head actions
     alone (the positions of a request of grounded classes only): founded,
     justified on the program and on its normalization, and the
-    change-minimal filter each agree with their definitions on sets.
+    change-minimal sets of the repair tree each agree with their
+    definitions on sets.
     Returns each class as a set of frozensets."""
     essential = essential_actions(db, uni)
     weak = [
@@ -1151,12 +1172,25 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
         for c in itertools.combinations(essential, k)
         if entails(apply_update(db, frozenset(c)), program)
     ]
+    minimal = [u for u in weak if not any(v < u for v in weak)]
     norm = transforms.normalize_aic(program)
     heads = frozenset().union(*(r.head for r in program))
     got = {"wr": set(weak), "fwr": set(), "jwr": set(), "njwr": set()}
     for actions in (essential, tuple(a for a in essential if a in heads)):
         compiled = repairs._Compiled(db, program, actions)
         normalized = repairs._Compiled(db, norm, actions)
+        least = sorted(
+            (
+                sum(1 << i for i, a in enumerate(actions) if a in u)
+                for u in minimal
+                if u <= set(actions)
+            ),
+            key=positions,
+        )
+        full = (1 << len(actions)) - 1
+        assert repairs._least(compiled.clauses, full) == least, (
+            f"{seed}: over {len(actions)} positions"
+        )
         for u in weak:
             if not u <= set(actions):
                 continue
@@ -1171,12 +1205,6 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
             for key, member in (("fwr", founded), ("jwr", justified), ("njwr", njustified)):
                 if member:
                     got[key].add(u)
-
-    def mask(u):
-        return sum(1 << i for i, a in enumerate(essential) if a in u)
-
-    minimal = [u for u in weak if not any(v < u for v in weak)]
-    assert repairs._minimal([mask(u) for u in weak]) == [mask(u) for u in minimal], seed
     got["r"] = set(minimal)
     return got
 

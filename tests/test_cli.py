@@ -552,6 +552,19 @@ def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
     assert all(row["holds"] for row in payload["relations"])
 
 
+def _count_calls(monkeypatch, name) -> list:
+    """Patch ``repairs.<name>`` to record its calls; returns the record."""
+    calls = []
+    original = getattr(repairs, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repairs, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv, scans",
     [
@@ -572,18 +585,33 @@ def test_lattice_json_includes_supported_only_for_normal_programs(capsys):
 def test_every_class_comes_from_one_scan_per_program(
     argv, scans, capsys, monkeypatch
 ):
-    calls = []
-    scan = repairs._scan
-
-    def counting_scan(*args):
-        calls.append(args)
-        return scan(*args)
-
-    monkeypatch.setattr(repairs, "_scan", counting_scan)
+    calls = _count_calls(monkeypatch, "clause_search")
     monkeypatch.chdir(GOLDEN)
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert len(calls) == scans
+
+
+@pytest.mark.parametrize(
+    "argv, trees",
+    [
+        (["lattice", "pair_delete.aic", "--verify"], 2),
+        (["lattice", "mutual_pair_chain.rev", "--verify"], 2),
+        (["check", "pair_delete.aic", "--class", "repair", "--set=-a"], 1),
+        (["repair", "pair_delete.aic", "--class", "weak-repair"], 0),
+    ],
+)
+def test_change_minimal_sets_come_from_one_tree_per_engine_call(
+    argv, trees, capsys, monkeypatch
+):
+    calls = _count_calls(monkeypatch, "_least")
+    enumerations = _count_calls(monkeypatch, "enumerate_classes")
+    monkeypatch.chdir(GOLDEN)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == trees
+    if argv[0] == "lattice":
+        assert len(enumerations) == trees
 
 
 @pytest.mark.parametrize(

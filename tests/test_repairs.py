@@ -4,10 +4,10 @@ enumeration behaviour (atom bound, canonical order)."""
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 import gen
 import oracles
+from aicrepair import repairs
 from aicrepair.errors import (
     UniverseTooLarge,
     UnknownAtom,
@@ -20,7 +20,8 @@ from aicrepair.repairs import (
     enumerate_repairs,
     is_closed,
     is_founded_set,
-    _minimal,
+    _Compiled,
+    _least,
 )
 from aicrepair.syntax import parse_actions, parse_program
 from aicrepair.transforms import normalize_aic
@@ -72,12 +73,21 @@ def test_foundedness_needs_a_witness_rule():
     assert not is_founded_set(db, program, uas("-b"))
 
 
-@given(st.lists(st.integers(0, 31), max_size=12))
-def test_minimal_filter_on_sets_listed_smallest_first(masks):
-    # Sets are masks: ``v`` is a proper subset of ``u`` when ``v & u == v``
-    # and ``v != u``. The filter keeps the order it was given.
-    want = [u for u in masks if not any(v & u == v != u for v in masks)]
-    assert _minimal(masks) == want
+def test_least_drops_a_leaf_reached_before_a_smaller_leaf_inside_it():
+    # Over +a, +b, +c (bits 0, 1, 2), the first rule branches on all three
+    # at the empty set, highest bit first. From {+c} the second rule adds
+    # +b, so the walk reaches the leaf {+b, +c} before the leaf {+b}
+    # inside it, and then {+a}. Smallest first, {+a} and {+b} are kept,
+    # and {+b, +c} is dropped, though {+a}, the leaf kept last, is not
+    # inside it.
+    program = parse_program(
+        "not a, not b, not c -> +a | +b | +c.\nc, not b -> +b.", "aic"
+    )
+    actions = tuple(UpdateAction(atom, True) for atom in "abc")
+    compiled = _Compiled(frozenset(), program, actions)
+    seen = set()
+    assert _least(compiled.clauses, 0b111, seen) == [0b001, 0b010]
+    assert seen == {0b000, 0b001, 0b010, 0b100, 0b110}
 
 
 def test_closedness_on_the_pair_constraint():
@@ -191,6 +201,15 @@ def test_the_repair_tree_counts_the_sets_it_visits():
     report = enumerate_repairs(frozenset({"a", "b"}), PAIR, RepairClass.REPAIR)
     assert report.sets == (uas("-a"), uas("-b"))
     assert report.examined == 3
+
+
+def test_no_class_asked_for_searches_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched for no class")
+
+    monkeypatch.setattr(repairs, "_least", refuse)
+    monkeypatch.setattr(repairs, "clause_search", refuse)
+    assert repairs.enumerate_classes(frozenset({"a", "b"}), PAIR, []) == {}
 
 
 def test_refusal_names_one_atom_in_the_singular():

@@ -7,6 +7,7 @@ import pytest
 
 import gen
 import oracles
+from aicrepair import repairs
 from aicrepair.errors import NotNormalProgram, UnknownAtom
 from aicrepair.model import Universe
 from aicrepair.revisions import (
@@ -14,6 +15,7 @@ from aicrepair.revisions import (
     check_justified_weak_revision,
     check_membership,
     check_supported_revision,
+    enumerate_classes,
     enumerate_revisions,
     is_closed_rev,
     is_founded_rev_set,
@@ -165,6 +167,15 @@ def test_enumeration_orders_sets_canonically():
     db = frozenset()
     report = enumerate_revisions(db, CHOICE, RevisionClass.WEAK_REVISION)
     assert report.sets == (rls("in(a)"), rls("in(a), in(b)"), rls("in(b)"))
+
+
+def test_no_class_asked_for_searches_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched for no class")
+
+    monkeypatch.setattr(repairs, "_least", refuse)
+    monkeypatch.setattr(repairs, "clause_search", refuse)
+    assert enumerate_classes(frozenset(), CHOICE, []) == {}
 
 
 def test_normalized_enumeration_reports_the_requested_class():
