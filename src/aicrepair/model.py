@@ -345,32 +345,6 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def clause(
-    db: frozenset[str], body: Iterable[Literal], bit: dict[str, int]
-) -> tuple[int, int] | None:
-    """Compile a conjunction of literals over bit positions (``bit`` maps
-    an atom to its bit) into ``(m, f)``: ``m`` holds the bits of its atoms
-    and ``f`` those whose literal fails in ``db``, so flipping the set ``x``
-    makes it hold exactly when ``x & m == f``. An atom outside ``bit`` keeps
-    its ``db`` value: a literal on it that holds is dropped. ``None`` when
-    the conjunction never holds: it holds an atom and its dual, or a literal
-    on an atom outside ``bit`` fails."""
-    m = f = 0
-    for l in body:
-        fails = (l.atom in db) != l.positive
-        b = bit.get(l.atom)
-        if b is None:
-            if fails:
-                return None
-        elif m & b:
-            return None
-        else:
-            m |= b
-            if fails:
-                f |= b
-    return m, f
-
-
 def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int], int]:
     """The masks over ``n`` positions that make no clause hold (``x & m !=
     f`` for every ``(m, f)``), and the number of search nodes visited.

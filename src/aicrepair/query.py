@@ -13,8 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Limits, Literal, Universe, clause
-from .repairs import RepairClass, enumerate_repairs
+from .model import AicRule, Limits, Literal, Universe
+from .repairs import RepairClass, _Compiled, enumerate_repairs
 from .revisions import RevisionClass, enumerate_revisions
 
 
@@ -45,8 +45,9 @@ def cqa(
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
     chosen class. Query atoms must lie in ``universe`` when one is given.
-    The query is compiled over the positions of the hits, so it holds in
-    the database repaired by the mask ``x`` exactly when ``x & m == f``."""
+    The query is compiled over the positions of the hits as the body of
+    the constraint ``query -> false``, so it holds in the database
+    repaired by the mask ``x`` exactly when ``x & m == f``."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")
@@ -58,8 +59,8 @@ def cqa(
     total = len(report.hits)
     if not total:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
-    bit = {a.atom: 1 << i for i, a in enumerate(report.actions)}
-    m, f = clause(db, query, bit) or (0, 1)  # (0, 1): a query that never holds
+    clauses = _Compiled(db, (AicRule(query, frozenset()),), report.actions).clauses
+    m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
     holding = sum(1 for x in report.hits if x & m == f)
     if holding == total:
         status = CqaStatus.TRUE

@@ -28,7 +28,6 @@ from .model import (
     Universe,
     UpdateAction,
     apply_update,
-    clause,
     clause_search,
     # Unused here: the benchmark's tracer (perfbench/tracing.py) counts the
     # calls made through this name, so it stays importable.
@@ -93,69 +92,83 @@ class _Compiled:
     ``db`` is the no-effect action of its atom, the dual of the essential
     one: it is in the no-effect set of ``x`` exactly when ``x`` leaves its
     bit 0, and always outside the positions, where atoms keep their ``db``
-    value. Each part is compiled on first use."""
+    value. Each rule is read once, into :attr:`rules`, and the clauses
+    and support clauses are derived from it; each part is built on first
+    use."""
 
-    def __init__(self, db, program: AicProgram, actions: tuple[UpdateAction, ...]):
-        self.db, self.program, self.n = db, program, len(actions)
+    def __init__(self, db, program: AicProgram, actions: tuple):
+        self.db, self.program, self.actions = db, program, actions
+        self.n = len(actions)
         self.bit = {a.atom: 1 << i for i, a in enumerate(actions)}
-
-    def _split(self, actions) -> tuple[int, int, set[bool]]:
-        """The essential bits and the no-effect bits of ``actions``, and
-        whether each action outside the positions flips ``db``."""
-        e = n = 0
-        outside = set()
-        for a in actions:
-            b, flips = self.bit.get(a.atom, 0), (a.atom in self.db) != a.insert
-            if not b:
-                outside.add(flips)
-            elif flips:
-                e |= b
-            else:
-                n |= b
-        return e, n, outside
-
-    @cached_property
-    def bodies(self) -> list[tuple[int, int] | None]:
-        return [clause(self.db, r.body, self.bit) for r in self.program]
-
-    @cached_property
-    def clauses(self) -> list[tuple[int, int]]:
-        """The clauses of the bodies that can hold, in program order."""
-        return [c for c in self.bodies if c is not None]
-
-    @cached_property
-    def support(self) -> dict[int, list[tuple[int, int]]]:
-        """Per bit of an essential head action ``a``, the clauses of
-        ``body − {dual(a)}``: ``a`` is founded when one of them holds.
-        ``dual(a)`` holds in ``db``, so it drops its bit from the clause of
-        the body; a body that never holds is compiled again without it."""
-        support: dict[int, list] = {}
-        for r, body in zip(self.program, self.bodies):
-            for a in r.head:
-                b = self._split((a,))[0]
-                if not b:
-                    continue
-                if body is None:
-                    c = clause(self.db, r.body - {lit(a).dual()}, self.bit)
-                else:
-                    c = body[0] & ~b, body[1]
-                if c is not None:
-                    support.setdefault(b, []).append(c)
-        return support
 
     @cached_property
     def rules(self) -> list[tuple[int, int, int, int]]:
-        """Each rule some set can violate, its trigger and head split into
-        essential and no-effect bits: ``(te, tn, he, hn)``. A trigger flip
-        outside the positions is in no set, and a head no-effect action
-        outside them in every set; their rules are dropped."""
+        """Each rule some set can violate, in program order, as
+        ``(te, tn, he, hn)``: the essential and no-effect bits of its
+        trigger, ``ua`` of the body literals whose dual action is not in
+        the head, and of its head. A body literal that fails in ``db`` is
+        an essential trigger action or the dual of a no-effect head action,
+        one that holds a no-effect trigger action or the dual of an
+        essential head action. Outside the positions a failing literal is
+        a trigger action in no set, or the dual of a head action in every
+        set, and its rule is dropped; a literal that holds is no bit. A
+        body that holds an atom and its dual never holds, but its rule is
+        kept: it still constrains the justified walk."""
+        db, bit = self.db, self.bit
         out = []
         for r in self.program:
-            te, tn, never = self._split(r.trigger)
-            he, hn, always = self._split(r.head)
-            if True not in never and False not in always:
-                out.append((te, tn, he, hn))
+            fails = holds = 0
+            for l in r.body:
+                b = bit.get(l.atom, 0)
+                if (l.atom in db) != l.positive:
+                    if not b:
+                        break
+                    fails |= b
+                else:
+                    holds |= b
+            else:
+                he = hn = 0
+                for a in r.head:
+                    if (a.atom in db) != a.insert:
+                        he |= bit.get(a.atom, 0)
+                    else:
+                        hn |= bit.get(a.atom, 0)
+                out.append((fails & ~hn, holds & ~he, he, hn))
         return out
+
+    @cached_property
+    def clauses(self) -> list[tuple[int, int]]:
+        """The clause ``(m, f)`` of each body that can hold, in program
+        order: ``m`` holds the bits of its atoms and ``f`` those whose
+        literal fails in ``db``, so flipping ``x`` makes the body hold
+        exactly when ``x & m == f``. A bit that both fails and holds is an
+        atom and its dual."""
+        return [
+            (te | tn | he | hn, te | hn)
+            for te, tn, he, hn in self.rules
+            if not (te | hn) & (tn | he)
+        ]
+
+    @cached_property
+    def support(self) -> dict[int, list[tuple[int, int]]]:
+        """Per bit ``b`` of an essential head action ``a``, the clauses of
+        ``body − {dual(a)}``: ``a`` is founded when one of them holds.
+        ``dual(a)`` holds in ``db``, so only its bit leaves the clause's
+        holding bits."""
+        support: dict[int, list] = {}
+        for te, tn, he, hn in self.rules:
+            y = he
+            while y:
+                b = y & -y
+                y ^= b
+                if not (te | hn) & (tn | he & ~b):
+                    support.setdefault(b, []).append((te | tn | he & ~b | hn, te | hn))
+        return support
+
+    @cached_property
+    def normalized(self) -> "_Compiled":
+        """The normalized program over the same positions."""
+        return _Compiled(self.db, transforms.normalize_aic(self.program), self.actions)
 
     def weak(self, x: int) -> bool:
         return all(x & m != f for m, f in self.clauses)
@@ -211,26 +224,31 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     )
 
 
-def _least(
-    clauses: list[tuple[int, int]], moves: int, seen: set | None = None
-) -> list[int]:
-    """The change-minimal weak repairs inside ``moves``, in canonical order.
-
-    The repair tree is a :func:`walk` from the empty set: at a mask ``s``
-    the first rule whose whole body holds in ``db∘s`` branches on every
-    body bit that ``s`` leaves alone and that ``moves`` holds, and its
-    leaves are weak repairs. Every change-minimal weak repair ``m`` inside
-    the moves is a leaf: above any ``s`` inside ``m``, ``m`` keeps the
-    flips of ``s`` and satisfies the rule, so it flips one. Every weak
-    repair holds a change-minimal one, so a leaf is change-minimal when it
-    holds none of the leaves kept before it, smallest first."""
+def _tree(clauses: list[tuple[int, int]], moves: int):
+    """The branch function of the repair tree, a :func:`walk` from the
+    empty set: at a mask ``s`` the first rule whose whole body holds in
+    ``db∘s`` branches on every body bit that ``s`` leaves alone and that
+    ``moves`` holds, and its leaves are weak repairs. Every change-minimal
+    weak repair ``m`` inside the moves is a leaf: above any ``s`` inside
+    ``m``, ``m`` keeps the flips of ``s`` and satisfies the rule, so it
+    flips one."""
     def branch(s):
         for m, f in clauses:
             if s & m == f:
                 return m & moves & ~s
         return None
+    return branch
+
+
+def _least(
+    clauses: list[tuple[int, int]], moves: int, seen: set | None = None
+) -> list[int]:
+    """The change-minimal weak repairs inside ``moves``, in canonical
+    order: the leaves of the repair tree (:func:`_tree`). Every weak repair
+    holds a change-minimal one, so a leaf is change-minimal when it holds
+    none of the leaves kept before it, smallest first."""
     kept: list[int] = []
-    for u in sorted(walk(0, branch, seen), key=int.bit_count):
+    for u in sorted(walk(0, _tree(clauses, moves), seen), key=int.bit_count):
         if all(v & u != v for v in kept):
             kept.append(u)
     return sorted(kept, key=positions)
@@ -287,21 +305,22 @@ def check_membership(
     normalized, grounding, minimal = _TABLE[repair_class]
     u = frozenset(actions)
     uni = _universe_for(db, program, u, universe)
-    grounds_on = transforms.normalize_aic(program) if normalized else program
-    disjunctive = grounding == "justified" and not is_normal(grounds_on)
+    disjunctive = (
+        grounding == "justified" and not normalized and not is_normal(program)
+    )
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
     if not is_consistent(u) or not _essential(db, u):
         return False
-    essential = essential_actions(db, uni)
-    compiled = _Compiled(db, program, essential)
+    compiled = _Compiled(db, program, essential_actions(db, uni))
     x = sum(compiled.bit[a.atom] for a in u)
-    grounds = _Compiled(db, grounds_on, essential) if normalized else compiled
-    return (
-        compiled.weak(x)
-        and _grounded(grounding, grounds, x)
-        and (not minimal or _least(compiled.clauses, x) == [x])
-    )
+    if not compiled.weak(x):
+        return False
+    if not _grounded(grounding, compiled.normalized if normalized else compiled, x):
+        return False
+    # Change-minimal when the repair tree over its own bits has no leaf
+    # but itself: the walk stops at the first other one.
+    return not minimal or all(leaf == x for leaf in walk(0, _tree(compiled.clauses, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +387,7 @@ def enumerate_classes(
         # Every member is inside the heads, and so are its subsets, the
         # weak repairs its minimality is tested against.
         essential = tuple(a for a in essential if a in heads)
-    programs = {False: _Compiled(db, program, essential)}
-    compiled = programs[False]
+    compiled = _Compiled(db, program, essential)
     seen: set = set()
     pool = minimal = []
     nodes = 0
@@ -379,18 +397,14 @@ def enumerate_classes(
         pool, nodes = clause_search(compiled.clauses, compiled.n)
     examined = len(seen) + nodes
 
-    if any(normalized for normalized, _, _ in rows):
-        programs[True] = _Compiled(db, transforms.normalize_aic(program), essential)
     keys = dict.fromkeys(row[:2] for row in rows if row[1])
     supported = sum(compiled.support) if keys else 0
-    grounded = {
-        (normalized, g): {
-            x
-            for x in pool
-            if not x & ~supported and _grounded(g, programs[normalized], x)
+    grounded = {}
+    for normalized, g in keys:
+        grounds = compiled.normalized if normalized else compiled
+        grounded[normalized, g] = {
+            x for x in pool if not x & ~supported and _grounded(g, grounds, x)
         }
-        for normalized, g in keys
-    }
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]

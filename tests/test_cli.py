@@ -604,7 +604,7 @@ def test_every_class_comes_from_one_scan_per_program(
 def test_change_minimal_sets_come_from_one_tree_per_engine_call(
     argv, trees, capsys, monkeypatch
 ):
-    calls = _count_calls(monkeypatch, "_least")
+    calls = _count_calls(monkeypatch, "_tree")
     enumerations = _count_calls(monkeypatch, "enumerate_classes")
     monkeypatch.chdir(GOLDEN)
     code, _, _ = run(argv, capsys)

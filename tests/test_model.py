@@ -30,7 +30,6 @@ from aicrepair.model import (
     UpdateAction,
     apply_revision,
     apply_update,
-    clause,
     clause_search,
     entails,
     essential_actions,
@@ -47,6 +46,7 @@ from aicrepair.model import (
     ua,
     walk,
 )
+from aicrepair.repairs import _Compiled
 
 atoms_st = st.sampled_from(("a", "b", "c", "dee", "x1"))
 literals_st = st.builds(Literal, atoms_st, st.booleans())
@@ -220,12 +220,19 @@ def _subsets(items) -> list[tuple]:
     return [c for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
 
 
+def _compile(db, bodies, atoms) -> _Compiled:
+    """The constraints ``body -> false`` compiled over the essential
+    actions of ``atoms``, bit ``i`` for ``atoms[i]``."""
+    program = tuple(AicRule(frozenset(body), frozenset()) for body in bodies)
+    actions = tuple(UpdateAction(a, a not in db) for a in atoms)
+    return _Compiled(db, program, actions)
+
+
 def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
     """Compile the bodies over ``atoms`` and search; the masks found come
     back as position tuples."""
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    clauses = [c for c in (clause(db, body, bit) for body in bodies) if c is not None]
-    found, nodes = clause_search(clauses, len(atoms))
+    compiled = _compile(db, bodies, atoms)
+    found, nodes = clause_search(compiled.clauses, compiled.n)
     return [tuple(positions(x)) for x in found], nodes
 
 
@@ -246,15 +253,15 @@ def test_clause_search_compiles_each_body_once():
     db = frozenset({"a"})
     a, not_a, b, not_b = Literal("a"), Literal("a", False), Literal("b"), Literal("b", False)
     # ``a`` holds unless ``a`` is flipped: its clause is bit 0, failing
-    # nowhere; ``a, not a`` never holds.
-    assert clause(db, {a}, {"a": 1}) == (1, 0)
-    assert clause(db, {a, not_a}, {"a": 1}) is None
+    # nowhere; ``a, not a`` never holds, so it has no clause.
+    assert _compile(db, [{a}], ("a",)).clauses == [(1, 0)]
+    assert _compile(db, [{a, not_a}], ("a",)).clauses == []
     assert _search(db, [{a}], ("a", "b"))[0] == [(0,), (0, 1)]
     assert _search(db, [{a, not_a}], ("a",))[0] == [(), (0,)]
     # ``b`` stays out of ``db`` when it is not searched: ``b`` fails, so
     # the body never holds, and ``not b`` holds, so the body is ``a``.
-    assert clause(db, {a, b}, {"a": 1}) is None
-    assert clause(db, {a, not_b}, {"a": 1}) == (1, 0)
+    assert _compile(db, [{a, b}], ("a",)).clauses == []
+    assert _compile(db, [{a, not_b}], ("a",)).clauses == [(1, 0)]
     assert _search(db, [{a, b}], ("a",))[0] == [(), (0,)]
     assert _search(db, [{a, not_b}], ("a",))[0] == [(0,)]
     # A body left with no searched atom holds whatever is flipped.

@@ -12,7 +12,7 @@ from aicrepair.errors import (
     UniverseTooLarge,
     UnknownAtom,
 )
-from aicrepair.model import Limits, Universe, UpdateAction
+from aicrepair.model import Limits, Universe, UpdateAction, walk
 from aicrepair.repairs import (
     RepairClass,
     check_justified_weak_repair,
@@ -88,6 +88,57 @@ def test_least_drops_a_leaf_reached_before_a_smaller_leaf_inside_it():
     seen = set()
     assert _least(compiled.clauses, 0b111, seen) == [0b001, 0b010]
     assert seen == {0b000, 0b001, 0b010, 0b100, 0b110}
+
+
+def test_change_minimal_check_stops_at_the_first_leaf_other_than_the_set(
+    monkeypatch,
+):
+    # Over +a, +b, +c the repair tree of {+a, +b, +c} branches on all three
+    # at the empty set, and each one is a leaf. The set is a weak repair
+    # but not change-minimal, and the check stops at the first leaf it
+    # reaches, {+c}, of the three. Over {+c} alone the one leaf is {+c}.
+    program = parse_program("not a, not b, not c -> +a | +b | +c.", "aic")
+    leaves = []
+
+    def counting_walk(*args):
+        for leaf in walk(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(repairs, "walk", counting_walk)
+    repair = RepairClass.REPAIR
+    assert not check_membership(frozenset(), program, repair, uas("+a, +b, +c"))
+    assert leaves == [0b100]
+    leaves.clear()
+    assert check_membership(frozenset(), program, repair, uas("+c"))
+    assert leaves == [0b100]
+
+
+def test_a_body_with_an_atom_and_its_dual_keeps_its_rule():
+    # Over db = {} and +x, +y (bits 0, 1): in ``x, not x`` the literal
+    # ``x`` fails in db and is a trigger literal (te), and ``not x`` holds
+    # and is the dual of the head action +x (he); in ``y, not y`` both are
+    # duals of head actions, ``y`` failing (hn). Neither body ever holds,
+    # so neither has a clause, but each rule stays for the justified walk,
+    # and ``body − {not x}`` (``{x}``, bit 0 failing) supports +x, as
+    # ``{y}`` supports +y.
+    actions = (UpdateAction("x", True), UpdateAction("y", True))
+    for text, rules, support in (
+        ("x, not x -> +x.", [(0b01, 0, 0b01, 0)], {0b01: [(0b01, 0b01)]}),
+        ("y, not y -> +y | -y.", [(0, 0, 0b10, 0b10)], {0b10: [(0b10, 0b10)]}),
+    ):
+        compiled = _Compiled(frozenset(), parse_program(text, "aic"), actions)
+        assert compiled.rules == rules, text
+        assert compiled.clauses == [], text
+        assert compiled.support == support, text
+    # The empty set does not hold the trigger +x, so it is closed and
+    # {+x} is not justified. {+y} is: the empty set violates the rule,
+    # whose head +y is the one move inside {+y}.
+    jwr = RepairClass.JUSTIFIED_WEAK_REPAIR
+    x_rule = parse_program("x, not x -> +x.", "aic")
+    y_rule = parse_program("y, not y -> +y | -y.", "aic")
+    assert not check_membership(frozenset(), x_rule, jwr, uas("+x"))
+    assert check_membership(frozenset(), y_rule, jwr, uas("+y"))
 
 
 def test_closedness_on_the_pair_constraint():
