@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
-from .model import Limits, is_normal, positions
+from .model import BYTE_POSITIONS, Limits, is_normal
 from .repairs import RepairClass
 from .revisions import RevisionClass
 from .syntax import (
@@ -128,13 +128,15 @@ def _class_for(instance: Instance, command: str, name: str):
 def _rows(actions: tuple, hits) -> list[tuple[str, ...]]:
     """Each hit as the strings of its actions, in canonical order. Per
     part of 8 positions, the strings of each byte of set bits that occurs
-    among the hits are computed once, and one comprehension appends them
-    to every row."""
+    among the hits are computed once, from the byte's positions in
+    ``BYTE_POSITIONS``, and one comprehension appends them to every row."""
     names = [str(a) for a in actions]
     rows = [()] * len(hits)
     for k in range(0, len(names), 8):
         part = [x >> k & 255 for x in hits]
-        strings = {b: tuple([names[k + i] for i in positions(b)]) for b in set(part)}
+        strings = {
+            b: tuple([names[k + i] for i in BYTE_POSITIONS[b]]) for b in set(part)
+        }
         rows = [row + strings[b] for row, b in zip(rows, part)]
     return rows
 

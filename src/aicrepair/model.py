@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -347,7 +347,7 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
 
 def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int], int]:
     """The masks over ``n`` positions that make no clause hold (``x & m !=
-    f`` for every ``(m, f)``), and the number of search nodes visited.
+    f`` for every ``(m, f)``), and the number of candidates examined.
 
     A clause with no position always holds, so no mask qualifies. Position
     ``i`` is a cut when no clause holds bits both below ``i`` and at or
@@ -355,8 +355,11 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
     crosses, so the masks are the unions of one mask per block, each found
     by :func:`_block_search` on the block's own clauses, and joined by
     :func:`_product`, last block first. The masks come out in the order of
-    their sorted positions. The nodes are summed over the blocks: ``3`` for
-    a block of one position in no clause, ``1`` when there is no position."""
+    their sorted positions. The count is summed over the blocks: the nodes
+    of each block's prefix search plus ``2**k`` for each truth table it
+    reads over its top ``k`` positions, so ``3`` for a block of one
+    position in no clause (the root and a table of 2), and ``2`` when there
+    is no position (the root and a table of 1)."""
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     spans = 0
     for m, f in clauses:
@@ -375,24 +378,80 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
     return found, nodes
 
 
+#: The number of positions at the top of a block that one truth table
+#: decides: ``2**10`` rows, one 1024-bit int per column.
+_TABLE_BITS = 10
+
+
+@cache
+def _table(k: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The truth table of ``k`` positions: its ``2**k`` rows, the masks
+    over the positions in the order of their sorted positions, cut into
+    runs of 8, and per position the column whose bit ``j`` is set when row
+    ``j`` holds the position, and its complement."""
+    order = [0]
+    for p in reversed(range(k)):
+        # The masks over positions p up: the empty one, those that hold
+        # p, then the others.
+        order = [0, *[1 << p | s for s in order], *order[1:]]
+    full = (1 << len(order)) - 1
+    columns = [
+        int("".join("1" if s >> p & 1 else "0" for s in reversed(order)), 2)
+        for p in range(k)
+    ]
+    runs = [order[j:j + 8] for j in range(0, len(order), 8)]
+    return runs, columns, [full ^ c for c in columns]
+
+
 def _block_search(
     by_last: list[list[tuple[int, int]]], lo: int, hi: int
 ) -> tuple[list[int], int]:
     """The masks over positions ``lo`` to ``hi - 1`` that make no clause
-    of the block hold, and the nodes visited. The search assigns the
-    positions in order, depth first, and tests each clause when its last
-    position (``by_last``) is assigned, cutting the branch there. From a
-    node it first follows the branch that sets no further bit, then each
-    child that sets one more, lowest first, with its whole subtree, so the
-    masks come out in the order of their sorted positions."""
+    of the block hold, and the candidates examined (see
+    :func:`clause_search`).
+
+    The top ``k = min(_TABLE_BITS, hi - lo)`` positions, from ``t = hi -
+    k`` up, are decided by a truth table (:func:`_table`), the positions
+    below ``t`` by a search that assigns them in order, depth first, and
+    tests each clause when its last position (``by_last``) is assigned,
+    cutting the branch there. From a node it first follows the branch that
+    sets no further bit, then each child that sets one more, lowest first,
+    with its whole subtree. Where that first branch reaches ``t`` with the
+    prefix ``x``, a clause that ends at ``t`` or above holds at the rows of
+    the table where its bits from ``t`` up hold, the AND of their columns,
+    once its bits below ``t`` agree with ``x``; the rows where none holds
+    are the masks ``x | s << t``. ``x`` itself comes first, the children of
+    ``x`` next, and the other rows only then, after a marker on the stack,
+    so the masks come out in the order of their sorted positions."""
+    k = min(_TABLE_BITS, hi - lo)
+    t = hi - k
+    runs, columns, complements = _table(k)
+    full = (1 << (1 << k)) - 1
+    below = (1 << t) - 1
+    # The rows where each clause that ends in the table holds: for all
+    # prefixes when it has no bit below ``t``, else only those that agree
+    # with its bits there.
+    always, late = 0, []
+    for i in range(t, hi):
+        for m, f in by_last[i]:
+            rows = full
+            for p in positions(m >> t):
+                rows &= columns[p] if f >> t + p & 1 else complements[p]
+            if m & below:
+                late.append((m & below, f & below, rows))
+            else:
+                always |= rows
     found: list[int] = []
     nodes = 1
-    todo = [(lo, 0)]
+    todo: list = [(lo, 0)]
     while todo:
         start, x = todo.pop()
+        if start < 0:  # the marker: the rest of a table
+            found += x
+            continue
         i = start
         children = []
-        while i < hi:
+        while i < t:
             checks = by_last[i]
             y = x | 1 << i
             for m, f in checks:
@@ -408,7 +467,22 @@ def _block_search(
                 continue
             break
         else:
-            found.append(x)
+            bad = always
+            for low, fails, rows in late:
+                if x & low == fails:
+                    bad |= rows
+            free = full ^ bad
+            if free & 1:
+                found.append(x)
+            rest = []
+            for run, b in zip(runs, (free & ~1).to_bytes(len(runs), "little")):
+                if b:
+                    rest += [x | run[p] << t for p in BYTE_POSITIONS[b]]
+            nodes += 1 << k
+            if children and rest:
+                todo.append((-1, rest))
+            else:
+                found += rest
         nodes += i - start + len(children)
         todo.extend(reversed(children))
     return found, nodes
@@ -476,6 +550,10 @@ def positions(x: int) -> list[int]:
         out.append(b.bit_length() - 1)
         x ^= b
     return out
+
+
+#: ``positions(b)`` of every byte ``b``.
+BYTE_POSITIONS = tuple(tuple(positions(b)) for b in range(256))
 
 
 def members(items: tuple, masks: Iterable[int]) -> Iterator[frozenset]:

@@ -338,9 +338,11 @@ class Report:
     one engine call shares its ``actions``. ``sets``, the members as
     frozensets in the same order, is built on first read. ``examined``
     counts the candidate sets the engine visited for the request: the sets
-    of the repair tree, when a change-minimal class is asked for, plus the
-    nodes of the clause search, summed over the position blocks it splits
-    into, when a weak class is."""
+    of the repair tree, when a change-minimal class is asked for, plus,
+    when a weak class is, the candidates of the clause search, summed over
+    the position blocks it splits into: the nodes of each block's prefix
+    search and ``2**k`` for each truth table it reads over the block's top
+    ``k`` positions, since a table decides all its rows at once."""
 
     semantics: enum.Enum
     actions: tuple

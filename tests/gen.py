@@ -58,6 +58,25 @@ def aic_program(
     )
 
 
+def connected_aic(rnd: random.Random, atoms, rules: int) -> tuple[AicRule, ...]:
+    """Sparse constraints with 3-literal bodies and 1-2 head actions, the
+    shape of the benchmark's connected instances (``atoms`` holds at least
+    3). Rule ``k`` ties atom ``k`` to an earlier atom, so the atoms form
+    one component."""
+    out = []
+    for k in range(rules):
+        if 0 < k < len(atoms):
+            body_atoms = [atoms[k], rnd.choice(atoms[:k])]
+            body_atoms.append(rnd.choice([a for a in atoms if a not in body_atoms]))
+        else:
+            body_atoms = rnd.sample(atoms, 3)
+        body = [Literal(a, rnd.random() < 0.5) for a in body_atoms]
+        heads = rnd.sample(body, rnd.choice((1, 1, 2)))
+        head = frozenset(UpdateAction(l.atom, not l.positive) for l in heads)
+        out.append(AicRule(frozenset(body), head))
+    return tuple(out)
+
+
 def rev_rule(
     rnd: random.Random, atoms, normal: bool = False, proper: bool = True
 ) -> RevRule:

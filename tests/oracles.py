@@ -369,3 +369,57 @@ def answer_sets(program, atoms) -> set[frozenset]:
             continue
         found.add(m)
     return found
+
+
+# -- clause search -------------------------------------------------------
+#
+# The reference for ``model.clause_search``, on its masks rather than on
+# sets: the search node by node, over all positions as one block.
+
+
+def clause_search(clauses, n: int) -> list[int]:
+    """The masks over ``n`` positions that make no clause ``(m, f)`` hold
+    (``x & m != f``), in the order of their sorted positions."""
+    by_last = [[] for _ in range(n)]
+    for m, f in clauses:
+        if not m:
+            return []
+        by_last[m.bit_length() - 1].append((m, f))
+    return block_search(by_last, 0, n)[0]
+
+
+def block_search(by_last, lo: int, hi: int) -> tuple[list[int], int]:
+    """The masks over positions ``lo`` to ``hi - 1`` that make no clause
+    hold, and the nodes visited. The search assigns the positions in
+    order, depth first, and tests each clause when its last position
+    (``by_last``) is assigned, cutting the branch there. From a node it
+    first follows the branch that sets no further bit, then each child
+    that sets one more, lowest first, with its whole subtree, so the masks
+    come out in the order of their sorted positions."""
+    found = []
+    nodes = 1
+    todo = [(lo, 0)]
+    while todo:
+        start, x = todo.pop()
+        i = start
+        children = []
+        while i < hi:
+            checks = by_last[i]
+            y = x | 1 << i
+            for m, f in checks:
+                if y & m == f:
+                    break
+            else:
+                children.append((i + 1, y))
+            for m, f in checks:
+                if x & m == f:
+                    break
+            else:
+                i += 1
+                continue
+            break
+        else:
+            found.append(x)
+        nodes += i - start + len(children)
+        todo.extend(reversed(children))
+    return found, nodes

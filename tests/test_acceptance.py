@@ -1260,7 +1260,8 @@ def test_mask_predicates_match_the_definitions_on_sets():
 
 # ---------------------------------------------------------------------------
 # Gate 11: the search split into position blocks gives what a brute-force
-# scan gives, on clause sets and on instances made of components
+# scan gives, on clause sets at every table width and on instances made of
+# components, and past brute force what the node-by-node search gives
 
 BLOCK_CLAUSE_SETS = 20000
 BLOCK_POSITIONS = 10
@@ -1290,7 +1291,7 @@ def _clause_set(rnd, n) -> list[tuple[int, int]]:
     return clauses
 
 
-def test_block_search_matches_brute_force():
+def _block_gate() -> None:
     for i in range(BLOCK_CLAUSE_SETS):
         rnd = random.Random(f"block-search-{i}")
         n = rnd.randint(0, BLOCK_POSITIONS)
@@ -1301,6 +1302,56 @@ def test_block_search_matches_brute_force():
         found, nodes = clause_search(clauses, n)
         assert found == want, f"block-search-{i}: {n} positions, {clauses}"
         assert (nodes == 0) == any(not m for m, _ in clauses), f"block-search-{i}"
+
+
+def test_block_search_matches_brute_force():
+    _block_gate()
+
+
+@pytest.mark.parametrize("bits", [0, 2, 4])
+def test_block_search_matches_brute_force_at_narrow_widths(monkeypatch, bits):
+    # At the full table width no block of the gate is wider than the
+    # table, so the prefix search never runs; narrower tables make blocks
+    # that join a prefix search to a table, and at width 0 the prefix
+    # search decides every position.
+    monkeypatch.setattr(model, "_TABLE_BITS", bits)
+    _block_gate()
+
+
+#: Connected instances per size, 11 to 18 positions, for the differential
+#: gate below.
+CONNECTED_SIZES = range(11, 19)
+CONNECTED_INSTANCES = 10
+
+
+def test_table_search_matches_the_node_search_past_brute_force():
+    # Connected instances of 11-18 positions in the shape of the
+    # benchmark's pools, and ``wide16.aic`` renamed so that its components
+    # interleave, each hold a block wider than a table: a prefix search
+    # joined to tables must list what the node-by-node search lists, in
+    # the same order.
+    cases = []
+    for n in CONNECTED_SIZES:
+        for k in range(CONNECTED_INSTANCES):
+            rnd = random.Random(f"connected-{n}-{k}")
+            atoms = gen.atom_pool(rnd, n)
+            program = gen.connected_aic(rnd, atoms, n)
+            db = gen.database(rnd, atoms)
+            cases.append((f"connected-{n}-{k}", db, program, atoms))
+    wide = _load("wide16.aic")
+    names = "abcdefghijklmnop"
+    to = {a: names[4 * (i % 4) + i // 4] for i, a in enumerate(names)}
+    cases.append((
+        "wide16-interleaved",
+        frozenset(to[a] for a in wide.db),
+        _renamed(wide.program, to),
+        tuple(names),
+    ))
+    for where, db, program, atoms in cases:
+        actions = essential_actions(db, Universe(atoms))
+        clauses = repairs._Compiled(db, program, actions).clauses
+        found, _ = clause_search(clauses, len(actions))
+        assert found == oracles.clause_search(clauses, len(actions)), where
 
 
 def _renamed(program, to: dict):

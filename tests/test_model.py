@@ -240,13 +240,14 @@ def test_subset_iterators():
     # With no bodies the clause search lists every subset once, in the
     # order of their sorted positions, whatever the names of the atoms. No
     # clause crosses a position, so every position is a block of its own:
-    # its search visits the root, the child that sets its bit and the leaf
-    # that leaves it unset, 3 nodes, and the counts add up over the blocks.
-    # With no position there is one empty block, its root alone.
+    # its search counts the root and a truth table of its one position, 2
+    # rows, 3 in all, and the counts add up over the blocks. With no
+    # position there is one empty block: its root and a table of no
+    # position, 1 row, 2 in all.
     for atoms in (("d", "a", "c", "b"), ("a",), ()):
         found, nodes = _search(frozenset(), (), atoms)
         assert found == sorted(_subsets(range(len(atoms))))
-        assert nodes == (3 * len(atoms) if atoms else 1)
+        assert nodes == (3 * len(atoms) if atoms else 2)
 
 
 def test_clause_search_compiles_each_body_once():
@@ -267,11 +268,11 @@ def test_clause_search_compiles_each_body_once():
     # A body left with no searched atom holds whatever is flipped.
     assert _search(db, [{not_b}], ("a",)) == ([], 0)
     assert _search(db, [()], ()) == ([], 0)
-    # Each clause cuts where its last atom is assigned, and no clause
-    # crosses from ``a`` to ``b``, so each is a block of its own. Block
-    # ``{a}``: the branch that keeps ``a`` is cut at once, so the nodes are
-    # the root and ``{a}``, 2. Block ``{b}`` has no clause: 3 nodes.
-    assert _search(db, [{a}], ("a", "b"))[1] == 2 + 3
+    # No clause crosses from ``a`` to ``b``, so each is a block of its own,
+    # one position wide, which a table of 2 rows decides: the root and the
+    # 2 rows, 3, whether a clause drops a row (block ``{a}``) or not
+    # (block ``{b}``).
+    assert _search(db, [{a}], ("a", "b"))[1] == 3 + 3
 
 
 def test_walk_visits_each_set_once_and_yields_only_leaves():
