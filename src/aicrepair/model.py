@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InconsistentUpdateSet,
@@ -355,11 +355,10 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
     crosses, so the masks are the unions of one mask per block, each found
     by :func:`_block_search` on the block's own clauses, and joined by
     :func:`_product`, last block first. The masks come out in the order of
-    their sorted positions. The count is summed over the blocks: the nodes
-    of each block's prefix search plus ``2**k`` for each truth table it
-    reads over its top ``k`` positions, so ``3`` for a block of one
-    position in no clause (the root and a table of 2), and ``2`` when there
-    is no position (the root and a table of 1)."""
+    their sorted positions. The count is summed over the blocks: ``2**k``
+    for each truth table a block reads over ``k`` of its positions, so
+    ``2`` for a block of one position in no clause, and ``1`` when there
+    is no position (a table of one row)."""
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     spans = 0
     for m, f in clauses:
@@ -373,13 +372,16 @@ def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int]
     found, nodes = _block_search(by_last, starts[-1], n)
     for lo, hi in zip(reversed(starts[:-1]), reversed(starts[1:])):
         low, visited = _block_search(by_last, lo, hi)
-        found = _product(low, found)
+        has_empty = bool(found) and not found[0]
+        rest = found[1:] if has_empty else found
+        found = _product(low, lambda a: (has_empty, [a | b for b in rest]))
         nodes += visited
     return found, nodes
 
 
 #: The number of positions at the top of a block that one truth table
-#: decides: ``2**10`` rows, one 1024-bit int per column.
+#: decides: ``2**10`` rows, one 1024-bit int per column. At least 1, so
+#: that each level of :func:`_block_search` leaves fewer positions.
 _TABLE_BITS = 10
 
 
@@ -411,18 +413,14 @@ def _block_search(
     :func:`clause_search`).
 
     The top ``k = min(_TABLE_BITS, hi - lo)`` positions, from ``t = hi -
-    k`` up, are decided by a truth table (:func:`_table`), the positions
-    below ``t`` by a search that assigns them in order, depth first, and
-    tests each clause when its last position (``by_last``) is assigned,
-    cutting the branch there. From a node it first follows the branch that
-    sets no further bit, then each child that sets one more, lowest first,
-    with its whole subtree. Where that first branch reaches ``t`` with the
-    prefix ``x``, a clause that ends at ``t`` or above holds at the rows of
-    the table where its bits from ``t`` up hold, the AND of their columns,
-    once its bits below ``t`` agree with ``x``; the rows where none holds
-    are the masks ``x | s << t``. ``x`` itself comes first, the children of
-    ``x`` next, and the other rows only then, after a marker on the stack,
-    so the masks come out in the order of their sorted positions."""
+    k`` up, are decided by a truth table (:func:`_table`): a clause that
+    ends at ``t`` or above holds at the rows where its bits from ``t`` up
+    hold, the AND of their columns, once its bits below ``t`` agree with
+    the prefix ``x``; the rows where none holds are the masks ``x | s <<
+    t``. When ``t`` is ``lo`` the one prefix is ``0`` and the free rows
+    are the masks. Otherwise the prefixes are the masks over ``lo`` to ``t
+    - 1``, found the same way, each with its free rows joined by
+    :func:`_product`, and every prefix costs one table read."""
     k = min(_TABLE_BITS, hi - lo)
     t = hi - k
     runs, columns, complements = _table(k)
@@ -441,76 +439,53 @@ def _block_search(
                 late.append((m & below, f & below, rows))
             else:
                 always |= rows
-    found: list[int] = []
-    nodes = 1
-    todo: list = [(lo, 0)]
-    while todo:
-        start, x = todo.pop()
-        if start < 0:  # the marker: the rest of a table
-            found += x
-            continue
-        i = start
-        children = []
-        while i < t:
-            checks = by_last[i]
-            y = x | 1 << i
-            for m, f in checks:
-                if y & m == f:
-                    break
-            else:
-                children.append((i + 1, y))
-            for m, f in checks:
-                if x & m == f:
-                    break
-            else:
-                i += 1
-                continue
-            break
-        else:
-            bad = always
-            for low, fails, rows in late:
-                if x & low == fails:
-                    bad |= rows
-            free = full ^ bad
-            if free & 1:
-                found.append(x)
-            rest = []
-            for run, b in zip(runs, (free & ~1).to_bytes(len(runs), "little")):
-                if b:
-                    rest += [x | run[p] << t for p in BYTE_POSITIONS[b]]
-            nodes += 1 << k
-            if children and rest:
-                todo.append((-1, rest))
-            else:
-                found += rest
-        nodes += i - start + len(children)
-        todo.extend(reversed(children))
-    return found, nodes
+
+    def read(x: int, free: int) -> list[int]:
+        # The rows of ``free``, as masks over the prefix ``x``.
+        out: list[int] = []
+        for run, b in zip(runs, free.to_bytes(len(runs), "little")):
+            if b:
+                out += [x | run[p] << t for p in BYTE_POSITIONS[b]]
+        return out
+
+    if t == lo:
+        return read(0, full ^ always), 1 << k
+
+    def high(x: int) -> tuple[bool, list[int]]:
+        bad = always
+        for low, fails, rows in late:
+            if x & low == fails:
+                bad |= rows
+        return not bad & 1, read(x, full & ~(bad | 1))
+
+    prefixes, nodes = _block_search(by_last, lo, t)
+    return _product(prefixes, high), nodes + (len(prefixes) << k)
 
 
-def _product(low: list[int], high: list[int]) -> list[int]:
-    """Every ``a | b`` with ``a`` of ``low`` and ``b`` of ``high``, where
-    every position of ``high`` lies above those of ``low`` and both lists
-    are in the order of their sorted positions, in that order too. Sorted
-    positions compare as sequences, so ``a`` itself (``b = 0``) comes
-    first, then the members of ``low`` that extend ``a`` above its top
-    bit, which follow ``a`` in ``low``, each with its own unions, and only
-    then ``a | b`` for each other ``b``: ``{0} ∪ {4}`` follows ``{0, 1}``.
-    A stack holds the members of ``low`` whose extensions are still being
-    listed."""
-    has_empty = bool(high) and not high[0]
-    rest = high[1:] if has_empty else high
+def _product(
+    low: list[int], high: Callable[[int], tuple[bool, list[int]]]
+) -> list[int]:
+    """Each member ``a`` of ``low`` joined to its part ``high(a)``, in the
+    order of their sorted positions, which ``low`` is in too. ``high(a)``
+    gives whether ``a`` itself qualifies and, in that order, the other
+    masks ``a | b`` that do, every ``b`` above the positions of ``low``.
+    Sorted positions compare as sequences, so ``a`` itself comes first,
+    then the members of ``low`` that extend ``a`` above its top bit, which
+    follow ``a`` in ``low``, each with its own unions, and only then the
+    unions of ``a``: ``{0} ∪ {4}`` follows ``{0, 1}``. A stack holds the
+    members of ``low`` whose extensions are still being listed, with their
+    unions."""
     out: list[int] = []
-    pending: list[int] = []
+    pending: list[tuple[int, list[int]]] = []
     for a in low:
-        while pending and a & (1 << pending[-1].bit_length()) - 1 != pending[-1]:
-            t = pending.pop()
-            out += [t | b for b in rest]
-        if has_empty:
+        while pending and a & (1 << pending[-1][0].bit_length()) - 1 != pending[-1][0]:
+            out += pending.pop()[1]
+        own, unions = high(a)
+        if own:
             out.append(a)
-        pending.append(a)
-    for t in reversed(pending):
-        out += [t | b for b in rest]
+        pending.append((a, unions))
+    for _, unions in reversed(pending):
+        out += unions
     return out
 
 

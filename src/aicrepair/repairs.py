@@ -340,9 +340,9 @@ class Report:
     counts the candidate sets the engine visited for the request: the sets
     of the repair tree, when a change-minimal class is asked for, plus,
     when a weak class is, the candidates of the clause search, summed over
-    the position blocks it splits into: the nodes of each block's prefix
-    search and ``2**k`` for each truth table it reads over the block's top
-    ``k`` positions, since a table decides all its rows at once."""
+    the position blocks it splits into: ``2**k`` for each truth table a
+    block reads over ``k`` of its positions, since a table decides all its
+    rows at once."""
 
     semantics: enum.Enum
     actions: tuple
@@ -412,7 +412,8 @@ def enumerate_classes(
         normalized, grounding, change_minimal = _TABLE[c]
         hits = minimal if change_minimal else pool
         if grounding:
-            hits = [x for x in hits if x in grounded[normalized, grounding]]
+            keep = grounded[normalized, grounding]
+            hits = [x for x in hits if x in keep]
         reports[c] = Report(c, essential, tuple(hits), examined)
     return reports
 

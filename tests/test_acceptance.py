@@ -1308,31 +1308,31 @@ def test_block_search_matches_brute_force():
     _block_gate()
 
 
-@pytest.mark.parametrize("bits", [0, 2, 4])
+@pytest.mark.parametrize("bits", [1, 2, 4])
 def test_block_search_matches_brute_force_at_narrow_widths(monkeypatch, bits):
     # At the full table width no block of the gate is wider than the
-    # table, so the prefix search never runs; narrower tables make blocks
-    # that join a prefix search to a table, and at width 0 the prefix
-    # search decides every position.
+    # table, so it is read once; narrower tables make blocks whose low
+    # positions are searched again below the top table and joined to it,
+    # and at width 1 a block of 10 positions recurses 10 deep.
     monkeypatch.setattr(model, "_TABLE_BITS", bits)
     _block_gate()
 
 
-#: Connected instances per size, 11 to 18 positions, for the differential
-#: gate below.
-CONNECTED_SIZES = range(11, 19)
-CONNECTED_INSTANCES = 10
+#: Connected instances per size for the differential gate below: 10 each
+#: of 11-18 positions, and 2 each of 21 and 22, each one block whose top
+#: two tables sit above a prefix of 1-2 positions.
+CONNECTED_SIZES = [*((n, 10) for n in range(11, 19)), (21, 2), (22, 2)]
 
 
 def test_table_search_matches_the_node_search_past_brute_force():
-    # Connected instances of 11-18 positions in the shape of the
+    # Connected instances of 11-22 positions in the shape of the
     # benchmark's pools, and ``wide16.aic`` renamed so that its components
-    # interleave, each hold a block wider than a table: a prefix search
-    # joined to tables must list what the node-by-node search lists, in
-    # the same order.
+    # interleave, each hold a block wider than a table: its low positions'
+    # masks joined to the tables above them must list what the node-by-node
+    # search lists, in the same order.
     cases = []
-    for n in CONNECTED_SIZES:
-        for k in range(CONNECTED_INSTANCES):
+    for n, count in CONNECTED_SIZES:
+        for k in range(count):
             rnd = random.Random(f"connected-{n}-{k}")
             atoms = gen.atom_pool(rnd, n)
             program = gen.connected_aic(rnd, atoms, n)
@@ -1382,10 +1382,18 @@ def _components(rnd):
 def test_position_blocks_match_plain_scan(monkeypatch):
     blocks = {"contiguous": 0, "interleaved": 0}
     block_search = model._block_search
+    depth = 0
 
     def counting(by_last, lo, hi):
-        blocks[naming] += 1
-        return block_search(by_last, lo, hi)
+        # A block wider than a table searches its low positions through
+        # this name again; only the outermost call is a block.
+        nonlocal depth
+        blocks[naming] += not depth
+        depth += 1
+        try:
+            return block_search(by_last, lo, hi)
+        finally:
+            depth -= 1
 
     monkeypatch.setattr(model, "_block_search", counting)
     aic_grounded = [c for c in RepairClass if repairs._TABLE[c][1]]

@@ -240,14 +240,13 @@ def test_subset_iterators():
     # With no bodies the clause search lists every subset once, in the
     # order of their sorted positions, whatever the names of the atoms. No
     # clause crosses a position, so every position is a block of its own:
-    # its search counts the root and a truth table of its one position, 2
-    # rows, 3 in all, and the counts add up over the blocks. With no
-    # position there is one empty block: its root and a table of no
-    # position, 1 row, 2 in all.
+    # its search reads a truth table of its one position, 2 rows, and the
+    # counts add up over the blocks. With no position there is one empty
+    # block: a table of no position, 1 row.
     for atoms in (("d", "a", "c", "b"), ("a",), ()):
         found, nodes = _search(frozenset(), (), atoms)
         assert found == sorted(_subsets(range(len(atoms))))
-        assert nodes == (3 * len(atoms) if atoms else 2)
+        assert nodes == (2 * len(atoms) if atoms else 1)
 
 
 def test_clause_search_compiles_each_body_once():
@@ -269,10 +268,9 @@ def test_clause_search_compiles_each_body_once():
     assert _search(db, [{not_b}], ("a",)) == ([], 0)
     assert _search(db, [()], ()) == ([], 0)
     # No clause crosses from ``a`` to ``b``, so each is a block of its own,
-    # one position wide, which a table of 2 rows decides: the root and the
-    # 2 rows, 3, whether a clause drops a row (block ``{a}``) or not
-    # (block ``{b}``).
-    assert _search(db, [{a}], ("a", "b"))[1] == 3 + 3
+    # one position wide, which a table of 2 rows decides: 2 rows each,
+    # whether a clause drops a row (block ``{a}``) or not (block ``{b}``).
+    assert _search(db, [{a}], ("a", "b"))[1] == 2 + 2
 
 
 def test_walk_visits_each_set_once_and_yields_only_leaves():

@@ -237,9 +237,9 @@ def test_enumeration_orders_sets_canonically():
     db = frozenset({"a", "b"})
     report = enumerate_repairs(db, PAIR, RepairClass.WEAK_REPAIR)
     assert report.sets == (uas("-a"), uas("-a, -b"), uas("-b"))
-    # One block of both positions, which one table decides: the root of
-    # the search and the table's 2**2 rows.
-    assert report.examined == 1 + 4
+    # One block of both positions, which one table decides: its 2**2
+    # rows.
+    assert report.examined == 4
     keys = [oracles.canonical_key(s) for s in report.sets]
     assert keys == sorted(keys)
     assert report.actions == (UpdateAction("a", False), UpdateAction("b", False))
@@ -247,9 +247,9 @@ def test_enumeration_orders_sets_canonically():
 
 
 def test_the_repair_tree_counts_the_sets_it_visits():
-    # A weak class runs the clause search (see above): its root and one
-    # table of 4 rows. The repair tree visits the empty set, then -a and
-    # -b, which are leaves.
+    # A weak class runs the clause search (see above): one table of 4
+    # rows. The repair tree visits the empty set, then -a and -b, which
+    # are leaves.
     report = enumerate_repairs(frozenset({"a", "b"}), PAIR, RepairClass.REPAIR)
     assert report.sets == (uas("-a"), uas("-b"))
     assert report.examined == 3
