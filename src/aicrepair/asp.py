@@ -17,6 +17,8 @@ each one call into :mod:`repairs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from . import repairs
 from .errors import NotSimpleRule
@@ -74,6 +76,9 @@ class LpRule:
 
 LogicProgram = tuple[LpRule, ...]
 
+# The three atom sets of a rule, read in C.
+_PARTS = attrgetter("head", "pos_body", "neg_body")
+
 
 def is_simple(program: LogicProgram) -> bool:
     return all(r.simple for r in program)
@@ -115,8 +120,10 @@ def answer_sets(
     insertion, so canonical order is atom order. The universe and its atom
     bound are those of the program as given."""
     uni = Universe.collect(program) if universe is None else universe
-    for r in program:
-        uni.require(r.atoms(), "rule")
+    atoms = chain.from_iterable(chain.from_iterable(map(_PARTS, program)))
+    if not uni.covers(atoms):
+        for r in program:
+            uni.require(r.atoms(), "rule")
     report = repairs.enumerate_repairs(
         frozenset(),
         aic_of_program(_simplified(program)),

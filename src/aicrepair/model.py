@@ -13,12 +13,18 @@ Conventions used throughout the package:
 * ``ua`` maps literals and revision literals to update actions, ``lit`` maps
   actions and revision literals to literals, and ``rev_literal`` maps the
   other two kinds to revision literals; all are bijections on their domains.
+
+Literals, update actions and revision literals are ``(atom, flag)`` named
+tuples: they hash and sort as that pair, in C, with C field getters, and
+are equal only to an item of the same class. Every rule parsed or built
+hashes its items into two frozensets, so this is what a rule costs.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
@@ -43,43 +49,46 @@ def _check_atom_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class _Value(tuple):
+    """What the three value types share: an ``(atom, flag)`` pair that
+    hashes and orders as that tuple, in C, and equals only an item of its
+    own class."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return self.__class__ is not other.__class__ or tuple.__ne__(self, other)
+
+    def dual(self):
+        return tuple.__new__(self.__class__, (self[0], not self[1]))
+
+
+class Literal(namedtuple("Literal", ("atom", "positive"), defaults=(True,)), _Value):
     """A propositional literal: ``a`` or ``not a``."""
 
-    atom: str
-    positive: bool = True
-
-    def dual(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.atom if self.positive else f"not {self.atom}"
 
 
-@dataclass(frozen=True, order=True)
-class UpdateAction:
+class UpdateAction(namedtuple("UpdateAction", ("atom", "insert")), _Value):
     """An insertion ``+a`` (``insert=True``) or deletion ``-a`` of an atom."""
 
-    atom: str
-    insert: bool
-
-    def dual(self) -> "UpdateAction":
-        return UpdateAction(self.atom, not self.insert)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return ("+" if self.insert else "-") + self.atom
 
 
-@dataclass(frozen=True, order=True)
-class RevLiteral:
+class RevLiteral(namedtuple("RevLiteral", ("atom", "is_in")), _Value):
     """A revision literal: ``in(a)`` (``is_in=True``) or ``out(a)``."""
 
-    atom: str
-    is_in: bool
-
-    def dual(self) -> "RevLiteral":
-        return RevLiteral(self.atom, not self.is_in)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"in({self.atom})" if self.is_in else f"out({self.atom})"
@@ -115,10 +124,7 @@ def rev_literal(x: UpdateAction | Literal) -> RevLiteral:
 
 # Canonical sort keys: atom name first, then positive/insert/in before its dual.
 def _key(x) -> tuple:
-    flag = x.positive if isinstance(x, Literal) else (
-        x.insert if isinstance(x, UpdateAction) else x.is_in
-    )
-    return (x.atom, 0 if flag else 1)
+    return (x[0], not x[1])
 
 
 def ordered(xs: Iterable) -> list:
@@ -139,8 +145,10 @@ class Universe:
 
     def __post_init__(self):
         names = tuple(sorted(set(self.atoms)))
-        for name in names:
-            _check_atom_name(name)
+        # One pass in C; the first bad name is found only when there is one.
+        if not all(map(ATOM_RE.match, names)) or not RESERVED_WORDS.isdisjoint(names):
+            for name in names:
+                _check_atom_name(name)
         object.__setattr__(self, "atoms", names)
 
     def __contains__(self, atom: str) -> bool:
@@ -152,6 +160,11 @@ class Universe:
     @cached_property
     def _atom_set(self) -> frozenset[str]:
         return frozenset(self.atoms)
+
+    def covers(self, atoms: Iterable[str]) -> bool:
+        """Every atom is in the universe: one pass, in C. Callers that get
+        ``False`` call :meth:`require` to name the culprit."""
+        return self._atom_set.issuperset(atoms)
 
     def require(self, atoms: Iterable[str], context: str = "") -> None:
         """Name the smallest unknown atom, whatever the set iteration order."""
@@ -189,14 +202,25 @@ class AicRule:
     body: frozenset[Literal]
     head: frozenset[UpdateAction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", frozenset(self.body))
-        object.__setattr__(self, "head", frozenset(self.head))
-        missing = [
-            a for a in self.head if Literal(a.atom, not a.insert) not in self.body
-        ]
-        if missing:
-            raise UpdatableConditionViolated(min(missing, key=_key), self._raw_text())
+    def __init__(self, body: Iterable[Literal], head: Iterable[UpdateAction]):
+        # Each field is written once, straight into the instance: a frozen
+        # dataclass's own __init__ sets it twice through object.__setattr__.
+        fields = self.__dict__
+        fields["body"] = body = frozenset(body)
+        fields["head"] = head = frozenset(head)
+        if head:
+            # ``+a`` needs ``not a`` in the body and ``-a`` needs ``a``: an
+            # action whose atom has the other flag in the body has its dual
+            # there. An atom with both flags keeps one, so an action that
+            # agrees with it is looked up in full.
+            flags = {l.atom: l.positive for l in body}
+            missing = [
+                a for a in head
+                if flags.get(a.atom, a.insert) == a.insert
+                and Literal(a.atom, not a.insert) not in body
+            ]
+            if missing:
+                raise UpdatableConditionViolated(min(missing, key=_key), self._raw_text())
 
     def _raw_text(self) -> str:
         body = ", ".join(str(l) for l in ordered(self.body))
@@ -242,10 +266,12 @@ class RevRule:
     head: frozenset[RevLiteral]
     body: frozenset[RevLiteral]
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", frozenset(self.head))
-        object.__setattr__(self, "body", frozenset(self.body))
-        if not self.head and not self.body:
+    def __init__(self, head: Iterable[RevLiteral], body: Iterable[RevLiteral]):
+        # Written once, as in AicRule.
+        fields = self.__dict__
+        fields["head"] = head = frozenset(head)
+        fields["body"] = body = frozenset(body)
+        if not head and not body:
             raise InputError("a revision rule needs a head or a body")
 
     @property

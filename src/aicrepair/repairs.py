@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from . import transforms
@@ -71,12 +73,19 @@ _TABLE = {
 }
 
 
+_BODY = attrgetter("body")
+
+
 def _universe_for(db, program, actions=(), universe=None) -> Universe:
     if universe is not None:
         universe.require(db, "database")
         universe.require((a.atom for a in actions), "update set")
-        for r in program:
-            universe.require(r.atoms(), "constraint")
+        # A head action's atom is in its body (the updatability condition),
+        # so the body atoms are all the atoms of the program.
+        atoms = map(itemgetter(0), chain.from_iterable(map(_BODY, program)))
+        if not universe.covers(atoms):
+            for r in program:
+                universe.require(r.atoms(), "constraint")
         return universe
     return Universe.collect(db, (a.atom for a in actions), program)
 

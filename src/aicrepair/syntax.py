@@ -48,13 +48,16 @@ SECTION_NAMES = ("universe", "db", "aic", "rev", "lp")
 # as "-" ">". Whitespace and comments separate them.
 _TOKEN = r"[a-z][A-Za-z0-9_]*|->|<-|:-|[|,.():+-]"
 _SPACE = r"[ \t\r\n]+|%[^\n]*"
+_WHITESPACE = " \t\r\n"
+# Split at tokens and comments: gaps, then a token (or None for a
+# comment) and the next gap in turn. A text lexes when every gap is
+# whitespace.
+_SPLIT_RE = re.compile(rf"({_TOKEN})|%[^\n]*")
 # The longest prefix of a text that lexes: the character after it is bad.
 _LEXABLE_RE = re.compile(rf"(?:{_SPACE}|{_TOKEN})*")
-_SPACE_RE = re.compile(rf"(?:{_SPACE})*")
-# One token and the space after it: from the end of a text's leading space,
-# the matches of a text that lexes follow each other with no gap.
-_TOKEN_RE = re.compile(rf"({_TOKEN})(?:{_SPACE})*")
 _TRAILING_COMMENT_RE = re.compile(r"%[^\n]*\Z")
+# Builds a literal, action or revision literal from its checked fields.
+_new = tuple.__new__
 
 
 def _describe(token: str) -> str:
@@ -85,28 +88,35 @@ class _Parser:
     """A parser over the tokens of one text: plain strings, names being the
     ones that start with a lowercase letter, then ``""`` for the end of
     input. Positions are worked out from the text only when an error is
-    raised."""
+    raised.
+
+    The rule readers read each rule in one loop. They keep the literals,
+    actions and revision literals they build in :attr:`made`, by class,
+    flag and atom, so an item is built once and looked up after that.
+    :attr:`names` holds every name read as an atom, so :meth:`atom`
+    checks a name once; the item readers run in a rule only to raise."""
 
     def __init__(self, text: str):
-        end = _LEXABLE_RE.match(text).end()
-        if end < len(text):
+        parts = _SPLIT_RE.split(text)
+        if "".join(parts[::2]).strip(_WHITESPACE):
+            end = _LEXABLE_RE.match(text).end()
             raise ParseError(
                 f"unexpected character {text[end]!r}", *_line_col(text, end)
             )
         self.text = text
-        self.start = _SPACE_RE.match(text).end()
-        self.tokens = _TOKEN_RE.findall(text, self.start)
+        self.tokens = list(filter(None, parts[1::2]))
         self.tokens.append("")
         self.pos = 0
-        self.items: dict = {}
+        self.made = {cls: ({}, {}) for cls in (Literal, UpdateAction, RevLiteral)}
+        self.names: set[str] = set()
 
     def fail(self, message: str, index: int | None = None):
         """Raise at token ``index`` (by default the current one). The end of
         input after a trailing comment sits at its ``%``."""
         index = self.pos if index is None else index
         if self.tokens[index]:
-            matches = _TOKEN_RE.finditer(self.text, self.start)
-            offset = [m.start() for m in matches][index]
+            matches = _SPLIT_RE.finditer(self.text)
+            offset = [m.start() for m in matches if m[1]][index]
         else:
             comment = _TRAILING_COMMENT_RE.search(self.text)
             offset = comment.start() if comment else len(self.text)
@@ -118,20 +128,22 @@ class _Parser:
             self.fail(f"expected '{text}', found {_describe(token)}")
         self.pos += 1
 
+    def expected(self, pos: int, text: str):
+        """Raise: token ``pos`` is not ``text``."""
+        self.pos = pos
+        self.expect(text)
+
     def at_section_start(self) -> bool:
         """At a name followed by ``:``; the eof token is last and never
         passed, so looking one past any other token is safe."""
         tokens, pos = self.tokens, self.pos
         return tokens[pos + 1] == ":" and tokens[pos][:1].islower()
 
-    def made(self, cls, atom: str, flag: bool):
-        """The one ``cls(atom, flag)`` of this parse: a literal, action or
-        revision literal is built once however often it occurs."""
-        key = (cls, atom, flag)
-        item = self.items.get(key)
-        if item is None:
-            item = self.items[key] = cls(atom, flag)
-        return item
+    def check(self, pos: int) -> None:
+        """Check the name at token ``pos``, new to this parse, with
+        :meth:`atom`, and add it to :attr:`names`."""
+        self.pos = pos
+        self.names.add(self.atom())
 
     def separated(self, parse_one, sep: str) -> list:
         """One or more items read by ``parse_one``, separated by ``sep``."""
@@ -140,13 +152,6 @@ class _Parser:
             self.pos += 1
             items.append(parse_one())
         return items
-
-    def head(self, parse_one) -> list:
-        """A rule head: ``|``-separated items, or ``false`` for none."""
-        if self.tokens[self.pos] == "false":
-            self.pos += 1
-            return []
-        return self.separated(parse_one, "|")
 
     def atom(self) -> str:
         token = self.tokens[self.pos]
@@ -193,29 +198,35 @@ class _Parser:
             self.fail("missing db section")
         if universe is not None:
             universe.require(db, context="db section")
-            known = frozenset(universe.atoms)
-            for rule in program:
-                if not rule.atoms() <= known:
+            # The names read are the universe's, the db's (checked just
+            # above) and the rules'.
+            if not universe.covers(self.names):
+                for rule in program:
                     universe.require(rule.atoms(), context=f"rule '{rule}'")
         return Instance(kind, db, program, universe)
 
     def atom_list(self) -> list[str]:
-        """A comma-separated atom list ending in '.'; possibly empty."""
+        """A comma-separated atom list ending in '.'; possibly empty. A set
+        beside the list finds a name that repeats."""
+        tokens, pos, names = self.tokens, self.pos, self.names
         atoms: list[str] = []
-        if self.tokens[self.pos] == ".":
-            self.pos += 1
-            return atoms
-        while True:
-            index = self.pos
-            name = self.atom()
-            if name in atoms:
-                self.fail(f"duplicate atom '{name}'", index)
+        seen: set[str] = set()
+        more = tokens[pos] != "."
+        while more:
+            name = tokens[pos]
+            if name in seen:
+                self.fail(f"duplicate atom '{name}'", pos)
+            if name not in names:
+                self.check(pos)
+            seen.add(name)
             atoms.append(name)
-            if self.tokens[self.pos] == ",":
-                self.pos += 1
-                continue
-            self.expect(".")
-            return atoms
+            pos += 1
+            more = tokens[pos] == ","
+            pos += more
+        if tokens[pos] != ".":
+            self.expected(pos, ".")
+        self.pos = pos + 1
+        return atoms
 
     def rules(self, kind: str) -> tuple:
         parse_rule = {
@@ -231,35 +242,124 @@ class _Parser:
     # -- constraint rules ----------------------------------------------
 
     def aic_rule(self) -> AicRule:
-        at_arrow = self.tokens[self.pos] == "->"
-        body = [] if at_arrow else self.separated(self.literal, ",")
-        self.expect("->")
-        head = self.head(self.action)
-        self.expect(".")
+        """``body -> head.`` in one pass over its tokens."""
+        tokens, pos, names = self.tokens, self.pos, self.names
+        negatives, positives = self.made[Literal]
+        deletions, insertions = self.made[UpdateAction]
+        body = []
+        if tokens[pos] != "->":
+            while True:
+                name = tokens[pos]
+                if name == "not":
+                    pos += 1
+                    name = tokens[pos]
+                    table, positive = negatives, False
+                else:
+                    table, positive = positives, True
+                item = table.get(name)
+                if item is None:
+                    if name not in names:
+                        self.check(pos)
+                    item = table[name] = _new(Literal, (name, positive))
+                body.append(item)
+                pos += 1
+                if tokens[pos] != ",":
+                    break
+                pos += 1
+        if tokens[pos] != "->":
+            self.expected(pos, "->")
+        pos += 1
+        head = []
+        if tokens[pos] == "false":
+            pos += 1
+        else:
+            while True:
+                sign = tokens[pos]
+                if sign == "+":
+                    table, insert = insertions, True
+                elif sign == "-":
+                    table, insert = deletions, False
+                else:
+                    self.pos = pos
+                    self.action()  # raises
+                pos += 1
+                name = tokens[pos]
+                item = table.get(name)
+                if item is None:
+                    if name not in names:
+                        self.check(pos)
+                    item = table[name] = _new(UpdateAction, (name, insert))
+                head.append(item)
+                pos += 1
+                if tokens[pos] != "|":
+                    break
+                pos += 1
+        if tokens[pos] != ".":
+            self.expected(pos, ".")
+        self.pos = pos + 1
         return AicRule(frozenset(body), frozenset(head))
 
     def literal(self) -> Literal:
         positive = self.tokens[self.pos] != "not"
         if not positive:
             self.pos += 1
-        return self.made(Literal, self.atom(), positive)
+        return Literal(self.atom(), positive)
 
     def action(self) -> UpdateAction:
         token = self.tokens[self.pos]
         if token != "+" and token != "-":
             self.fail(f"expected '+atom' or '-atom', found {_describe(token)}")
         self.pos += 1
-        return self.made(UpdateAction, self.atom(), token == "+")
+        return UpdateAction(self.atom(), token == "+")
 
     # -- revision rules ------------------------------------------------
 
     def rev_rule(self) -> RevRule:
-        head = self.head(self.rev_literal)
-        self.expect("<-")
-        at_dot = self.tokens[self.pos] == "."
-        body = [] if at_dot else self.separated(self.rev_literal, ",")
-        self.expect(".")
+        """``head <- body.``, each side read as in :meth:`aic_rule`."""
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos] == "false":
+            head, pos = [], pos + 1
+        else:
+            head, pos = self.rev_literals(pos, "|")
+        if tokens[pos] != "<-":
+            self.expected(pos, "<-")
+        pos += 1
+        body, pos = ([], pos) if tokens[pos] == "." else self.rev_literals(pos, ",")
+        if tokens[pos] != ".":
+            self.expected(pos, ".")
+        self.pos = pos + 1
         return RevRule(frozenset(head), frozenset(body))
+
+    def rev_literals(self, pos: int, sep: str) -> tuple[list, int]:
+        """The revision literals from token ``pos`` on, separated by
+        ``sep``, and the position after them."""
+        tokens, names = self.tokens, self.names
+        outs, ins = self.made[RevLiteral]
+        items = []
+        while True:
+            kind = tokens[pos]
+            if kind == "in":
+                table, is_in = ins, True
+            elif kind == "out":
+                table, is_in = outs, False
+            else:
+                self.pos = pos
+                self.rev_literal()  # raises
+            if tokens[pos + 1] != "(":
+                self.expected(pos + 1, "(")
+            name = tokens[pos + 2]
+            item = table.get(name)
+            if item is None:
+                if name not in names:
+                    self.check(pos + 2)
+                item = table[name] = _new(RevLiteral, (name, is_in))
+            if tokens[pos + 3] != ")":
+                self.expected(pos + 3, ")")
+            items.append(item)
+            pos += 4
+            if tokens[pos] != sep:
+                return items, pos
+            pos += 1
 
     def rev_literal(self) -> RevLiteral:
         token = self.tokens[self.pos]
@@ -269,23 +369,44 @@ class _Parser:
         self.expect("(")
         atom = self.atom()
         self.expect(")")
-        return self.made(RevLiteral, atom, token == "in")
+        return RevLiteral(atom, token == "in")
 
     # -- disjunctive rules ---------------------------------------------
 
     def lp_rule(self) -> LpRule:
-        head = self.head(self.atom)
-        body: list[Literal] = []
-        if self.tokens[self.pos] == ":-":
-            self.pos += 1
-            if self.tokens[self.pos] != ".":
-                body = self.separated(self.literal, ",")
-        if not (head or body):
-            self.fail("a rule needs a head or a body")
-        self.expect(".")
-        pos = frozenset(l.atom for l in body if l.positive)
-        neg = frozenset(l.atom for l in body if not l.positive)
-        return LpRule(frozenset(head), pos, neg)
+        """``head :- body.`` in one pass over its tokens."""
+        tokens, pos, names = self.tokens, self.pos, self.names
+        head: list[str] = []
+        if tokens[pos] == "false":
+            pos += 1
+        else:
+            while True:
+                if tokens[pos] not in names:
+                    self.check(pos)
+                head.append(tokens[pos])
+                pos += 1
+                if tokens[pos] != "|":
+                    break
+                pos += 1
+        body: tuple[list[str], list[str]] = ([], [])
+        if tokens[pos] == ":-":
+            pos += 1
+            more = tokens[pos] != "."
+            while more:
+                positive = tokens[pos] != "not"
+                pos += not positive
+                if tokens[pos] not in names:
+                    self.check(pos)
+                body[positive].append(tokens[pos])
+                pos += 1
+                more = tokens[pos] == ","
+                pos += more
+        if not (head or body[0] or body[1]):
+            self.fail("a rule needs a head or a body", pos)
+        if tokens[pos] != ".":
+            self.expected(pos, ".")
+        self.pos = pos + 1
+        return LpRule(frozenset(head), frozenset(body[True]), frozenset(body[False]))
 
 
 def parse_instance(text: str) -> Instance:

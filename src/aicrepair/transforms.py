@@ -121,6 +121,7 @@ def shift(x, by: Iterable[str]):
 
 
 def _shift(x, w: frozenset[str]):
+    # The values are tuples too, so they are tested before tuples.
     if isinstance(x, (Literal, UpdateAction, RevLiteral)):
         return x.dual() if x.atom in w else x
     if isinstance(x, AicRule):

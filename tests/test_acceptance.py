@@ -18,7 +18,6 @@ rebuilds its instance.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -1357,7 +1356,7 @@ def test_table_search_matches_the_node_search_past_brute_force():
 def _renamed(program, to: dict):
     """The program with every atom ``a`` renamed to ``to[a]``."""
     def move(xs):
-        return frozenset(dataclasses.replace(x, atom=to[x.atom]) for x in xs)
+        return frozenset(x._replace(atom=to[x.atom]) for x in xs)
 
     return tuple(
         AicRule(move(r.body), move(r.head))

@@ -1,8 +1,10 @@
 """Core model: literals, actions, the update algebra, and universes."""
 
 import collections
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -47,6 +49,7 @@ from aicrepair.model import (
     walk,
 )
 from aicrepair.repairs import _Compiled
+from aicrepair.transforms import shift
 
 atoms_st = st.sampled_from(("a", "b", "c", "dee", "x1"))
 literals_st = st.builds(Literal, atoms_st, st.booleans())
@@ -119,6 +122,45 @@ def test_ordered_sorts_by_atom_then_polarity():
         UpdateAction("a", True),
     ]
     assert [str(x) for x in ordered(xs)] == ["+a", "-a", "+b", "-b"]
+
+
+VALUE_TYPES = [(Literal, "positive"), (UpdateAction, "insert"), (RevLiteral, "is_in")]
+
+
+@pytest.mark.parametrize("cls, flag", VALUE_TYPES, ids=lambda v: getattr(v, "__name__", v))
+def test_value_types_are_their_pair_but_equal_only_within_their_class(cls, flag):
+    xs = [cls("b", True), cls("a", True), cls("b", False), cls("a", False)]
+    for x in xs:
+        pair = (x.atom, getattr(x, flag))
+        # The hash is the pair's, as the dataclass hash was, so sets keep
+        # their iteration order under every hash seed.
+        assert hash(x) == hash(pair)
+        assert tuple(x) == pair and len(x) == 2
+        assert cls(**{"atom": pair[0], flag: pair[1]}) == x
+        assert not x == pair and x != pair
+        assert not pair == x and pair != x
+        for other, _ in VALUE_TYPES:
+            if other is not cls:
+                assert not x == other(*pair) and x != other(*pair)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert back == x and type(back) is cls
+        for back in (copy.copy(x), copy.deepcopy(x)):
+            assert back == x and type(back) is cls
+        with pytest.raises(AttributeError):
+            x.atom = "c"
+    # By atom, then the false flag first: the order of the dataclasses.
+    assert sorted(xs) == [xs[3], xs[1], xs[2], xs[0]]
+    assert repr(xs[2]) == f"{cls.__name__}(atom='b', {flag}=False)"
+
+
+def test_shift_dualizes_each_value_in_a_tuple():
+    """A value is a tuple too; shift dualizes it and does not walk it."""
+    xs = (Literal("a"), UpdateAction("a", False), RevLiteral("b", True), Literal("c"))
+    assert shift(xs, {"a", "b"}) == (
+        Literal("a", False), UpdateAction("a", True), RevLiteral("b", False), Literal("c")
+    )
+    assert shift(Literal("a"), {"a"}) == Literal("a", False)
 
 
 # ---------------------------------------------------------------------------

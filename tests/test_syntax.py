@@ -132,6 +132,36 @@ def test_reserved_words_are_not_atoms():
         parse_instance("db: false.")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("aic:\na, not not -> false.", "3:8: 'not'"),
+    ("aic:\nfalse -> false.", "3:1: 'false'"),
+    ("aic:\nnot a -> +not.", "3:11: 'not'"),
+    ("aic:\na -> -false.", "3:7: 'false'"),
+    ("rev:\nin(not) <- .", "3:4: 'not'"),
+    ("rev:\nin(a) <- out(false).", "3:14: 'false'"),
+    ("lp:\nnot :- a.", "3:1: 'not'"),
+    ("lp:\na | false.", "3:5: 'false'"),
+    ("lp:\na :- b, not not.", "3:13: 'not'"),
+    ("lp:\na :- false.", "3:6: 'false'"),
+    ("universe: a, not.\naic:", "2:14: 'not'"),
+])
+def test_reserved_words_fail_at_every_atom_position(text, where):
+    """Each rule reader checks a name once per parse and looks it up after
+    that; a reserved word is never let in, wherever it stands."""
+    with pytest.raises(ParseError) as info:
+        parse_instance("db: .\n" + text)
+    assert str(info.value) == f"{where} is a reserved word, not an atom"
+
+
+def test_a_repeated_atom_in_a_long_list_is_named_at_its_token():
+    atoms = [f"a{i}" for i in range(5000)]
+    text = "universe: " + ", ".join(atoms + ["a4321"]) + ".\ndb: .\naic:\n"
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    column = text.rindex("a4321") + 1
+    assert str(info.value) == f"1:{column}: duplicate atom 'a4321'"
+
+
 def test_section_errors():
     with pytest.raises(ParseError, match="duplicate atom 'a'"):
         parse_instance("db: a, a.\naic:\na -> -a.")
