@@ -46,10 +46,12 @@ class LpRule:
     pos_body: frozenset[str]
     neg_body: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", frozenset(self.head))
-        object.__setattr__(self, "pos_body", frozenset(self.pos_body))
-        object.__setattr__(self, "neg_body", frozenset(self.neg_body))
+    def __init__(self, head, pos_body, neg_body=frozenset()):
+        # Each field is written once, as in AicRule.
+        fields = self.__dict__
+        fields["head"] = frozenset(head)
+        fields["pos_body"] = frozenset(pos_body)
+        fields["neg_body"] = frozenset(neg_body)
 
     @property
     def simple(self) -> bool:

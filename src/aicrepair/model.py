@@ -99,26 +99,22 @@ def ua(x: Literal | RevLiteral) -> UpdateAction:
 
     ``a``/``in(a)`` map to ``+a``; ``not a``/``out(a)`` map to ``-a``.
     """
-    if isinstance(x, Literal):
-        return UpdateAction(x.atom, x.positive)
-    if isinstance(x, RevLiteral):
-        return UpdateAction(x.atom, x.is_in)
+    if isinstance(x, (Literal, RevLiteral)):
+        return UpdateAction(*x)
     raise TypeError(f"ua() not defined for {type(x).__name__}")
 
 
 def lit(x: UpdateAction | RevLiteral) -> Literal:
     """The literal matching an update action or a revision literal."""
-    if isinstance(x, UpdateAction):
-        return Literal(x.atom, x.insert)
-    if isinstance(x, RevLiteral):
-        return Literal(x.atom, x.is_in)
+    if isinstance(x, (UpdateAction, RevLiteral)):
+        return Literal(*x)
     raise TypeError(f"lit() not defined for {type(x).__name__}")
 
 
 def rev_literal(x: UpdateAction | Literal) -> RevLiteral:
     """The revision literal matching an update action or a literal."""
     if isinstance(x, (UpdateAction, Literal)):
-        return RevLiteral(x.atom, x.insert if isinstance(x, UpdateAction) else x.positive)
+        return RevLiteral(*x)
     raise TypeError(f"rev_literal() not defined for {type(x).__name__}")
 
 

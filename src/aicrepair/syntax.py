@@ -90,11 +90,13 @@ class _Parser:
     input. Positions are worked out from the text only when an error is
     raised.
 
-    The rule readers read each rule in one loop. They keep the literals,
-    actions and revision literals they build in :attr:`made`, by class,
-    flag and atom, so an item is built once and looked up after that.
-    :attr:`names` holds every name read as an atom, so :meth:`atom`
-    checks a name once; the item readers run in a rule only to raise."""
+    Rules and the ``--set``, ``--query`` and ``--by`` lists are read by one
+    reader per item kind: :meth:`literals`, :meth:`actions`,
+    :meth:`rev_literals` and :meth:`atoms`. Each reads the items separated
+    by ``sep`` from token ``pos`` on, in one loop, and returns them with the
+    position after them. The readers build an item once and keep it in
+    :attr:`made`, by class, flag and atom; :attr:`names` holds every name
+    read as an atom, so :meth:`check` tests a name once."""
 
     def __init__(self, text: str):
         parts = _SPLIT_RE.split(text)
@@ -122,16 +124,15 @@ class _Parser:
             offset = comment.start() if comment else len(self.text)
         raise ParseError(message, *_line_col(self.text, offset))
 
-    def expect(self, text: str) -> None:
-        token = self.tokens[self.pos]
-        if token != text:
-            self.fail(f"expected '{text}', found {_describe(token)}")
-        self.pos += 1
+    def expected(self, pos: int, what: str):
+        """Raise: token ``pos`` is not ``what``."""
+        self.fail(f"expected {what}, found {_describe(self.tokens[pos])}", pos)
 
-    def expected(self, pos: int, text: str):
-        """Raise: token ``pos`` is not ``text``."""
-        self.pos = pos
-        self.expect(text)
+    def end(self, pos: int, text: str) -> int:
+        """The position after token ``pos``, which must be ``text``."""
+        if self.tokens[pos] != text:
+            self.expected(pos, f"'{text}'")
+        return pos + 1
 
     def at_section_start(self) -> bool:
         """At a name followed by ``:``; the eof token is last and never
@@ -140,27 +141,14 @@ class _Parser:
         return tokens[pos + 1] == ":" and tokens[pos][:1].islower()
 
     def check(self, pos: int) -> None:
-        """Check the name at token ``pos``, new to this parse, with
-        :meth:`atom`, and add it to :attr:`names`."""
-        self.pos = pos
-        self.names.add(self.atom())
-
-    def separated(self, parse_one, sep: str) -> list:
-        """One or more items read by ``parse_one``, separated by ``sep``."""
-        items = [parse_one()]
-        while self.tokens[self.pos] == sep:
-            self.pos += 1
-            items.append(parse_one())
-        return items
-
-    def atom(self) -> str:
-        token = self.tokens[self.pos]
+        """Check that token ``pos``, new to this parse, is an atom, and add
+        it to :attr:`names`."""
+        token = self.tokens[pos]
         if not token[:1].islower():
-            self.fail(f"expected an atom, found {_describe(token)}")
+            self.expected(pos, "an atom")
         if token in RESERVED_WORDS:
-            self.fail(f"'{token}' is a reserved word, not an atom")
-        self.pos += 1
-        return token
+            self.fail(f"'{token}' is a reserved word, not an atom", pos)
+        self.names.add(token)
 
     # -- sections ------------------------------------------------------
 
@@ -223,116 +211,113 @@ class _Parser:
             pos += 1
             more = tokens[pos] == ","
             pos += more
-        if tokens[pos] != ".":
-            self.expected(pos, ".")
-        self.pos = pos + 1
+        self.pos = self.end(pos, ".")
         return atoms
 
     def rules(self, kind: str) -> tuple:
-        parse_rule = {
-            "aic": self.aic_rule,
-            "rev": self.rev_rule,
-            "lp": self.lp_rule,
-        }[kind]
+        parse_rule = {"aic": self.aic_rule, "rev": self.rev_rule, "lp": self.lp_rule}[kind]
         rules = []
         while self.tokens[self.pos] and not self.at_section_start():
             rules.append(parse_rule())
         return tuple(rules)
 
-    # -- constraint rules ----------------------------------------------
-
     def aic_rule(self) -> AicRule:
-        """``body -> head.`` in one pass over its tokens."""
-        tokens, pos, names = self.tokens, self.pos, self.names
-        negatives, positives = self.made[Literal]
-        deletions, insertions = self.made[UpdateAction]
-        body = []
-        if tokens[pos] != "->":
-            while True:
-                name = tokens[pos]
-                if name == "not":
-                    pos += 1
-                    name = tokens[pos]
-                    table, positive = negatives, False
-                else:
-                    table, positive = positives, True
-                item = table.get(name)
-                if item is None:
-                    if name not in names:
-                        self.check(pos)
-                    item = table[name] = _new(Literal, (name, positive))
-                body.append(item)
-                pos += 1
-                if tokens[pos] != ",":
-                    break
-                pos += 1
-        if tokens[pos] != "->":
-            self.expected(pos, "->")
-        pos += 1
-        head = []
+        """``body -> head.``"""
+        tokens, pos = self.tokens, self.pos
+        body, pos = ([], pos) if tokens[pos] == "->" else self.literals(pos, ",")
+        pos = self.end(pos, "->")
         if tokens[pos] == "false":
-            pos += 1
+            head, pos = [], pos + 1
         else:
-            while True:
-                sign = tokens[pos]
-                if sign == "+":
-                    table, insert = insertions, True
-                elif sign == "-":
-                    table, insert = deletions, False
-                else:
-                    self.pos = pos
-                    self.action()  # raises
-                pos += 1
-                name = tokens[pos]
-                item = table.get(name)
-                if item is None:
-                    if name not in names:
-                        self.check(pos)
-                    item = table[name] = _new(UpdateAction, (name, insert))
-                head.append(item)
-                pos += 1
-                if tokens[pos] != "|":
-                    break
-                pos += 1
-        if tokens[pos] != ".":
-            self.expected(pos, ".")
-        self.pos = pos + 1
+            head, pos = self.actions(pos, "|")
+        self.pos = self.end(pos, ".")
         return AicRule(frozenset(body), frozenset(head))
 
-    def literal(self) -> Literal:
-        positive = self.tokens[self.pos] != "not"
-        if not positive:
-            self.pos += 1
-        return Literal(self.atom(), positive)
-
-    def action(self) -> UpdateAction:
-        token = self.tokens[self.pos]
-        if token != "+" and token != "-":
-            self.fail(f"expected '+atom' or '-atom', found {_describe(token)}")
-        self.pos += 1
-        return UpdateAction(self.atom(), token == "+")
-
-    # -- revision rules ------------------------------------------------
-
     def rev_rule(self) -> RevRule:
-        """``head <- body.``, each side read as in :meth:`aic_rule`."""
+        """``head <- body.``"""
         tokens, pos = self.tokens, self.pos
         if tokens[pos] == "false":
             head, pos = [], pos + 1
         else:
             head, pos = self.rev_literals(pos, "|")
-        if tokens[pos] != "<-":
-            self.expected(pos, "<-")
-        pos += 1
+        pos = self.end(pos, "<-")
         body, pos = ([], pos) if tokens[pos] == "." else self.rev_literals(pos, ",")
-        if tokens[pos] != ".":
-            self.expected(pos, ".")
-        self.pos = pos + 1
+        self.pos = self.end(pos, ".")
         return RevRule(frozenset(head), frozenset(body))
 
+    def lp_rule(self) -> LpRule:
+        """``head :- body.``, the body read as literals and split by flag."""
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos] == "false":
+            head, pos = [], pos + 1
+        else:
+            head, pos = self.atoms(pos, "|")
+        body = []
+        if tokens[pos] == ":-":
+            pos += 1
+            if tokens[pos] != ".":
+                body, pos = self.literals(pos, ",")
+        if not (head or body):
+            self.fail("a rule needs a head or a body", pos)
+        self.pos = self.end(pos, ".")
+        pos_body = [l[0] for l in body if l[1]]
+        return LpRule(head, pos_body, [l[0] for l in body if not l[1]])
+
+    # -- items ---------------------------------------------------------
+
+    def literals(self, pos: int, sep: str) -> tuple[list, int]:
+        """The literals from token ``pos`` on, separated by ``sep``, and
+        the position after them."""
+        tokens, names = self.tokens, self.names
+        negatives, positives = self.made[Literal]
+        items = []
+        while True:
+            name = tokens[pos]
+            if name == "not":
+                pos += 1
+                name = tokens[pos]
+                table, positive = negatives, False
+            else:
+                table, positive = positives, True
+            item = table.get(name)
+            if item is None:
+                if name not in names:
+                    self.check(pos)
+                item = table[name] = _new(Literal, (name, positive))
+            items.append(item)
+            pos += 1
+            if tokens[pos] != sep:
+                return items, pos
+            pos += 1
+
+    def actions(self, pos: int, sep: str) -> tuple[list, int]:
+        """The update actions from token ``pos`` on, as :meth:`literals`."""
+        tokens, names = self.tokens, self.names
+        deletions, insertions = self.made[UpdateAction]
+        items = []
+        while True:
+            sign = tokens[pos]
+            if sign == "+":
+                table, insert = insertions, True
+            elif sign == "-":
+                table, insert = deletions, False
+            else:
+                self.expected(pos, "'+atom' or '-atom'")
+            pos += 1
+            name = tokens[pos]
+            item = table.get(name)
+            if item is None:
+                if name not in names:
+                    self.check(pos)
+                item = table[name] = _new(UpdateAction, (name, insert))
+            items.append(item)
+            pos += 1
+            if tokens[pos] != sep:
+                return items, pos
+            pos += 1
+
     def rev_literals(self, pos: int, sep: str) -> tuple[list, int]:
-        """The revision literals from token ``pos`` on, separated by
-        ``sep``, and the position after them."""
+        """The revision literals from token ``pos`` on, as :meth:`literals`."""
         tokens, names = self.tokens, self.names
         outs, ins = self.made[RevLiteral]
         items = []
@@ -343,10 +328,9 @@ class _Parser:
             elif kind == "out":
                 table, is_in = outs, False
             else:
-                self.pos = pos
-                self.rev_literal()  # raises
+                self.expected(pos, "'in(atom)' or 'out(atom)'")
             if tokens[pos + 1] != "(":
-                self.expected(pos + 1, "(")
+                self.expected(pos + 1, "'('")
             name = tokens[pos + 2]
             item = table.get(name)
             if item is None:
@@ -354,59 +338,26 @@ class _Parser:
                     self.check(pos + 2)
                 item = table[name] = _new(RevLiteral, (name, is_in))
             if tokens[pos + 3] != ")":
-                self.expected(pos + 3, ")")
+                self.expected(pos + 3, "')'")
             items.append(item)
             pos += 4
             if tokens[pos] != sep:
                 return items, pos
             pos += 1
 
-    def rev_literal(self) -> RevLiteral:
-        token = self.tokens[self.pos]
-        if token != "in" and token != "out":
-            self.fail(f"expected 'in(atom)' or 'out(atom)', found {_describe(token)}")
-        self.pos += 1
-        self.expect("(")
-        atom = self.atom()
-        self.expect(")")
-        return RevLiteral(atom, token == "in")
-
-    # -- disjunctive rules ---------------------------------------------
-
-    def lp_rule(self) -> LpRule:
-        """``head :- body.`` in one pass over its tokens."""
-        tokens, pos, names = self.tokens, self.pos, self.names
-        head: list[str] = []
-        if tokens[pos] == "false":
+    def atoms(self, pos: int, sep: str) -> tuple[list, int]:
+        """The atoms from token ``pos`` on, as :meth:`literals`."""
+        tokens, names = self.tokens, self.names
+        items = []
+        while True:
+            name = tokens[pos]
+            if name not in names:
+                self.check(pos)
+            items.append(name)
             pos += 1
-        else:
-            while True:
-                if tokens[pos] not in names:
-                    self.check(pos)
-                head.append(tokens[pos])
-                pos += 1
-                if tokens[pos] != "|":
-                    break
-                pos += 1
-        body: tuple[list[str], list[str]] = ([], [])
-        if tokens[pos] == ":-":
+            if tokens[pos] != sep:
+                return items, pos
             pos += 1
-            more = tokens[pos] != "."
-            while more:
-                positive = tokens[pos] != "not"
-                pos += not positive
-                if tokens[pos] not in names:
-                    self.check(pos)
-                body[positive].append(tokens[pos])
-                pos += 1
-                more = tokens[pos] == ","
-                pos += more
-        if not (head or body[0] or body[1]):
-            self.fail("a rule needs a head or a body", pos)
-        if tokens[pos] != ".":
-            self.expected(pos, ".")
-        self.pos = pos + 1
-        return LpRule(frozenset(head), frozenset(body[True]), frozenset(body[False]))
 
 
 def parse_instance(text: str) -> Instance:
@@ -428,34 +379,34 @@ def parse_program(text: str, kind: str) -> tuple:
     return rules
 
 
-def _parse_comma_list(text: str, parse_one) -> frozenset:
+def _parse_comma_list(text: str, read) -> frozenset:
+    """A comma-separated list read by ``read``, a :class:`_Parser` reader."""
     parser = _Parser(text)
-    at_end = not parser.tokens[0]
-    items = [] if at_end else parser.separated(lambda: parse_one(parser), ",")
-    token = parser.tokens[parser.pos]
-    if token:
-        parser.fail(f"unexpected {_describe(token)}")
+    tokens = parser.tokens
+    items, pos = read(parser, 0, ",") if tokens[0] else ([], 0)
+    if tokens[pos]:
+        parser.fail(f"unexpected {_describe(tokens[pos])}", pos)
     return frozenset(items)
 
 
 def parse_actions(text: str) -> frozenset[UpdateAction]:
     """Parse a comma-separated list of update actions, e.g. ``+a, -b``."""
-    return _parse_comma_list(text, _Parser.action)
+    return _parse_comma_list(text, _Parser.actions)
 
 
 def parse_rev_literals(text: str) -> frozenset[RevLiteral]:
     """Parse a comma-separated list like ``in(a), out(b)``."""
-    return _parse_comma_list(text, _Parser.rev_literal)
+    return _parse_comma_list(text, _Parser.rev_literals)
 
 
 def parse_literals(text: str) -> frozenset[Literal]:
     """Parse a comma-separated list of literals, e.g. ``a, not b``."""
-    return _parse_comma_list(text, _Parser.literal)
+    return _parse_comma_list(text, _Parser.literals)
 
 
 def parse_atoms(text: str) -> frozenset[str]:
     """Parse a comma-separated list of atoms."""
-    return _parse_comma_list(text, _Parser.atom)
+    return _parse_comma_list(text, _Parser.atoms)
 
 
 def print_instance(instance: Instance) -> str:

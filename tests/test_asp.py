@@ -2,6 +2,8 @@
 encoding. The reduct lives in the oracles; the package computes answer sets
 through the repair engine."""
 
+import dataclasses
+
 import pytest
 
 import oracles
@@ -30,6 +32,16 @@ def test_rule_flags_and_printing():
     assert str(lp("a.")[0]) == "a."
     assert str(LpRule(frozenset(), frozenset({"a"}))) == "false :- a."
     assert not LpRule(frozenset({"a"}), frozenset({"a"})).simple
+
+
+def test_rule_fields_are_frozensets_however_it_is_built():
+    rule = LpRule(["a"], pos_body=("b", "b"))
+    assert rule == LpRule(frozenset({"a"}), frozenset({"b"}), frozenset())
+    assert hash(rule) == hash(LpRule({"a"}, {"b"}))
+    assert [type(f) for f in (rule.head, rule.pos_body, rule.neg_body)] == [frozenset] * 3
+    assert dataclasses.replace(rule, neg_body=["c"]) == lp("a :- b, not c.")[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.head = frozenset()
 
 
 def test_reduct_keeps_or_strips_by_the_interpretation():

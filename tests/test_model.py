@@ -97,12 +97,15 @@ def test_conversions_commute_with_dual(x):
 
 
 def test_conversions_reject_wrong_types():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^ua\(\) not defined for str$"):
         ua("+a")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^lit\(\) not defined for Literal$"):
         lit(Literal("a"))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^rev_literal\(\) not defined for RevLiteral$"):
         rev_literal(RevLiteral("a", True))
+    # A plain (atom, flag) pair is none of the value types.
+    with pytest.raises(TypeError, match=r"^ua\(\) not defined for tuple$"):
+        ua(("a", True))
 
 
 def test_string_forms():
