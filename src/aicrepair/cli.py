@@ -8,6 +8,12 @@ canonical form, ``answer-sets`` runs the disjunctive-program semantics,
 enumerates every class at once and can verify the containment relations
 between them on the given instance.
 
+:func:`main` is the one front door. It reads the instance file, checks its
+kind against the ``kinds`` the subcommand declares (``translate`` takes the
+kind opposite to ``--to``) and resolves ``--class`` against that kind's
+classes, in that order, before ``--set``, ``--query`` or ``--by`` is read.
+Each handler gets the parsed arguments, the instance and its ``_KINDS`` row.
+
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
@@ -83,23 +89,6 @@ def _load(path: str) -> Instance:
     return parse_instance(text)
 
 
-def _expect_kind(instance: Instance, kind: str, command: str) -> Instance:
-    if instance.kind != kind:
-        raise InputError(
-            f"'{command}' needs a {kind}: program, found {instance.kind}:"
-        )
-    return instance
-
-
-def _kind(instance: Instance, command: str) -> _Kind:
-    """The kind table row of an aic: or rev: instance."""
-    if instance.kind not in _KINDS:
-        raise InputError(
-            f"'{command}' needs an aic: or rev: program, found {instance.kind}:"
-        )
-    return _KINDS[instance.kind]
-
-
 def _classes(instance: Instance) -> list:
     """Every class that applies to the instance, in enum order: supported
     revisions are defined only for normal programs."""
@@ -108,21 +97,6 @@ def _classes(instance: Instance) -> list:
         for c in _KINDS[instance.kind].classes
         if c is not RevisionClass.SUPPORTED_REVISION or is_normal(instance.program)
     ]
-
-
-def _limits(args) -> Limits:
-    return Limits(max_atoms=args.max_atoms)
-
-
-def _class_for(instance: Instance, command: str, name: str):
-    """The kind row of the instance and its class called ``name``."""
-    kind = _kind(instance, command)
-    try:
-        return kind, kind.classes(name)
-    except ValueError:
-        raise InputError(
-            f"class '{name}' does not apply to a {instance.kind}: program"
-        ) from None
 
 
 def _rows(actions: tuple, hits) -> list[tuple[str, ...]]:
@@ -166,16 +140,15 @@ def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
     """The actions searched and the hits of every requested class, from
     one engine call."""
     reports = _KINDS[instance.kind].engine.enumerate_classes(
-        db, program, classes, instance.universe(), _limits(args)
+        db, program, classes, instance.universe(), Limits(args.max_atoms)
     )
     actions = reports[classes[0]].actions
     return actions, {cls: report.hits for cls, report in reports.items()}
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, instance: Instance, kind: _Kind) -> int:
     """``repair`` and ``revise``: every member of one class."""
-    instance = _expect_kind(_load(args.file), args.kind, args.command)
-    cls = _KINDS[args.kind].classes(args.cls)
+    cls = args.cls
     actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
     rows = _rows(actions, hits[cls])
     if args.format == "json":
@@ -185,16 +158,14 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    instance = _load(args.file)
-    kind, cls = _class_for(instance, "check", args.cls)
+def cmd_check(args, instance: Instance, kind: _Kind) -> int:
     member = kind.engine.check_membership(
         instance.db,
         instance.program,
-        cls,
+        args.cls,
         kind.parse_set(args.set),
         instance.declared_universe,
-        _limits(args),
+        Limits(args.max_atoms),
     )
     if args.format == "json":
         _print_json(member=member)
@@ -203,34 +174,26 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_translate(args) -> int:
-    instance = _load(args.file)
+def cmd_translate(args, instance: Instance, kind: _Kind) -> int:
     if args.to == "aic":
-        _expect_kind(instance, "rev", "translate --to aic")
         program = transforms.to_aic(transforms.properize(instance.program))
     else:
-        _expect_kind(instance, "aic", "translate --to rev")
         program = transforms.to_rev(instance.program)
     _print_instance(instance, kind=args.to, program=program)
     return 0
 
 
-def cmd_normalize(args) -> int:
-    instance = _load(args.file)
-    program = _kind(instance, "normalize").normalize(instance.program)
-    _print_instance(instance, program=program)
+def cmd_normalize(args, instance: Instance, kind: _Kind) -> int:
+    _print_instance(instance, program=kind.normalize(instance.program))
     return 0
 
 
-def cmd_properize(args) -> int:
-    instance = _expect_kind(_load(args.file), "rev", "properize")
+def cmd_properize(args, instance: Instance, kind: _Kind) -> int:
     _print_instance(instance, program=transforms.properize(instance.program))
     return 0
 
 
-def cmd_shift(args) -> int:
-    instance = _load(args.file)
-    _kind(instance, "shift")
+def cmd_shift(args, instance: Instance, kind: _Kind) -> int:
     by = parse_atoms(args.by)
     witness = transforms.shift_instance(
         instance.db, instance.program, by, universe=instance.universe()
@@ -264,10 +227,9 @@ def _verify_shift(instance: Instance, witness, args) -> int:
     return len(classes)
 
 
-def cmd_answer_sets(args) -> int:
-    instance = _expect_kind(_load(args.file), "lp", "answer-sets")
+def cmd_answer_sets(args, instance: Instance, kind: None) -> int:
     models = asp.answer_sets(
-        instance.program, universe=instance.universe(), limits=_limits(args)
+        instance.program, universe=instance.universe(), limits=Limits(args.max_atoms)
     )
     rows = [sorted(m) for m in models]
     if args.format == "json":
@@ -277,17 +239,15 @@ def cmd_answer_sets(args) -> int:
     return 0
 
 
-def cmd_cqa(args) -> int:
-    instance = _load(args.file)
-    _, semantics = _class_for(instance, "cqa", args.cls)
+def cmd_cqa(args, instance: Instance, kind: _Kind) -> int:
     literals = parse_literals(args.query)
     verdict = query.cqa(
         instance.db,
         instance.program,
-        semantics,
+        args.cls,
         literals,
         universe=instance.declared_universe,
-        limits=_limits(args),
+        limits=Limits(args.max_atoms),
     )
     if args.format == "json":
         _print_json(
@@ -340,9 +300,7 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     return relations
 
 
-def cmd_lattice(args) -> int:
-    instance = _load(args.file)
-    kind = _kind(instance, "lattice")
+def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     classes = _classes(instance)
     actions, hits = _enumerate(instance, args, instance.db, instance.program, classes)
     relations = None
@@ -389,12 +347,14 @@ def _add_max_atoms(parser) -> None:
     )
 
 
-def _add_class(parser, help: str, *kinds: str) -> None:
+def _add_class(parser, help: str) -> None:
+    """``--class``: a class of a kind the subcommand takes (its ``kinds``)."""
+    kinds = parser.get_default("kinds")
     parser.add_argument(
         "--class",
         dest="cls",
         required=True,
-        choices=[c.value for kind in kinds for c in _KINDS[kind].classes],
+        choices=[c.value for k in kinds for c in _KINDS[k].classes],
         help=help,
     )
 
@@ -410,44 +370,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     either = "repair or revision class, matching the instance kind"
+    both = ("aic", "rev")
 
     p = sub.add_parser("repair", help="enumerate repairs of an aic instance")
     p.add_argument("file")
-    _add_class(p, "repair class", "aic")
+    p.set_defaults(func=cmd_enumerate, kinds=("aic",))
+    _add_class(p, "repair class")
     _add_common(p)
-    p.set_defaults(func=cmd_enumerate, kind="aic")
 
     p = sub.add_parser("revise", help="enumerate revisions of a rev instance")
     p.add_argument("file")
-    _add_class(p, "revision class", "rev")
+    p.set_defaults(func=cmd_enumerate, kinds=("rev",))
+    _add_class(p, "revision class")
     _add_common(p)
-    p.set_defaults(func=cmd_enumerate, kind="rev")
 
     p = sub.add_parser("check", help="test one set for membership in a class")
     p.add_argument("file")
-    _add_class(p, either, "aic", "rev")
+    p.set_defaults(func=cmd_check, kinds=both)
+    _add_class(p, either)
     p.add_argument(
         "--set",
         required=True,
         help="candidate set, e.g. '+a,-b' or 'in(a),out(b)'",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("translate", help="translate between aic and rev")
     p.add_argument("file")
     p.add_argument("--to", required=True, choices=("aic", "rev"))
-    p.set_defaults(func=cmd_translate)
+    p.set_defaults(func=cmd_translate, kinds=both)
 
     p = sub.add_parser("normalize", help="split disjunctive heads")
     p.add_argument("file")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(func=cmd_normalize, kinds=both)
 
     p = sub.add_parser(
         "properize", help="drop head literals dual to a body literal"
     )
     p.add_argument("file")
-    p.set_defaults(func=cmd_properize)
+    p.set_defaults(func=cmd_properize, kinds=("rev",))
 
     p = sub.add_parser("shift", help="dualize the atoms of a shifting set")
     p.add_argument("file")
@@ -458,21 +419,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-enumerate all classes on both sides and compare",
     )
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_shift)
+    p.set_defaults(func=cmd_shift, kinds=both)
 
     p = sub.add_parser("answer-sets", help="answer sets of an lp instance")
     p.add_argument("file")
     _add_common(p)
-    p.set_defaults(func=cmd_answer_sets)
+    p.set_defaults(func=cmd_answer_sets, kinds=("lp",))
 
     p = sub.add_parser("cqa", help="consistent query answering")
     p.add_argument("file")
-    _add_class(p, either, "aic", "rev")
+    p.set_defaults(func=cmd_cqa, kinds=both)
+    _add_class(p, either)
     p.add_argument(
         "--query", required=True, help="comma-separated literals, e.g. 'a,not b'"
     )
     _add_common(p)
-    p.set_defaults(func=cmd_cqa)
 
     p = sub.add_parser(
         "lattice", help="enumerate every class and check their containments"
@@ -484,15 +445,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the containment relations between the classes",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_lattice)
+    p.set_defaults(func=cmd_lattice, kinds=both)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, kinds = args.command, args.kinds
+    if command == "translate":
+        command += f" --to {args.to}"
+        kinds = [k for k in kinds if k != args.to]
     try:
-        return args.func(args)
+        instance = _load(args.file)
+        found = instance.kind
+        if found not in kinds:
+            needs = f"a {kinds[0]}:" if len(kinds) == 1 else "an aic: or rev:"
+            raise InputError(f"'{command}' needs {needs} program, found {found}:")
+        kind = _KINDS.get(found)
+        if hasattr(args, "cls"):
+            try:
+                args.cls = kind.classes(args.cls)
+            except ValueError:
+                raise InputError(
+                    f"class '{args.cls}' does not apply to a {found}: program"
+                ) from None
+        return args.func(args, instance, kind)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

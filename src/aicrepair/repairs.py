@@ -28,7 +28,6 @@ from .model import (
     AicProgram,
     Limits,
     Universe,
-    UpdateAction,
     apply_update,
     clause_search,
     # Unused here: the benchmark's tracer (perfbench/tracing.py) counts the
@@ -88,10 +87,6 @@ def _universe_for(db, program, actions=(), universe=None) -> Universe:
                 universe.require(r.atoms(), "constraint")
         return universe
     return Universe.collect(db, (a.atom for a in actions), program)
-
-
-def _essential(db, actions: frozenset[UpdateAction]) -> bool:
-    return all((a.atom not in db) == a.insert for a in actions)
 
 
 class _Compiled:
@@ -309,8 +304,8 @@ def check_membership(
     ``limits``, a candidate on more atoms than the bound is refused when
     the test searches its subsets (a change-minimal class, or a justified
     walk on a disjunctive program); without it no check is refused. A
-    consistent candidate of essential actions becomes a mask over the
-    essential actions of the universe, and every test runs on it."""
+    candidate inside the essential actions of the universe, which makes it
+    consistent, becomes a mask over them, and every test runs on it."""
     normalized, grounding, minimal = _TABLE[repair_class]
     u = frozenset(actions)
     uni = _universe_for(db, program, u, universe)
@@ -319,9 +314,9 @@ def check_membership(
     )
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    if not is_consistent(u) or not _essential(db, u):
-        return False
     compiled = _Compiled(db, program, essential_actions(db, uni))
+    if not u.issubset(compiled.actions):
+        return False
     x = sum(compiled.bit[a.atom] for a in u)
     if not compiled.weak(x):
         return False

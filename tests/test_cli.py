@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import aicrepair
+import engine_corpus
 from aicrepair import cli, model, repairs, transforms
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
@@ -80,16 +81,51 @@ def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
 
 
 def test_kind_mismatch_is_an_input_error(capsys):
+    """Every subcommand refuses an aic: or rev: file of a kind it does not
+    take, and ``check`` and ``cqa`` refuse a class of the other kind, each
+    with exactly one line on stderr. The kind is reported before the
+    class, and the class before a ``--set`` or ``--query`` that does not
+    parse."""
     aic, rev = str(GOLDEN / "pair_delete.aic"), str(GOLDEN / "choice_pair.rev")
     for argv, message in (
-        (["repair", rev, "--class", "repair"], "needs a aic: program, found rev:"),
-        (["revise", aic, "--class", "revision"], "needs a rev: program, found aic:"),
-        (["answer-sets", aic], "needs a lp: program, found aic:"),
+        (
+            ["repair", rev, "--class", "repair"],
+            "'repair' needs a aic: program, found rev:",
+        ),
+        (
+            ["revise", aic, "--class", "revision"],
+            "'revise' needs a rev: program, found aic:",
+        ),
+        (["answer-sets", aic], "'answer-sets' needs a lp: program, found aic:"),
+        (["answer-sets", rev], "'answer-sets' needs a lp: program, found rev:"),
+        (["properize", aic], "'properize' needs a rev: program, found aic:"),
+        (
+            ["translate", aic, "--to", "aic"],
+            "'translate --to aic' needs a rev: program, found aic:",
+        ),
+        (
+            ["translate", rev, "--to", "rev"],
+            "'translate --to rev' needs a aic: program, found rev:",
+        ),
+        (
+            ["check", rev, "--class", "weak-repair", "--set=+a"],
+            "class 'weak-repair' does not apply to a rev: program",
+        ),
+        (
+            ["check", aic, "--class", "revision", "--set=in(a)"],
+            "class 'revision' does not apply to a aic: program",
+        ),
+        (
+            ["cqa", rev, "--class", "repair", "--query", "a"],
+            "class 'repair' does not apply to a rev: program",
+        ),
+        (
+            ["cqa", aic, "--class", "weak-revision", "--query", "not"],
+            "class 'weak-revision' does not apply to a aic: program",
+        ),
     ):
         code, out, err = run(argv, capsys)
-        assert code == 2, argv
-        assert out == "", argv
-        assert message in err, argv
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_class_must_match_the_instance_kind(capsys):
@@ -108,22 +144,39 @@ def test_class_must_match_the_instance_kind(capsys):
 
 
 def test_lp_instances_are_rejected_where_they_make_no_sense(capsys):
+    """The kind is reported before ``--set``, ``--query`` or ``--by``."""
     lp = str(GOLDEN / "split_choice.lp")
-    for argv in (
-        ["check", lp, "--class", "weak-repair", "--set=+a"],
-        ["translate", lp, "--to", "rev"],
-        ["normalize", lp],
-        ["cqa", lp, "--class", "repair", "--query", "a"],
-        ["lattice", lp],
-        ["shift", lp, "--by", "a"],
-        ["repair", lp, "--class", "repair"],
-        ["revise", lp, "--class", "revision"],
+    either = "needs an aic: or rev: program, found lp:"
+    for argv, message in (
+        (["check", lp, "--class", "weak-repair", "--set=+a"], f"'check' {either}"),
+        (["check", lp, "--class", "revision", "--set=+a,"], f"'check' {either}"),
+        (
+            ["translate", lp, "--to", "rev"],
+            "'translate --to rev' needs a aic: program, found lp:",
+        ),
+        (
+            ["translate", lp, "--to", "aic"],
+            "'translate --to aic' needs a rev: program, found lp:",
+        ),
+        (["normalize", lp], f"'normalize' {either}"),
+        (["properize", lp], "'properize' needs a rev: program, found lp:"),
+        (["cqa", lp, "--class", "repair", "--query", "a"], f"'cqa' {either}"),
+        (["cqa", lp, "--class", "revision", "--query", "not"], f"'cqa' {either}"),
+        (["lattice", lp], f"'lattice' {either}"),
+        (["lattice", lp, "--verify"], f"'lattice' {either}"),
+        (["shift", lp, "--by", "a"], f"'shift' {either}"),
+        (["shift", lp, "--by", "not"], f"'shift' {either}"),
+        (
+            ["repair", lp, "--class", "repair"],
+            "'repair' needs a aic: program, found lp:",
+        ),
+        (
+            ["revise", lp, "--class", "revision"],
+            "'revise' needs a rev: program, found lp:",
+        ),
     ):
         code, out, err = run(argv, capsys)
-        assert code == 2, argv
-        assert out == "", argv
-        assert "error:" in err, argv
-        assert "program, found lp:" in err, argv
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_atom_bound_refusal(capsys):
@@ -467,6 +520,20 @@ def test_the_big_listings_match_their_frozen_digests(tmp_path, capsys):
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
             }
             assert got == want, f"{name} {key}"
+
+
+def test_engine_outcomes_match_the_frozen_corpus(monkeypatch):
+    """Every command's exit code, stdout digest and stderr on 108 seeded
+    instances of 8-32 atoms, past the sizes the oracles reach; regenerate
+    with ``python tests/engine_corpus.py`` only for a change of output that
+    is meant."""
+    monkeypatch.delenv(model.ENV_MAX_ATOMS, raising=False)
+    frozen = Path(engine_corpus.PATH).read_text(encoding="utf-8")
+    entries = json.loads(frozen)
+    assert len(entries) == engine_corpus.INSTANCES
+    for entry in entries:
+        assert engine_corpus.outcomes(entry["seed"]) == entry
+    assert engine_corpus.dump(entries) == frozen
 
 
 def _split_rows(text: str) -> list[list[str]]:
