@@ -17,7 +17,8 @@ Each handler gets the parsed arguments, the instance and its ``_KINDS`` row.
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
-object (``"schema": 1``).
+object (``"schema": 1``). Listings, text or JSON, are written straight from
+the hit masks, a slice of hits per write (:func:`_write_sets`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import functools
 import json
 import sys
 from types import ModuleType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
@@ -50,6 +51,8 @@ from .syntax import (
 )
 
 SCHEMA_VERSION = 1
+_SLICE = 4096  # hits per write of a listing
+_HOLE = "\0"  # a listing's place in the JSON text that _print_json writes
 
 
 class _Kind(NamedTuple):
@@ -99,36 +102,48 @@ def _classes(instance: Instance) -> list:
     ]
 
 
-def _rows(actions: tuple, hits) -> list[tuple[str, ...]]:
-    """Each hit as the strings of its actions, in canonical order. Per
-    part of 8 positions, the strings of each byte of set bits that occurs
-    among the hits are computed once, from the byte's positions in
-    ``BYTE_POSITIONS``, and one comprehension appends them to every row."""
-    names = [str(a) for a in actions]
-    rows = [()] * len(hits)
-    for k in range(0, len(names), 8):
-        part = [x >> k & 255 for x in hits]
-        strings = {
-            b: tuple([names[k + i] for i in BYTE_POSITIONS[b]]) for b in set(part)
-        }
-        rows = [row + strings[b] for row, b in zip(rows, part)]
-    return rows
-
-
-def _write_rows(rows: Sequence[Sequence[str]], before: str, after: str) -> None:
-    """Write each row as a braced set between ``before`` and ``after``. The
-    rows go out in slices of 1024: the strings of every row and the whole
-    text are never held at once with the rows."""
-    for k in range(0, len(rows), 1024):
-        strings = map(", ".join, rows[k:k + 1024])
-        sys.stdout.write(
-            before + "{" + ("}" + after + before + "{").join(strings) + "}" + after
-        )
+def _write_sets(actions: tuple, hits, head: str, tail: str, quote=str, between="") -> None:
+    """Write the set of ``actions`` at each hit as ``head``, its names
+    (through ``quote``) in canonical order joined by ``", "``, and ``tail``,
+    with ``between`` between sets, one write per slice of ``_SLICE`` hits.
+    Per slice and part of 8 positions, the text of each byte of set bits
+    that occurs is built once, without and with a trailing ``", "``; rows
+    join the parts from the top one down, the separator coming in once a
+    part above holds an action. Only one slice's rows are ever held."""
+    names = [quote(str(a)) for a in actions]
+    joiner = tail + between + head
+    top = len(names) - 1 & ~7
+    for s in range(0, len(hits), _SLICE):
+        chunk = hits[s:s + _SLICE]
+        rows = [""] * len(chunk)
+        for k in range(top, -1, -8):
+            part = [x >> k & 255 for x in chunk]
+            plain = {
+                b: ", ".join([names[k + i] for i in BYTE_POSITIONS[b]]) for b in set(part)
+            }
+            if k == top:
+                rows = [plain[b] for b in part]
+            else:
+                rest = {b: t and t + ", " for b, t in plain.items()}
+                rows = [(rest if r else plain)[b] + r for b, r in zip(part, rows)]
+        sys.stdout.write((between if s else "") + head + joiner.join(rows) + tail)
 
 
 def _print_json(**fields) -> None:
-    """Write one JSON object: the schema version, then ``fields`` in order."""
-    print(json.dumps({"schema": SCHEMA_VERSION, **fields}))
+    """Write one JSON object as ``json.dumps`` would: the schema version,
+    then ``fields`` in order. A listing (a partial :func:`_write_sets` over
+    its actions and hits) is written in slices where its value goes."""
+    listings: list = []
+    text = json.dumps(
+        {"schema": SCHEMA_VERSION, **fields},
+        default=lambda listing: listings.append(listing) or _HOLE,
+    )
+    *pieces, last = text.split(json.dumps(_HOLE))
+    for piece, listing in zip(pieces, listings, strict=True):
+        sys.stdout.write(piece + "[")
+        listing("[", "]", json.dumps, ", ")
+        sys.stdout.write("]")
+    sys.stdout.write(last + "\n")
 
 
 def _print_instance(instance: Instance, **changes) -> None:
@@ -150,11 +165,11 @@ def cmd_enumerate(args, instance: Instance, kind: _Kind) -> int:
     """``repair`` and ``revise``: every member of one class."""
     cls = args.cls
     actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
-    rows = _rows(actions, hits[cls])
     if args.format == "json":
-        _print_json(**{"class": cls.value}, sets=rows)
+        sets = functools.partial(_write_sets, actions, hits[cls])
+        _print_json(**{"class": cls.value}, sets=sets)
     else:
-        _write_rows(rows, "", "\n")
+        _write_sets(actions, hits[cls], "{", "}\n")
     return 0
 
 
@@ -235,7 +250,7 @@ def cmd_answer_sets(args, instance: Instance, kind: None) -> int:
     if args.format == "json":
         _print_json(sets=rows)
     else:
-        _write_rows(rows, "", "\n")
+        sys.stdout.write("".join("{" + ", ".join(row) + "}\n" for row in rows))
     return 0
 
 
@@ -266,36 +281,30 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     normalized justified ones included; ``norm`` holds those of the first
     four classes of the enumerated normalized program. Both requests hold
     a weak class, so both search every essential action and their hits
-    compare directly."""
+    compare directly. Each class's hits become a set once."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
-
-    def eq(a, b):
-        return set(a) == set(b)
-
-    def sub(a, b):
-        return set(a) <= set(b)
-
+    base, norm = ({c: set(h) for c, h in d.items()} for d in (base, norm))
     n = "normalized:"
     relations = [
-        (f"{n}{jr.value} == {n}{jwr.value}", eq(base[njr], base[njwr])),
-        (f"{n}{jr.value} <= {jr.value}", sub(base[njr], base[jr])),
-        (f"{jr.value} <= {fr.value}", sub(base[jr], base[fr])),
-        (f"{fr.value} <= {r.value}", sub(base[fr], base[r])),
-        (f"{r.value} == {n}{r.value}", eq(base[r], norm[r])),
-        (f"{n}{fr.value} == {fr.value}", eq(norm[fr], base[fr])),
-        (f"{jr.value} <= {jwr.value}", sub(base[jr], base[jwr])),
-        (f"{fr.value} <= {fwr.value}", sub(base[fr], base[fwr])),
-        (f"{r.value} <= {wr.value}", sub(base[r], base[wr])),
-        (f"{n}{jwr.value} <= {jwr.value}", sub(base[njwr], base[jwr])),
-        (f"{jwr.value} <= {fwr.value}", sub(base[jwr], base[fwr])),
-        (f"{fwr.value} <= {wr.value}", sub(base[fwr], base[wr])),
-        (f"{wr.value} == {n}{wr.value}", eq(base[wr], norm[wr])),
-        (f"{n}{fwr.value} == {fwr.value}", eq(norm[fwr], base[fwr])),
+        (f"{n}{jr.value} == {n}{jwr.value}", base[njr] == base[njwr]),
+        (f"{n}{jr.value} <= {jr.value}", base[njr] <= base[jr]),
+        (f"{jr.value} <= {fr.value}", base[jr] <= base[fr]),
+        (f"{fr.value} <= {r.value}", base[fr] <= base[r]),
+        (f"{r.value} == {n}{r.value}", base[r] == norm[r]),
+        (f"{n}{fr.value} == {fr.value}", norm[fr] == base[fr]),
+        (f"{jr.value} <= {jwr.value}", base[jr] <= base[jwr]),
+        (f"{fr.value} <= {fwr.value}", base[fr] <= base[fwr]),
+        (f"{r.value} <= {wr.value}", base[r] <= base[wr]),
+        (f"{n}{jwr.value} <= {jwr.value}", base[njwr] <= base[jwr]),
+        (f"{jwr.value} <= {fwr.value}", base[jwr] <= base[fwr]),
+        (f"{fwr.value} <= {wr.value}", base[fwr] <= base[wr]),
+        (f"{wr.value} == {n}{wr.value}", base[wr] == norm[wr]),
+        (f"{n}{fwr.value} == {fwr.value}", norm[fwr] == base[fwr]),
     ]
     supported = RevisionClass.SUPPORTED_REVISION
     if supported in base:
         relations.append(
-            (f"{fwr.value} == {supported.value}", eq(base[fwr], base[supported]))
+            (f"{fwr.value} == {supported.value}", base[fwr] == base[supported])
         )
     return relations
 
@@ -311,7 +320,8 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     violated = [text for text, holds in relations or () if not holds]
 
     if args.format == "json":
-        fields: dict = {"classes": {c.value: _rows(actions, hits[c]) for c in classes}}
+        sets = {c.value: functools.partial(_write_sets, actions, hits[c]) for c in classes}
+        fields: dict = {"classes": sets}
         if relations is not None:
             fields["relations"] = [
                 {"relation": text, "holds": holds} for text, holds in relations
@@ -320,7 +330,7 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     else:
         for c in classes:
             sys.stdout.write(f"{c.value}:")
-            _write_rows(_rows(actions, hits[c]), " ", "")
+            _write_sets(actions, hits[c], " {", "}")
             sys.stdout.write("\n")
         if relations is not None:
             for text in violated:

@@ -77,6 +77,22 @@ def connected_aic(rnd: random.Random, atoms, rules: int) -> tuple[AicRule, ...]:
     return tuple(out)
 
 
+def components_aic(
+    rnd: random.Random, parts, free: int
+) -> tuple[tuple[str, ...], frozenset[str], tuple[AicRule, ...]]:
+    """``(atoms, db, program)``: one ``connected_aic`` component per size in
+    ``parts``, on consecutive atoms, then ``free`` atoms in no rule. A weak
+    repair takes one weak repair of each component and flips each free
+    atom or not, so weak listings grow as the product of those counts."""
+    atoms = atom_pool(rnd, sum(parts) + free)
+    program: list[AicRule] = []
+    start = 0
+    for n in parts:
+        program += connected_aic(rnd, atoms[start:start + n], n)
+        start += n
+    return atoms, database(rnd, atoms), tuple(program)
+
+
 def rev_rule(
     rnd: random.Random, atoms, normal: bool = False, proper: bool = True
 ) -> RevRule:

@@ -7,22 +7,27 @@ exact stderr, after exit code 2 and an empty stdout.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import aicrepair
 import engine_corpus
+import gen
 from aicrepair import cli, model, repairs, transforms
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
+from aicrepair.syntax import Instance, format_set, print_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 REPLAYS = sorted(GOLDEN.glob("*.cmd"))
@@ -557,6 +562,102 @@ def test_json_sets_are_the_text_rows_split_back(tmp_path, capsys):
             head, _, rest = line.partition(":")
             assert head == cls, name
             assert sets == _split_rows(rest), f"{name} {cls}"
+
+
+# The listing writer against the definitional printer. The widths fall on
+# both sides of each 8-position part, the counts on both sides of a slice;
+# each hit list starts with the full set, holds the empty set as the last
+# hit of the first slice and the full set as the first of the second, and
+# width 0 is the empty universe.
+WRITER_WIDTHS = (0, 1, 7, 8, 9, 12, 16, 17, 24, 26)
+WRITER_COUNTS = (0, 1, 4095, 4096, 4097, 8193)
+
+
+def _writer_case(width: int) -> tuple[tuple, list[int]]:
+    """Canonically ordered actions (update actions at odd widths, revision
+    literals at even ones, both flags of some atoms) and 8193 masks."""
+    rnd = random.Random(f"writer-{width}")
+    kind = model.UpdateAction if width % 2 else model.RevLiteral
+    pool = [kind(f"a{i}", flag) for i in range(width) for flag in (True, False)]
+    actions = tuple(model.ordered(rnd.sample(pool, width)))
+    full = (1 << width) - 1
+    hits = [rnd.getrandbits(width) for _ in range(max(WRITER_COUNTS))]
+    hits[0] = hits[4096] = full
+    hits[4095] = 0
+    return actions, hits
+
+
+def test_listing_writer_matches_the_definitional_printer(capsys):
+    for width in WRITER_WIDTHS:
+        actions, hits = _writer_case(width)
+        sets = [model.ordered(s) for s in model.members(actions, hits)]
+        texts = [format_set(s) for s in sets]
+        names = [[str(x) for x in s] for s in sets]
+        for n in WRITER_COUNTS:
+            where = f"width {width}, {n} hits"
+            for before, after in (("", "\n"), (" ", "")):
+                cli._write_sets(actions, tuple(hits[:n]), before + "{", "}" + after)
+                want = "".join(before + text + after for text in texts[:n])
+                assert capsys.readouterr().out == want, where
+            listing = functools.partial(cli._write_sets, actions, tuple(hits[:n]))
+            cli._print_json(**{"class": "weak-repair"}, sets=listing)
+            want = {"schema": 1, "class": "weak-repair", "sets": names[:n]}
+            assert capsys.readouterr().out == json.dumps(want) + "\n", where
+    # Listings nested in an object, around and between plain values, as
+    # ``lattice --format json`` writes them.
+    actions, hits = _writer_case(9)
+    fields = {
+        "classes": {
+            "a": functools.partial(cli._write_sets, actions, tuple(hits[:3])),
+            "b": functools.partial(cli._write_sets, actions, ()),
+        },
+        "relations": [{"relation": "a <= b", "holds": False}],
+    }
+    cli._print_json(**fields)
+    sets = [[str(x) for x in model.ordered(s)] for s in model.members(actions, hits[:3])]
+    want = {"schema": 1, **fields, "classes": {"a": sets, "b": []}}
+    assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+class _CountingSink:
+    """A stdout that keeps, per write, only the number of lines written."""
+
+    def __init__(self):
+        self.lines: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.lines.append(text.count("\n"))
+        return len(text)
+
+
+def test_listings_print_in_slices_without_holding_the_rows(monkeypatch):
+    # 4 components of 4 atoms and 4 free atoms: 103,680 weak repairs. The
+    # printing alone traced a peak of 0.88 MiB here against 25.2 MiB when
+    # every row was built before the first write (Python 3.11).
+    atoms, db, program = gen.components_aic(random.Random("stream20"), (4,) * 4, 4)
+    weak = RepairClass.WEAK_REPAIR
+    universe, limits = model.Universe(atoms), model.Limits(len(atoms))
+    report = repairs.enumerate_classes(db, program, [weak], universe, limits)[weak]
+    assert len(report.hits) == 103_680
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._write_sets(report.actions, report.hits, "{", "}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sink.lines) == len(report.hits)
+    assert max(sink.lines) == cli._SLICE == 4096
+    assert peak < 1.5 * 2**20, f"printing peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_weak26_is_its_generator_output():
+    """``weak26.aic``, the 2,624,400-set weak listing that CI prints under
+    a memory limit, is 6 components of 4 atoms and 2 free atoms."""
+    atoms, db, program = gen.components_aic(random.Random("weak26"), (4,) * 6, 2)
+    instance = Instance("aic", db, program, model.Universe(atoms))
+    assert (GOLDEN / "weak26.aic").read_text() == print_instance(instance)
 
 
 def test_lattice_verify_text_summary(capsys):
