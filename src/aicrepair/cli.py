@@ -8,11 +8,17 @@ canonical form, ``answer-sets`` runs the disjunctive-program semantics,
 enumerates every class at once and can verify the containment relations
 between them on the given instance.
 
-:func:`main` is the one front door. It reads the instance file, checks its
-kind against the ``kinds`` the subcommand declares (``translate`` takes the
-kind opposite to ``--to``) and resolves ``--class`` against that kind's
-classes, in that order, before ``--set``, ``--query`` or ``--by`` is read.
-Each handler gets the parsed arguments, the instance and its ``_KINDS`` row.
+Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
+handler, the kinds of program it takes and its options.
+:func:`main` is the one front door. It reads and parses the instance file,
+checks its kind against the ``kinds`` the subcommand declares (``translate``
+takes the kind opposite to ``--to``), resolves ``--class`` against that
+kind's classes and checks the atom bound (``--max-atoms``, else
+``AICREPAIR_MAX_ATOMS``) of a subcommand that takes one, in that order,
+before ``--set``, ``--query`` or ``--by`` is read. A malformed bound is an
+error even where the engine would never consult it. Each handler gets the
+parsed arguments (the bound as ``args.limits``), the instance and its
+``_KINDS`` row.
 
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input.
@@ -155,7 +161,7 @@ def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
     """The actions searched and the hits of every requested class, from
     one engine call."""
     reports = _KINDS[instance.kind].engine.enumerate_classes(
-        db, program, classes, instance.universe(), Limits(args.max_atoms)
+        db, program, classes, instance.universe(), args.limits
     )
     actions = reports[classes[0]].actions
     return actions, {cls: report.hits for cls, report in reports.items()}
@@ -180,7 +186,7 @@ def cmd_check(args, instance: Instance, kind: _Kind) -> int:
         args.cls,
         kind.parse_set(args.set),
         instance.declared_universe,
-        Limits(args.max_atoms),
+        args.limits,
     )
     if args.format == "json":
         _print_json(member=member)
@@ -244,7 +250,7 @@ def _verify_shift(instance: Instance, witness, args) -> int:
 
 def cmd_answer_sets(args, instance: Instance, kind: None) -> int:
     models = asp.answer_sets(
-        instance.program, universe=instance.universe(), limits=Limits(args.max_atoms)
+        instance.program, universe=instance.universe(), limits=args.limits
     )
     rows = [sorted(m) for m in models]
     if args.format == "json":
@@ -262,7 +268,7 @@ def cmd_cqa(args, instance: Instance, kind: _Kind) -> int:
         args.cls,
         literals,
         universe=instance.declared_universe,
-        limits=Limits(args.max_atoms),
+        limits=args.limits,
     )
     if args.format == "json":
         _print_json(
@@ -340,33 +346,50 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     return 1 if violated else 0
 
 
-def _add_common(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    _add_max_atoms(parser)
+def _option(flag: str, help: str | None = None, **settings) -> tuple:
+    """An option of a subcommand: its flag and ``add_argument`` keywords."""
+    return flag, {"help": help, **settings}
 
 
-def _add_max_atoms(parser) -> None:
-    parser.add_argument(
-        "--max-atoms",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the exhaustive-enumeration bound on universe size",
-    )
+_BOTH = ("aic", "rev")
+_class = functools.partial(_option, "--class", dest="cls", required=True)
+_EITHER = _class("repair or revision class, matching the instance kind")
+_FORMAT = _option("--format", "output format", choices=("text", "json"), default="text")
+_MAX_ATOMS = _option("--max-atoms", type=int, metavar="N",
+                     help="override the exhaustive-enumeration bound on universe size")
 
-
-def _add_class(parser, help: str) -> None:
-    """``--class``: a class of a kind the subcommand takes (its ``kinds``)."""
-    kinds = parser.get_default("kinds")
-    parser.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=[c.value for k in kinds for c in _KINDS[k].classes],
-        help=help,
-    )
+#: Every subcommand, in the order ``--help`` lists them: its help, its
+#: handler, the kinds of program it takes, then its options after ``file``
+#: as (flag, ``add_argument`` keywords). A ``--class`` takes the classes of
+#: those kinds as its choices.
+_COMMANDS = {
+    "repair": ("enumerate repairs of an aic instance", cmd_enumerate, ("aic",),
+               _class("repair class"), _FORMAT, _MAX_ATOMS),
+    "revise": ("enumerate revisions of a rev instance", cmd_enumerate, ("rev",),
+               _class("revision class"), _FORMAT, _MAX_ATOMS),
+    "check": ("test one set for membership in a class", cmd_check, _BOTH, _EITHER,
+              _option("--set", "candidate set, e.g. '+a,-b' or 'in(a),out(b)'",
+                      required=True),
+              _FORMAT, _MAX_ATOMS),
+    "translate": ("translate between aic and rev", cmd_translate, _BOTH,
+                  _option("--to", required=True, choices=_BOTH)),
+    "normalize": ("split disjunctive heads", cmd_normalize, _BOTH),
+    "properize": ("drop head literals dual to a body literal", cmd_properize, ("rev",)),
+    "shift": ("dualize the atoms of a shifting set", cmd_shift, _BOTH,
+              _option("--by", "comma-separated atoms", required=True),
+              _option("--verify", "re-enumerate all classes on both sides and compare",
+                      action="store_true"),
+              _MAX_ATOMS),
+    "answer-sets": ("answer sets of an lp instance", cmd_answer_sets, ("lp",),
+                    _FORMAT, _MAX_ATOMS),
+    "cqa": ("consistent query answering", cmd_cqa, _BOTH, _EITHER,
+            _option("--query", "comma-separated literals, e.g. 'a,not b'", required=True),
+            _FORMAT, _MAX_ATOMS),
+    "lattice": ("enumerate every class and check their containments", cmd_lattice, _BOTH,
+                _option("--verify", "check the containment relations between the classes",
+                        action="store_true"),
+                _FORMAT, _MAX_ATOMS),
+}
 
 
 @functools.cache
@@ -379,84 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
         "and revision programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    either = "repair or revision class, matching the instance kind"
-    both = ("aic", "rev")
-
-    p = sub.add_parser("repair", help="enumerate repairs of an aic instance")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_enumerate, kinds=("aic",))
-    _add_class(p, "repair class")
-    _add_common(p)
-
-    p = sub.add_parser("revise", help="enumerate revisions of a rev instance")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_enumerate, kinds=("rev",))
-    _add_class(p, "revision class")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="test one set for membership in a class")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check, kinds=both)
-    _add_class(p, either)
-    p.add_argument(
-        "--set",
-        required=True,
-        help="candidate set, e.g. '+a,-b' or 'in(a),out(b)'",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("translate", help="translate between aic and rev")
-    p.add_argument("file")
-    p.add_argument("--to", required=True, choices=("aic", "rev"))
-    p.set_defaults(func=cmd_translate, kinds=both)
-
-    p = sub.add_parser("normalize", help="split disjunctive heads")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_normalize, kinds=both)
-
-    p = sub.add_parser(
-        "properize", help="drop head literals dual to a body literal"
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_properize, kinds=("rev",))
-
-    p = sub.add_parser("shift", help="dualize the atoms of a shifting set")
-    p.add_argument("file")
-    p.add_argument("--by", required=True, help="comma-separated atoms")
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-enumerate all classes on both sides and compare",
-    )
-    _add_max_atoms(p)
-    p.set_defaults(func=cmd_shift, kinds=both)
-
-    p = sub.add_parser("answer-sets", help="answer sets of an lp instance")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_answer_sets, kinds=("lp",))
-
-    p = sub.add_parser("cqa", help="consistent query answering")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_cqa, kinds=both)
-    _add_class(p, either)
-    p.add_argument(
-        "--query", required=True, help="comma-separated literals, e.g. 'a,not b'"
-    )
-    _add_common(p)
-
-    p = sub.add_parser(
-        "lattice", help="enumerate every class and check their containments"
-    )
-    p.add_argument("file")
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="check the containment relations between the classes",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice, kinds=both)
-
+    for name, (help, func, kinds, *options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.set_defaults(func=func, kinds=kinds)
+        for flag, settings in options:
+            if flag == "--class":
+                classes = [c.value for k in kinds for c in _KINDS[k].classes]
+                settings = {**settings, "choices": classes}
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -480,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise InputError(
                     f"class '{args.cls}' does not apply to a {found}: program"
                 ) from None
+        if hasattr(args, "max_atoms"):
+            args.limits = Limits(args.max_atoms)
+            args.limits.effective_max_atoms()
         return args.func(args, instance, kind)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,22 +50,24 @@ class InconsistentUpdateSet(Refusal):
         super().__init__(f"set contains both signs of atom '{atom}'")
 
 
-class NotNormalProgram(Refusal):
+class _RuleRefusal(Refusal):
+    """A refusal whose class gives its ``message``, then the rule at fault."""
+
     def __init__(self, rule=None):
         detail = f": {rule}" if rule is not None else ""
-        super().__init__(f"operation requires a normal program{detail}")
+        super().__init__(f"{self.message}{detail}")
 
 
-class NotProperProgram(Refusal):
-    def __init__(self, rule=None):
-        detail = f": {rule}" if rule is not None else ""
-        super().__init__(f"operation requires a proper program{detail}")
+class NotNormalProgram(_RuleRefusal):
+    message = "operation requires a normal program"
 
 
-class NotSimpleRule(Refusal):
-    def __init__(self, rule=None):
-        detail = f": {rule}" if rule is not None else ""
-        super().__init__(f"rule mentions an atom more than once{detail}")
+class NotProperProgram(_RuleRefusal):
+    message = "operation requires a proper program"
+
+
+class NotSimpleRule(_RuleRefusal):
+    message = "rule mentions an atom more than once"
 
 
 class UniverseTooLarge(Refusal):

@@ -208,33 +208,46 @@ def test_atom_bound_env_override(capsys, monkeypatch):
     )
     assert code == 1
     assert err.startswith("refused:")
-    monkeypatch.setenv("AICREPAIR_MAX_ATOMS", "many")
-    code, _, err = run(
-        ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair"], capsys
-    )
-    assert code == 2
-    assert err.startswith("error:")
 
 
-def test_negative_atom_bound_flag_is_malformed(capsys):
-    argv = ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair"]
-    code, _, err = run(argv + ["--max-atoms", "-1"], capsys)
-    assert code == 2
-    assert err.startswith("error:")
-    assert "--max-atoms" in err
+# Every subcommand that takes --max-atoms, with the exit code of a zero
+# bound on a 2-atom instance: a weak check and a plain shift never consult
+# the bound, yet a malformed one is an error there too.
+BOUNDED = {
+    "repair": (["repair", "pair_delete.aic", "--class", "repair"], 1),
+    "revise": (["revise", "choice_pair.rev", "--class", "revision"], 1),
+    "check-weak": (["check", "pair_delete.aic", "--class", "weak-repair", "--set=+a"], 0),
+    "check-minimal": (["check", "pair_delete.aic", "--class", "repair", "--set=+a"], 1),
+    "shift": (["shift", "pair_delete.aic", "--by", "a"], 0),
+    "shift-verify": (["shift", "pair_delete.aic", "--by", "a", "--verify"], 1),
+    "answer-sets": (["answer-sets", "even_loop.lp"], 1),
+    "cqa": (["cqa", "pair_delete.aic", "--class", "repair", "--query", "a"], 1),
+    "lattice": (["lattice", "pair_delete.aic"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, zero", BOUNDED.values(), ids=BOUNDED)
+def test_negative_atom_bound_flag_is_malformed(argv, zero, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run(argv + ["--max-atoms", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --max-atoms must be at least 0, got -1\n"
     code, _, err = run(argv + ["--max-atoms", "0"], capsys)
-    assert code == 1
-    assert err.startswith("refused:")
+    assert code == zero
+    assert err.startswith("refused:") if zero else err == ""
 
 
-def test_negative_atom_bound_env_is_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("AICREPAIR_MAX_ATOMS", "-1")
-    code, _, err = run(
-        ["repair", str(GOLDEN / "pair_delete.aic"), "--class", "repair"], capsys
-    )
-    assert code == 2
-    assert err.startswith("error:")
-    assert "AICREPAIR_MAX_ATOMS" in err
+@pytest.mark.parametrize("value", ["-1", "many"])
+@pytest.mark.parametrize("argv", [argv for argv, _ in BOUNDED.values()], ids=BOUNDED)
+def test_negative_atom_bound_env_is_malformed(argv, value, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("AICREPAIR_MAX_ATOMS", value)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: AICREPAIR_MAX_ATOMS must be")
+    # An explicit bound is the one read.
+    code, _, err = run(argv + ["--max-atoms", "12"], capsys)
+    assert code == 0, err
 
 
 def test_check_reports_nonmembers_without_refusing(capsys):
@@ -911,3 +924,106 @@ def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
         proc = run_fresh(argv, COLUMNS="80")
         fresh = (proc.returncode, proc.stdout, proc.stderr)
         assert (code, captured.out, captured.err) == fresh, argv
+
+
+# What the parser declares, frozen as a literal: per subcommand its help,
+# handler name and kinds, and per action its option strings, dest, required,
+# choices, default, metavar, help and type name.
+_HELP = (("-h", "--help"), "help", False, None, "==SUPPRESS==", None,
+         "show this help message and exit", None)
+_FILE = ((), "file", True, None, None, None, None, None)
+_FORMAT = (("--format",), "format", False, ("text", "json"), "text", None,
+           "output format", None)
+_MAX_ATOMS = (("--max-atoms",), "max_atoms", False, None, None, "N",
+              "override the exhaustive-enumeration bound on universe size", "int")
+_REPAIR_CLASSES = (
+    "weak-repair", "repair", "founded-weak-repair", "founded-repair",
+    "justified-weak-repair", "justified-repair",
+    "justified-weak-repair-normalized", "justified-repair-normalized",
+)
+_REVISION_CLASSES = (
+    "weak-revision", "revision", "founded-weak-revision", "founded-revision",
+    "justified-weak-revision", "justified-revision",
+    "justified-weak-revision-normalized", "justified-revision-normalized",
+    "supported-revision",
+)
+_EITHER = "repair or revision class, matching the instance kind"
+_EITHER_CLASS = (("--class",), "cls", True, _REPAIR_CLASSES + _REVISION_CLASSES,
+                 None, None, _EITHER, None)
+PARSER_PIN = {
+    "repair": ("enumerate repairs of an aic instance", "cmd_enumerate", ("aic",), [
+        _HELP, _FILE,
+        (("--class",), "cls", True, _REPAIR_CLASSES, None, None, "repair class", None),
+        _FORMAT, _MAX_ATOMS,
+    ]),
+    "revise": ("enumerate revisions of a rev instance", "cmd_enumerate", ("rev",), [
+        _HELP, _FILE,
+        (("--class",), "cls", True, _REVISION_CLASSES, None, None, "revision class",
+         None),
+        _FORMAT, _MAX_ATOMS,
+    ]),
+    "check": ("test one set for membership in a class", "cmd_check", ("aic", "rev"), [
+        _HELP, _FILE, _EITHER_CLASS,
+        (("--set",), "set", True, None, None, None,
+         "candidate set, e.g. '+a,-b' or 'in(a),out(b)'", None),
+        _FORMAT, _MAX_ATOMS,
+    ]),
+    "translate": ("translate between aic and rev", "cmd_translate", ("aic", "rev"), [
+        _HELP, _FILE,
+        (("--to",), "to", True, ("aic", "rev"), None, None, None, None),
+    ]),
+    "normalize": ("split disjunctive heads", "cmd_normalize", ("aic", "rev"), [
+        _HELP, _FILE,
+    ]),
+    "properize": ("drop head literals dual to a body literal", "cmd_properize",
+                  ("rev",), [_HELP, _FILE]),
+    "shift": ("dualize the atoms of a shifting set", "cmd_shift", ("aic", "rev"), [
+        _HELP, _FILE,
+        (("--by",), "by", True, None, None, None, "comma-separated atoms", None),
+        (("--verify",), "verify", False, None, False, None,
+         "re-enumerate all classes on both sides and compare", None),
+        _MAX_ATOMS,
+    ]),
+    "answer-sets": ("answer sets of an lp instance", "cmd_answer_sets", ("lp",), [
+        _HELP, _FILE, _FORMAT, _MAX_ATOMS,
+    ]),
+    "cqa": ("consistent query answering", "cmd_cqa", ("aic", "rev"), [
+        _HELP, _FILE, _EITHER_CLASS,
+        (("--query",), "query", True, None, None, None,
+         "comma-separated literals, e.g. 'a,not b'", None),
+        _FORMAT, _MAX_ATOMS,
+    ]),
+    "lattice": ("enumerate every class and check their containments", "cmd_lattice",
+                ("aic", "rev"), [
+        _HELP, _FILE,
+        (("--verify",), "verify", False, None, False, None,
+         "check the containment relations between the classes", None),
+        _FORMAT, _MAX_ATOMS,
+    ]),
+}
+
+
+def test_the_parser_declares_what_it_always_did():
+    """Every subcommand keeps its help, handler, kinds and options, in order.
+    The help check above compares two runs of the same code, so it cannot
+    see a help string or a choice that both lose."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert tuple(sub.choices) == SUBCOMMANDS == tuple(PARSER_PIN)
+    for name, subparser in sub.choices.items():
+        actions = [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.required,
+                None if a.choices is None else tuple(a.choices),
+                a.default,
+                a.metavar,
+                a.help,
+                None if a.type is None else a.type.__name__,
+            )
+            for a in subparser._actions
+        ]
+        func, kinds = subparser.get_default("func"), subparser.get_default("kinds")
+        assert (helps[name], func.__name__, kinds, actions) == PARSER_PIN[name], name
