@@ -23,8 +23,9 @@ parsed arguments (the bound as ``args.limits``), the instance and its
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
-object (``"schema": 1``). Listings, text or JSON, are written straight from
-the hit masks, a slice of hits per write (:func:`_write_sets`).
+object (``"schema": 1``). Listings, text or JSON, are written from the
+blocks of a report, never from its full hit list, a slice of sets per
+write (:func:`_write_sets`); ``cqa`` counts per block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import sys
 from types import ModuleType
@@ -40,7 +42,7 @@ from typing import Callable, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
-from .model import BYTE_POSITIONS, Limits, is_normal
+from .model import BYTE_POSITIONS, Limits, _join, _product, is_normal
 from .repairs import RepairClass
 from .revisions import RevisionClass
 from .syntax import (
@@ -57,7 +59,7 @@ from .syntax import (
 )
 
 SCHEMA_VERSION = 1
-_SLICE = 4096  # hits per write of a listing
+_SLICE = 4096  # sets per write of a listing
 _HOLE = "\0"  # a listing's place in the JSON text that _print_json writes
 
 
@@ -108,31 +110,103 @@ def _classes(instance: Instance) -> list:
     ]
 
 
-def _write_sets(actions: tuple, hits, head: str, tail: str, quote=str, between="") -> None:
-    """Write the set of ``actions`` at each hit as ``head``, its names
-    (through ``quote``) in canonical order joined by ``", "``, and ``tail``,
-    with ``between`` between sets, one write per slice of ``_SLICE`` hits.
-    Per slice and part of 8 positions, the text of each byte of set bits
-    that occurs is built once, without and with a trailing ``", "``; rows
-    join the parts from the top one down, the separator coming in once a
-    part above holds an action. Only one slice's rows are ever held."""
-    names = [quote(str(a)) for a in actions]
-    joiner = tail + between + head
+def _texts(names: list[str], masks) -> list[str]:
+    """The names at the bits of each mask, in canonical order, joined by
+    ``", "``. Per part of 8 positions, the text of each byte of set bits
+    that occurs is built once, without and with a trailing ``", "``; a
+    text joins the parts from the top one down, the separator coming in
+    once a part above holds a name."""
     top = len(names) - 1 & ~7
-    for s in range(0, len(hits), _SLICE):
-        chunk = hits[s:s + _SLICE]
-        rows = [""] * len(chunk)
-        for k in range(top, -1, -8):
-            part = [x >> k & 255 for x in chunk]
-            plain = {
-                b: ", ".join([names[k + i] for i in BYTE_POSITIONS[b]]) for b in set(part)
-            }
-            if k == top:
-                rows = [plain[b] for b in part]
-            else:
-                rest = {b: t and t + ", " for b, t in plain.items()}
-                rows = [(rest if r else plain)[b] + r for b, r in zip(part, rows)]
-        sys.stdout.write((between if s else "") + head + joiner.join(rows) + tail)
+    texts = [""] * len(masks)
+    for k in range(top, -1, -8):
+        part = [x >> k & 255 for x in masks]
+        plain = {
+            b: ", ".join([names[k + i] for i in BYTE_POSITIONS[b]]) for b in set(part)
+        }
+        if k == top:
+            texts = [plain[b] for b in part]
+        else:
+            rest = {b: t and t + ", " for b, t in plain.items()}
+            texts = [(rest if t else plain)[b] + t for b, t in zip(part, texts)]
+    return texts
+
+
+class _Listing:
+    """The rows of one listing, written ``_SLICE`` rows per write, the last
+    write excepted: each row between ``head`` and ``tail``, ``between``
+    between rows. ``append`` takes the text of one row. ``+=`` takes
+    prefixes, each the text of a member of the lower blocks, and writes
+    its run: a row of the prefix joined to each text of ``top``, built
+    with one ``str.join`` per write it falls into."""
+
+    def __init__(self, head: str, tail: str, between: str, top: list[str]):
+        self.head, self.tail, self.between, self.top = head, tail, between, top
+        self.joiner = tail + between + head
+        self.lead = head
+        self.parts: list[str] = []
+        self.room = _SLICE
+
+    def put(self, texts, prefix: str = "") -> None:
+        """The rows of ``prefix`` followed by each of ``texts``."""
+        glue = self.joiner + prefix
+        i = 0
+        while i < len(texts):
+            part = texts[i:i + self.room] if i or len(texts) > self.room else texts
+            self.parts.append(prefix + glue.join(part))
+            self.room -= len(part)
+            i += len(part)
+            if not self.room:
+                self.flush()
+
+    def append(self, text: str) -> None:
+        self.put((text,))
+
+    def __iadd__(self, prefixes):
+        for text in prefixes:
+            self.put(self.top, text and text + ", ")
+        return self
+
+    def flush(self) -> None:
+        if self.parts:
+            sys.stdout.write(self.lead + self.joiner.join(self.parts) + self.tail)
+            self.lead = self.between + self.head
+            self.parts, self.room = [], _SLICE
+
+
+def _write_sets(
+    actions: tuple, blocks, head: str, tail: str, quote=str, between=""
+) -> None:
+    """Write the set of ``actions`` at each mask of the product of
+    ``blocks`` (:func:`model._product`), in canonical order, as ``head``,
+    its names (through ``quote``) in canonical order joined by ``", "``,
+    and ``tail``, with ``between`` between sets, ``_SLICE`` sets per write.
+    The top, the highest blocks but the lowest whose product fits in one
+    slice, is held as text, each block's masks labelled by
+    :func:`_texts`. The masks of the lower blocks' product are labelled a
+    slice at a time and joined to that text by :func:`model._join`: a
+    member's own row comes first when the top holds the empty set, and
+    its run (:class:`_Listing`), once the members that extend it are
+    written. With no top, one block or a last block wider than a slice,
+    the rows are the lower members themselves, one write per slice."""
+    label = functools.partial(_texts, [quote(str(a)) for a in actions])
+    j, size = len(blocks), 1
+    while j > 1 and size * len(blocks[j - 1]) <= _SLICE:
+        j -= 1
+        size *= len(blocks[j])
+    low = _product(blocks[:j])
+    if j == len(blocks):
+        joiner = tail + between + head
+        for s in range(0, len(low), _SLICE):
+            texts = label(low[s:s + _SLICE])
+            sys.stdout.write((between if s else "") + head + joiner.join(texts) + tail)
+        return
+    top = _product(blocks[j:], label)
+    own = bool(top) and not top[0]
+    listing = _Listing(head, tail, between, top[1:] if own else top)
+    chunks = (label(low[s:s + _SLICE]) for s in range(0, len(low), _SLICE))
+    texts = itertools.chain.from_iterable(chunks)
+    _join(low, texts, lambda a, text: (own, (text,)), listing)
+    listing.flush()
 
 
 def _print_json(**fields) -> None:
@@ -158,24 +232,23 @@ def _print_instance(instance: Instance, **changes) -> None:
 
 
 def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
-    """The actions searched and the hits of every requested class, from
+    """The actions searched and the report of every requested class, from
     one engine call."""
     reports = _KINDS[instance.kind].engine.enumerate_classes(
         db, program, classes, instance.universe(), args.limits
     )
-    actions = reports[classes[0]].actions
-    return actions, {cls: report.hits for cls, report in reports.items()}
+    return reports[classes[0]].actions, reports
 
 
 def cmd_enumerate(args, instance: Instance, kind: _Kind) -> int:
     """``repair`` and ``revise``: every member of one class."""
     cls = args.cls
-    actions, hits = _enumerate(instance, args, instance.db, instance.program, [cls])
+    actions, reports = _enumerate(instance, args, instance.db, instance.program, [cls])
     if args.format == "json":
-        sets = functools.partial(_write_sets, actions, hits[cls])
+        sets = functools.partial(_write_sets, actions, reports[cls].blocks)
         _print_json(**{"class": cls.value}, sets=sets)
     else:
-        _write_sets(actions, hits[cls], "{", "}\n")
+        _write_sets(actions, reports[cls].blocks, "{", "}\n")
     return 0
 
 
@@ -242,8 +315,8 @@ def _verify_shift(instance: Instance, witness, args) -> int:
     pairs = zip(witness.transport(actions), shifted_actions)
     moved = sum(1 << i for i, (a, b) in enumerate(pairs) if a != b)
     for cls in classes:
-        hits = original[cls]
-        if set(hits) != set(shifted[cls]) or any(x & moved for x in hits):
+        hits = original[cls].hits
+        if set(hits) != set(shifted[cls].hits) or any(x & moved for x in hits):
             raise Refusal(f"shift verification failed for {cls.value}")
     return len(classes)
 
@@ -283,13 +356,13 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     """The containment lattice between the six classes and their
     normalized-program counterparts, and supported against founded weak
     revisions when those were enumerated, as (description, holds) pairs.
-    ``base`` holds the hits of every class of the program, the two
+    ``base`` holds the report of every class of the program, the two
     normalized justified ones included; ``norm`` holds those of the first
     four classes of the enumerated normalized program. Both requests hold
     a weak class, so both search every essential action and their hits
     compare directly. Each class's hits become a set once."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
-    base, norm = ({c: set(h) for c, h in d.items()} for d in (base, norm))
+    base, norm = ({c: set(rep.hits) for c, rep in d.items()} for d in (base, norm))
     n = "normalized:"
     relations = [
         (f"{n}{jr.value} == {n}{jwr.value}", base[njr] == base[njwr]),
@@ -317,16 +390,21 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
 
 def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     classes = _classes(instance)
-    actions, hits = _enumerate(instance, args, instance.db, instance.program, classes)
+    actions, reports = _enumerate(
+        instance, args, instance.db, instance.program, classes
+    )
     relations = None
     if args.verify:
         normalized = kind.normalize(instance.program)
         _, norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
-        relations = _relations(hits, norm, classes)
+        relations = _relations(reports, norm, classes)
     violated = [text for text, holds in relations or () if not holds]
 
     if args.format == "json":
-        sets = {c.value: functools.partial(_write_sets, actions, hits[c]) for c in classes}
+        sets = {
+            c.value: functools.partial(_write_sets, actions, reports[c].blocks)
+            for c in classes
+        }
         fields: dict = {"classes": sets}
         if relations is not None:
             fields["relations"] = [
@@ -336,7 +414,7 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     else:
         for c in classes:
             sys.stdout.write(f"{c.value}:")
-            _write_sets(actions, hits[c], " {", "}")
+            _write_sets(actions, reports[c].blocks, " {", "}")
             sys.stdout.write("\n")
         if relations is not None:
             for text in violated:

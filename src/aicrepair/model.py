@@ -27,7 +27,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InconsistentUpdateSet,
@@ -367,38 +367,40 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def clause_search(clauses: Iterable[tuple[int, int]], n: int) -> tuple[list[int], int]:
+def clause_search(
+    clauses: Iterable[tuple[int, int]], n: int
+) -> tuple[list[list[int]], int]:
     """The masks over ``n`` positions that make no clause hold (``x & m !=
-    f`` for every ``(m, f)``), and the number of candidates examined.
+    f`` for every ``(m, f)``), as the blocks they are the product of, and
+    the number of candidates examined.
 
-    A clause with no position always holds, so no mask qualifies. Position
-    ``i`` is a cut when no clause holds bits both below ``i`` and at or
-    above it; the cuts split the positions into blocks that no clause
-    crosses, so the masks are the unions of one mask per block, each found
-    by :func:`_block_search` on the block's own clauses, and joined by
-    :func:`_product`, last block first. The masks come out in the order of
-    their sorted positions. The count is summed over the blocks: ``2**k``
-    for each truth table a block reads over ``k`` of its positions, so
-    ``2`` for a block of one position in no clause, and ``1`` when there
-    is no position (a table of one row)."""
+    Position ``i`` is a cut when no clause holds bits both below ``i`` and
+    at or above it; the cuts split the positions into blocks that no
+    clause crosses, so the masks are the unions of one mask per block
+    (:func:`_product`). Each block's masks are found by
+    :func:`_block_search` on the block's own clauses, in the order of
+    their sorted positions, and the blocks come lowest positions first. A
+    clause with no position always holds, so no mask qualifies: the one
+    block is empty. The count is summed over the blocks: ``2**k`` for each
+    truth table a block reads over ``k`` of its positions, so ``2`` for a
+    block of one position in no clause, and ``1`` when there is no
+    position (a table of one row)."""
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     spans = 0
     for m, f in clauses:
         if not m:
-            return [], 0
+            return [[]], 0
         top = m.bit_length()
         by_last[top - 1].append((m, f))
         # The positions low + 1 .. high that the clause crosses.
         spans |= (1 << top) - 2 * (m & -m)
-    starts = [0, *positions(((1 << n) - 1) & ~(spans | 1))]
-    found, nodes = _block_search(by_last, starts[-1], n)
-    for lo, hi in zip(reversed(starts[:-1]), reversed(starts[1:])):
-        low, visited = _block_search(by_last, lo, hi)
-        has_empty = bool(found) and not found[0]
-        rest = found[1:] if has_empty else found
-        found = _product(low, lambda a: (has_empty, [a | b for b in rest]))
+    starts = [0, *positions(((1 << n) - 1) & ~(spans | 1)), n]
+    blocks, nodes = [], 0
+    for lo, hi in zip(starts, starts[1:]):
+        found, visited = _block_search(by_last, lo, hi)
+        blocks.append(found)
         nodes += visited
-    return found, nodes
+    return blocks, nodes
 
 
 #: The number of positions at the top of a block that one truth table
@@ -442,7 +444,7 @@ def _block_search(
     t``. When ``t`` is ``lo`` the one prefix is ``0`` and the free rows
     are the masks. Otherwise the prefixes are the masks over ``lo`` to ``t
     - 1``, found the same way, each with its free rows joined by
-    :func:`_product`, and every prefix costs one table read."""
+    :func:`_join`, and every prefix costs one table read."""
     k = min(_TABLE_BITS, hi - lo)
     t = hi - k
     runs, columns, complements = _table(k)
@@ -473,7 +475,7 @@ def _block_search(
     if t == lo:
         return read(0, full ^ always), 1 << k
 
-    def high(x: int) -> tuple[bool, list[int]]:
+    def high(x: int, _) -> tuple[bool, list[int]]:
         bad = always
         for low, fails, rows in late:
             if x & low == fails:
@@ -481,34 +483,68 @@ def _block_search(
         return not bad & 1, read(x, full & ~(bad | 1))
 
     prefixes, nodes = _block_search(by_last, lo, t)
-    return _product(prefixes, high), nodes + (len(prefixes) << k)
+    return _join(prefixes, prefixes, high), nodes + (len(prefixes) << k)
 
 
-def _product(
-    low: list[int], high: Callable[[int], tuple[bool, list[int]]]
-) -> list[int]:
-    """Each member ``a`` of ``low`` joined to its part ``high(a)``, in the
-    order of their sorted positions, which ``low`` is in too. ``high(a)``
-    gives whether ``a`` itself qualifies and, in that order, the other
-    masks ``a | b`` that do, every ``b`` above the positions of ``low``.
-    Sorted positions compare as sequences, so ``a`` itself comes first,
-    then the members of ``low`` that extend ``a`` above its top bit, which
-    follow ``a`` in ``low``, each with its own unions, and only then the
-    unions of ``a``: ``{0} ∪ {4}`` follows ``{0, 1}``. A stack holds the
-    members of ``low`` whose extensions are still being listed, with their
-    unions."""
-    out: list[int] = []
-    pending: list[tuple[int, list[int]]] = []
-    for a in low:
+def _join(low: Sequence[int], values: Iterable, high: Callable, out=None):
+    """Each member ``a`` of ``low``, as its value ``v`` in ``values``,
+    joined to its unions, in the order of their sorted positions, which
+    ``low`` is in too. ``high(a, v)`` gives whether ``a`` itself qualifies
+    and, in that order, its unions with the masks above the positions of
+    ``low`` that qualify. Sorted positions compare as sequences, so ``a``
+    itself comes first, then the members of ``low`` that extend ``a``
+    above its top bit, which follow ``a`` in ``low``, each with its own
+    unions, and only then the unions of ``a``: ``{0} ∪ {4}`` follows
+    ``{0, 1}``. A stack holds the members of ``low`` whose extensions are
+    still being listed, with their unions. The values and unions go to
+    ``out``, a new list unless one is given: anything that takes one
+    value by ``append`` and the unions by ``+=``."""
+    out = [] if out is None else out
+    pending: list[tuple[int, Any]] = []
+    for a, v in zip(low, values):
         while pending and a & (1 << pending[-1][0].bit_length()) - 1 != pending[-1][0]:
             out += pending.pop()[1]
-        own, unions = high(a)
+        own, unions = high(a, v)
         if own:
-            out.append(a)
+            out.append(v)
         pending.append((a, unions))
     for _, unions in reversed(pending):
         out += unions
     return out
+
+
+def _product(blocks: Sequence[Sequence[int]], label: Callable | None = None) -> Sequence:
+    """The unions of one mask of each block, in canonical order: the
+    masks, or given ``label`` (the texts of a block's masks), their texts,
+    the texts of a union's masks joined by ``", "``. The blocks hold
+    disjoint positions, lowest first, each its masks in the order of their
+    sorted positions; the product of no block is the empty set, and one
+    empty block makes the product empty. The blocks are joined by
+    :func:`_join`, last first: each mask of a block to the unions above
+    it, the empty union being the mask itself."""
+    if not blocks:
+        return [""] if label else [0]
+    last = blocks[-1]
+    high = label(last) if label else last
+    empty = bool(last) and not last[0]
+    join = _concat if label else _union
+    for block in reversed(blocks[:-1]):
+        rest = high[1:] if empty else high
+        values = label(block) if label else block
+        high = _join(block, values, lambda a, v: (empty, join(v, rest)))
+        empty = empty and bool(block) and not block[0]
+    return high
+
+
+def _union(a: int, rest) -> list[int]:
+    return [a | b for b in rest]
+
+
+def _concat(text: str, rest) -> list[str]:
+    if not text:
+        return rest
+    text += ", "
+    return [text + t for t in rest]
 
 
 def walk(start: int, branch, seen: set[int] | None = None) -> Iterator[int]:

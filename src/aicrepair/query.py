@@ -45,9 +45,15 @@ def cqa(
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
     chosen class. Query atoms must lie in ``universe`` when one is given.
-    The query is compiled over the positions of the hits as the body of
+    The query is compiled over the positions of the report as the body of
     the constraint ``query -> false``, so it holds in the database
-    repaired by the mask ``x`` exactly when ``x & m == f``."""
+    repaired by the mask ``x`` exactly when ``x & m == f``. The members
+    are never listed: they are the unions of one mask per block of the
+    report, and the blocks split the positions, so the query holds in a
+    union exactly when its bits on each block's positions hold in that
+    block's mask. ``holding`` is the product, over the blocks, of the
+    masks where the query's bits on the block hold, and ``total`` the
+    product of the block sizes."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")
@@ -56,12 +62,21 @@ def cqa(
     else:
         report = enumerate_revisions(db, program, semantics, universe, limits)
 
-    total = len(report.hits)
+    total = report.size
     if not total:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
     clauses = _Compiled(db, (AicRule(query, frozenset()),), report.actions).clauses
     m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
-    holding = sum(1 for x in report.hits if x & m == f)
+    holding, below = 1, 0
+    for block in report.blocks[:-1]:
+        # The positions of a block: those below its top mask's top bit
+        # that no block below holds; the last block holds the rest.
+        own = (1 << max(block).bit_length()) - 1 & ~below
+        fails = f & own
+        holding *= sum(1 for x in block if x & m == fails)
+        below |= own
+    fails = f & ~below
+    holding *= sum(1 for x in report.blocks[-1] if x & m == fails)
     if holding == total:
         status = CqaStatus.TRUE
     elif holding == 0:

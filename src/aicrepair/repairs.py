@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import prod
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -41,6 +42,7 @@ from .model import (
     members,
     positions,
     walk,
+    _product,
 )
 
 
@@ -335,23 +337,37 @@ def check_membership(
 class Report:
     """Outcome of enumerating one repair or revision class over an instance.
 
-    ``hits`` are the members as masks over ``actions``, the essential
-    actions the engine searched, in universe order (their revision literals
-    when ``semantics`` is a revision class): bit ``i`` stands for
-    ``actions[i]``, and the hits are in canonical order. Every report of
-    one engine call shares its ``actions``. ``sets``, the members as
-    frozensets in the same order, is built on first read. ``examined``
-    counts the candidate sets the engine visited for the request: the sets
-    of the repair tree, when a change-minimal class is asked for, plus,
-    when a weak class is, the candidates of the clause search, summed over
-    the position blocks it splits into: ``2**k`` for each truth table a
-    block reads over ``k`` of its positions, since a table decides all its
-    rows at once."""
+    The members are masks over ``actions``, the essential actions the
+    engine searched, in universe order (their revision literals when
+    ``semantics`` is a revision class): bit ``i`` stands for
+    ``actions[i]``. Every report of one engine call shares its
+    ``actions``. ``blocks`` holds the members as a product: tuples of
+    masks over disjoint positions, lowest first, each in canonical order,
+    whose members are the unions of one mask per block
+    (:func:`model._product`). A weak class is the product of the position
+    blocks of the clause search, unless a grounded class of the same call
+    listed its members; any other class is one block. ``size``, the
+    number of members, is the product of the block sizes. ``hits``, the
+    members in canonical order, and ``sets``, the same as frozensets, are
+    built on first read. ``examined`` counts the candidate sets the
+    engine visited for the request: the sets of the repair tree, when a
+    change-minimal class is asked for, plus, when a weak class is, the
+    candidates of the clause search, summed over the position blocks it
+    splits into: ``2**k`` for each truth table a block reads over ``k``
+    of its positions, since a table decides all its rows at once."""
 
     semantics: enum.Enum
     actions: tuple
-    hits: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
     examined: int
+
+    @property
+    def size(self) -> int:
+        return prod(map(len, self.blocks))
+
+    @cached_property
+    def hits(self) -> tuple[int, ...]:
+        return tuple(_product(self.blocks))
 
     @cached_property
     def sets(self) -> tuple[frozenset, ...]:
@@ -372,11 +388,13 @@ def enumerate_classes(
     construction; the program is compiled once over their bit positions.
     The change-minimal weak repairs come from the repair tree (see
     :func:`_least`), and only a weak class asks for the clause search that
-    lists every weak repair. A justified set is founded, so every action
-    of a grounded set has a support clause that holds, and normalizing
-    keeps the support clauses: the grounding tests run only on the sets
-    whose every bit has one. When every class is grounded, the tree and
-    the search flip only head actions. The normalized classes are the
+    finds every weak repair, as a product of blocks: the report of
+    ``weak-repair`` keeps them, unless a grounded class filters the weak
+    repairs, which lists them as one block. A justified set is founded,
+    so every action of a grounded set has a support clause that holds, and
+    normalizing keeps the support clauses: the grounding tests run only on
+    the sets whose every bit has one. When every class is grounded, the
+    tree and the search flip only head actions. The normalized classes are the
     justified ones of the normalized program, whose weak repairs and
     change-minimal sets are those of the program. Results are in canonical
     order.
@@ -395,16 +413,21 @@ def enumerate_classes(
         essential = tuple(a for a in essential if a in heads)
     compiled = _Compiled(db, program, essential)
     seen: set = set()
-    pool = minimal = []
-    nodes = 0
+    minimal, blocks, nodes = [], [], 0
     if any(m for _, _, m in rows):
-        pool = minimal = _least(compiled.clauses, (1 << compiled.n) - 1, seen)
+        minimal = _least(compiled.clauses, (1 << compiled.n) - 1, seen)
     if not all(m for _, _, m in rows):
-        pool, nodes = clause_search(compiled.clauses, compiled.n)
+        blocks, nodes = clause_search(compiled.clauses, compiled.n)
     examined = len(seen) + nodes
 
     keys = dict.fromkeys(row[:2] for row in rows if row[1])
     supported = sum(compiled.support) if keys else 0
+    pool = minimal
+    if keys and blocks:
+        # A grounded class filters every weak repair, so they are listed
+        # once, and the weak class is their one block.
+        pool = _product(blocks)
+        blocks = [pool]
     grounded = {}
     for normalized, g in keys:
         grounds = compiled.normalized if normalized else compiled
@@ -414,11 +437,15 @@ def enumerate_classes(
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]
-        hits = minimal if change_minimal else pool
-        if grounding:
-            keep = grounded[normalized, grounding]
-            hits = [x for x in hits if x in keep]
-        reports[c] = Report(c, essential, tuple(hits), examined)
+        if change_minimal or grounding:
+            hits = minimal if change_minimal else pool
+            if grounding:
+                keep = grounded[normalized, grounding]
+                hits = [x for x in hits if x in keep]
+            parts = (tuple(hits),)
+        else:
+            parts = tuple(map(tuple, blocks))
+        reports[c] = Report(c, essential, parts, examined)
     return reports
 
 

@@ -157,7 +157,7 @@ def enumerate_classes(
 
     The program is translated once and the repair engine enumerates the
     matching repair classes in one call, so supported revisions are the
-    founded weak hits of the same search. The hits carry over unchanged:
+    founded weak hits of the same search. The blocks carry over unchanged:
     the canonical order of the repair sets maps to the canonical order of
     the revision literals, and the shared action tuple is mapped once.
     """
@@ -171,7 +171,7 @@ def enumerate_classes(
     for c in classes:
         report = reports[_REPAIR_CLASS[c]]
         literals = literals or tuple(map(rev_literal, report.actions))
-        out[c] = repairs.Report(c, literals, report.hits, report.examined)
+        out[c] = repairs.Report(c, literals, report.blocks, report.examined)
     return out
 
 

@@ -60,18 +60,20 @@ def aic_program(
 
 def connected_aic(rnd: random.Random, atoms, rules: int) -> tuple[AicRule, ...]:
     """Sparse constraints with 3-literal bodies and 1-2 head actions, the
-    shape of the benchmark's connected instances (``atoms`` holds at least
-    3). Rule ``k`` ties atom ``k`` to an earlier atom, so the atoms form
-    one component."""
+    shape of the benchmark's connected instances (bodies of every atom
+    when ``atoms`` holds fewer than 3). Rule ``k`` ties atom ``k`` to an
+    earlier atom, so the atoms form one component."""
     out = []
     for k in range(rules):
         if 0 < k < len(atoms):
             body_atoms = [atoms[k], rnd.choice(atoms[:k])]
-            body_atoms.append(rnd.choice([a for a in atoms if a not in body_atoms]))
+            others = [a for a in atoms if a not in body_atoms]
+            if others:
+                body_atoms.append(rnd.choice(others))
         else:
-            body_atoms = rnd.sample(atoms, 3)
+            body_atoms = rnd.sample(atoms, min(3, len(atoms)))
         body = [Literal(a, rnd.random() < 0.5) for a in body_atoms]
-        heads = rnd.sample(body, rnd.choice((1, 1, 2)))
+        heads = rnd.sample(body, min(len(body), rnd.choice((1, 1, 2))))
         head = frozenset(UpdateAction(l.atom, not l.positive) for l in heads)
         out.append(AicRule(frozenset(body), head))
     return tuple(out)
@@ -91,6 +93,37 @@ def components_aic(
         program += connected_aic(rnd, atoms[start:start + n], n)
         start += n
     return atoms, database(rnd, atoms), tuple(program)
+
+
+#: The component sizes of the product gates, each with 0-4 free atoms.
+PRODUCT_PARTS = ((1,), (5,), (3, 4), (4, 4, 4))
+
+
+def product_instances():
+    """``(name, atoms, db, program)``: a ``components_aic`` instance per
+    entry of ``PRODUCT_PARTS`` and number of free atoms, under its own
+    database and under one that violates every component."""
+    for parts in PRODUCT_PARTS:
+        for free in range(5):
+            name = f"product-{'-'.join(map(str, parts))}-{free}"
+            atoms, db, program = components_aic(random.Random(name), parts, free)
+            yield name, atoms, db, program
+            yield f"{name}-violated", atoms, violating(db, program), program
+
+
+def violating(db, program) -> frozenset[str]:
+    """``db`` changed so that the body of each rule holds whose atoms are
+    consistent and outside the bodies made to hold before it: on a
+    ``components_aic`` program, at least the first rule of every
+    component."""
+    out, fixed = set(db), set()
+    for r in program:
+        atoms = {l.atom for l in r.body}
+        if len(atoms) == len(r.body) and fixed.isdisjoint(atoms):
+            fixed |= atoms
+            for l in r.body:
+                (out.add if l.positive else out.discard)(l.atom)
+    return frozenset(out)
 
 
 def rev_rule(

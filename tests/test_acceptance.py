@@ -1298,7 +1298,8 @@ def _block_gate() -> None:
         want = _CANONICAL[n]
         for m, f in clauses:
             want = [x for x in want if x & m != f]
-        found, nodes = clause_search(clauses, n)
+        blocks, nodes = clause_search(clauses, n)
+        found = list(model._product(blocks))
         assert found == want, f"block-search-{i}: {n} positions, {clauses}"
         assert (nodes == 0) == any(not m for m, _ in clauses), f"block-search-{i}"
 
@@ -1349,7 +1350,8 @@ def test_table_search_matches_the_node_search_past_brute_force():
     for where, db, program, atoms in cases:
         actions = essential_actions(db, Universe(atoms))
         clauses = repairs._Compiled(db, program, actions).clauses
-        found, _ = clause_search(clauses, len(actions))
+        blocks, _ = clause_search(clauses, len(actions))
+        found = list(model._product(blocks))
         assert found == oracles.clause_search(clauses, len(actions)), where
 
 

@@ -9,6 +9,7 @@ exact stderr, after exit code 2 and an empty stdout.
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -609,10 +610,10 @@ def test_listing_writer_matches_the_definitional_printer(capsys):
         for n in WRITER_COUNTS:
             where = f"width {width}, {n} hits"
             for before, after in (("", "\n"), (" ", "")):
-                cli._write_sets(actions, tuple(hits[:n]), before + "{", "}" + after)
+                cli._write_sets(actions, [hits[:n]], before + "{", "}" + after)
                 want = "".join(before + text + after for text in texts[:n])
                 assert capsys.readouterr().out == want, where
-            listing = functools.partial(cli._write_sets, actions, tuple(hits[:n]))
+            listing = functools.partial(cli._write_sets, actions, [hits[:n]])
             cli._print_json(**{"class": "weak-repair"}, sets=listing)
             want = {"schema": 1, "class": "weak-repair", "sets": names[:n]}
             assert capsys.readouterr().out == json.dumps(want) + "\n", where
@@ -621,8 +622,8 @@ def test_listing_writer_matches_the_definitional_printer(capsys):
     actions, hits = _writer_case(9)
     fields = {
         "classes": {
-            "a": functools.partial(cli._write_sets, actions, tuple(hits[:3])),
-            "b": functools.partial(cli._write_sets, actions, ()),
+            "a": functools.partial(cli._write_sets, actions, [hits[:3]]),
+            "b": functools.partial(cli._write_sets, actions, [[]]),
         },
         "relations": [{"relation": "a <= b", "holds": False}],
     }
@@ -630,6 +631,81 @@ def test_listing_writer_matches_the_definitional_printer(capsys):
     sets = [[str(x) for x in model.ordered(s)] for s in model.members(actions, hits[:3])]
     want = {"schema": 1, **fields, "classes": {"a": sets, "b": []}}
     assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+def _fold(blocks) -> list[int]:
+    """The product of ``blocks`` by its definition: every union of one
+    mask per block, in the order of their sorted positions. One block
+    keeps its own order."""
+    if len(blocks) == 1:
+        return list(blocks[0])
+    return sorted({sum(pick) for pick in itertools.product(*blocks)}, key=model.positions)
+
+
+def _canonical(lo: int, hi: int, empty: bool = True) -> list[int]:
+    """The masks over positions ``lo`` to ``hi - 1`` in canonical order,
+    with or without the empty one."""
+    masks = [x << lo for x in range(0 if empty else 1, 1 << hi - lo)]
+    return sorted(masks, key=model.positions)
+
+
+def _product_cases():
+    """``(where, actions, blocks)``: the weak repairs of every
+    ``gen.product_instances`` instance, then hand-built block lists."""
+    weak = RepairClass.WEAK_REPAIR
+    for name, atoms, db, program in gen.product_instances():
+        universe, limits = model.Universe(atoms), model.Limits(len(atoms))
+        report = repairs.enumerate_classes(db, program, [weak], universe, limits)[weak]
+        yield name, report.actions, report.blocks
+    actions = tuple(model.UpdateAction(f"a{i:02}", i % 3 > 0) for i in range(16))
+    no_empty, one, low = _canonical(0, 3, False), [1 << 3], _canonical(4, 6)
+    yield "a block without the empty set", actions, [no_empty, one, low]
+    yield "the top without the empty set", actions, [low, _canonical(6, 9, False)]
+    yield "a block of one member", actions, [one]
+    yield "an empty block", actions, [no_empty, [], low]
+    for n in (4096, 8193):
+        random_actions, hits = _writer_case(9)
+        yield f"one block of {n} in random order", random_actions, [hits[:n]]
+    singles = [[0, 1 << i] for i in range(14)]
+    yield "a top of 12 blocks above 2", actions, singles
+    yield "a last block wider than a slice", actions, [[0, 1], _canonical(1, 14)]
+    sizes = [_canonical(0, 2, False), _canonical(2, 5), _canonical(5, 8, False)]
+    yield "a top of 3 blocks above 1", actions, [*sizes, _canonical(8, 14)[:50]]
+
+
+class _Recorder:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_products_print_as_their_folded_masks(monkeypatch):
+    # Every listing is written from its blocks: the text forms and JSON
+    # must be those of the definitional printer over the folded product,
+    # and every write but the last must hold a full slice of rows.
+    sink = _Recorder()
+    monkeypatch.setattr(sys, "stdout", sink)
+    for where, actions, blocks in _product_cases():
+        sets = [model.ordered(s) for s in model.members(actions, _fold(blocks))]
+        texts = [format_set(s) for s in sets]
+        for before, after in (("", "\n"), (" ", "")):
+            sink.writes.clear()
+            cli._write_sets(actions, blocks, before + "{", "}" + after)
+            want = "".join(before + text + after for text in texts)
+            assert "".join(sink.writes) == want, where
+            rows = [text.count("{") for text in sink.writes]
+            assert sum(rows) == len(texts), where
+            assert all(n == cli._SLICE for n in rows[:-1]), where
+            assert not rows or 0 < rows[-1] <= cli._SLICE, where
+        sink.writes.clear()
+        cli._print_json(sets=functools.partial(cli._write_sets, actions, blocks))
+        want = {"schema": 1, "sets": [[str(x) for x in s] for s in sets]}
+        assert "".join(sink.writes) == json.dumps(want) + "\n", where
 
 
 class _CountingSink:
@@ -644,23 +720,24 @@ class _CountingSink:
 
 
 def test_listings_print_in_slices_without_holding_the_rows(monkeypatch):
-    # 4 components of 4 atoms and 4 free atoms: 103,680 weak repairs. The
-    # printing alone traced a peak of 0.88 MiB here against 25.2 MiB when
+    # 4 components of 4 atoms and 4 free atoms: 103,680 weak repairs in 8
+    # blocks. Printing them from the blocks traced a peak of 0.72 MiB
+    # here, against 0.88 MiB from the full hit list and 25.2 MiB when
     # every row was built before the first write (Python 3.11).
     atoms, db, program = gen.components_aic(random.Random("stream20"), (4,) * 4, 4)
     weak = RepairClass.WEAK_REPAIR
     universe, limits = model.Universe(atoms), model.Limits(len(atoms))
     report = repairs.enumerate_classes(db, program, [weak], universe, limits)[weak]
-    assert len(report.hits) == 103_680
+    assert report.size == 103_680
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        cli._write_sets(report.actions, report.hits, "{", "}\n")
+        cli._write_sets(report.actions, report.blocks, "{", "}\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(sink.lines) == len(report.hits)
+    assert sum(sink.lines) == 103_680
     assert max(sink.lines) == cli._SLICE == 4096
     assert peak < 1.5 * 2**20, f"printing peaked at {peak / 2**20:.2f} MiB"
 

@@ -32,6 +32,7 @@ from aicrepair.model import (
     UpdateAction,
     apply_revision,
     apply_update,
+    _product,
     clause_search,
     entails,
     essential_actions,
@@ -274,11 +275,11 @@ def _compile(db, bodies, atoms) -> _Compiled:
 
 
 def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
-    """Compile the bodies over ``atoms`` and search; the masks found come
-    back as position tuples."""
+    """Compile the bodies over ``atoms`` and search; the masks found, the
+    product of the blocks searched, come back as position tuples."""
     compiled = _compile(db, bodies, atoms)
-    found, nodes = clause_search(compiled.clauses, compiled.n)
-    return [tuple(positions(x)) for x in found], nodes
+    blocks, nodes = clause_search(compiled.clauses, compiled.n)
+    return [tuple(positions(x)) for x in _product(blocks)], nodes
 
 
 def test_subset_iterators():
