@@ -10,15 +10,18 @@ between them on the given instance.
 
 Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
 handler, the kinds of program it takes and its options.
-:func:`main` is the one front door. It reads and parses the instance file,
-checks its kind against the ``kinds`` the subcommand declares (``translate``
-takes the kind opposite to ``--to``), resolves ``--class`` against that
-kind's classes and checks the atom bound (``--max-atoms``, else
-``AICREPAIR_MAX_ATOMS``) of a subcommand that takes one, in that order,
-before ``--set``, ``--query`` or ``--by`` is read. A malformed bound is an
-error even where the engine would never consult it. Each handler gets the
-parsed arguments (the bound as ``args.limits``), the instance and its
-``_KINDS`` row.
+:func:`main` is the one front door. It hands the arguments after the
+subcommand's name straight to that subcommand's parser; the top-level
+parser sees a request only for help, an unknown subcommand or arguments
+left over, and reports those as it always has. It then reads the instance
+file in one binary read and parses it, checks its kind against the
+``kinds`` the subcommand declares (``translate`` takes the kind opposite
+to ``--to``), resolves ``--class`` against that kind's classes and checks
+the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``) of a
+subcommand that takes one, in that order, before ``--set``, ``--query``
+or ``--by`` is read. A malformed bound is an error even where the engine
+would never consult it. Each handler gets the parsed arguments (the bound
+as ``args.limits``), the instance and its ``_KINDS`` row.
 
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input.
@@ -87,9 +90,12 @@ _KINDS = {
 
 
 def _load(path: str) -> Instance:
+    """Parse the file at ``path``, read in one unbuffered binary read and
+    decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n`` as
+    text mode reads them."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.readall().decode()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -97,7 +103,7 @@ def _load(path: str) -> Instance:
         raise InputError(
             f"cannot read {path}: not UTF-8 text (byte 0x{byte:02x} at offset {offset})"
         ) from exc
-    return parse_instance(text)
+    return parse_instance(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _classes(instance: Instance) -> list:
@@ -473,13 +479,15 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs more
-    than answering a small request, and parsing leaves it unchanged."""
+    than answering a small request, and parsing leaves it unchanged. Its
+    ``commands`` holds each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="aicrepair",
         description="Repair databases under active integrity constraints "
         "and revision programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for name, (help, func, kinds, *options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.add_argument("file")
@@ -493,7 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub:
+        args, rest = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if not sub or rest:
+        # Help, an unknown command or leftover arguments: the top-level
+        # parser reports them as it always has.
+        args = parser.parse_args(argv)
     command, kinds = args.command, args.kinds
     if command == "translate":
         command += f" --to {args.to}"

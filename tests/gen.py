@@ -19,9 +19,13 @@ SIZE_WEIGHTS = (35, 45, 20)
 
 
 def atom_pool(rnd: random.Random, size: int | None = None) -> tuple[str, ...]:
+    """``size`` atom names in sorted order: the letters from ``a``, then,
+    past 26, ``z00``, ``z01``... which sort after ``z``."""
     if size is None:
         size = rnd.choices(SIZES, weights=SIZE_WEIGHTS)[0]
-    return tuple(string.ascii_lowercase[:size])
+    width = max(2, len(str(size - 27)))
+    extra = (f"z{i:0{width}d}" for i in range(size - 26))
+    return tuple(string.ascii_lowercase[:size]) + tuple(extra)
 
 
 def database(rnd: random.Random, atoms) -> frozenset[str]:

@@ -3,7 +3,9 @@
 Each ``tests/golden/*.cmd`` file holds one command line (paths relative to
 the golden directory) and the matching ``.out`` file holds its exact
 stdout. A command whose input is rejected has an ``.err`` file instead: its
-exact stderr, after exit code 2 and an empty stdout.
+exact stderr, after exit code 2 and an empty stdout. The ``usage_*``
+goldens pin what argparse prints for help (exit 0) and for argument
+errors (exit 2), at a terminal width of 80 columns.
 """
 
 import dataclasses
@@ -58,9 +60,16 @@ def run_fresh(argv, **env):
 
 @pytest.mark.parametrize("cmd_file", REPLAYS, ids=lambda p: p.stem)
 def test_golden_replay(cmd_file, capsys, monkeypatch):
+    # Help and argument errors leave through argparse's SystemExit; the
+    # help text is wrapped to the terminal width, so it is pinned.
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(GOLDEN)
     argv = shlex.split(cmd_file.read_text().strip())
-    code, out, err = run(argv, capsys)
+    try:
+        code, out, err = run(argv, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        code, out, err = exc.code, captured.out, captured.err
     if cmd_file.with_suffix(".err").exists():
         assert (code, out) == (2, "")
         assert err == cmd_file.with_suffix(".err").read_text()
@@ -80,10 +89,47 @@ def test_missing_file_is_an_input_error(capsys):
 
 def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin.aic"
-    path.write_bytes(b"db: a.\naic:\na -> -a.\n\xff")
-    code, out, err = run(["repair", str(path), "--class", "repair"], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: cannot read {path}: not UTF-8 text (byte 0xff at offset 21)\n"
+    for head in (
+        b"db: a.\naic:\na -> -a.\n",
+        # Past the first 8 KB, where a buffered reader starts a new chunk.
+        b"db: a.\naic:\n% " + b"x" * 10_000 + b"\na -> -a.\n",
+    ):
+        path.write_bytes(head + b"\xff")
+        code, out, err = run(["repair", str(path), "--class", "repair"], capsys)
+        assert (code, out) == (2, "")
+        offset = len(head)
+        assert err == (
+            f"error: cannot read {path}: not UTF-8 text (byte 0xff at offset {offset})\n"
+        )
+
+
+INSTANCES = sorted(p for p in GOLDEN.glob("*.*") if p.suffix in (".aic", ".rev", ".lp"))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_other_line_ends_read_as_newlines(end, tmp_path, capsys):
+    """A file with ``\\r\\n`` or lone ``\\r`` line ends is the instance of
+    its ``\\n`` file, and a parse error in it is reported at the same
+    line and column (``bad/stray_char.aic`` is kept with ``\\r\\n``)."""
+
+    def write(source: Path, line_end: str) -> str:
+        path = tmp_path / line_end.encode().hex() / source.name
+        path.parent.mkdir(exist_ok=True)
+        text = source.read_bytes().replace(b"\r\n", b"\n")
+        path.write_bytes(text.replace(b"\n", line_end.encode()))
+        return str(path)
+
+    for source in INSTANCES:
+        assert cli._load(write(source, end)) == cli._load(write(source, "\n")), source
+    for name in ("missing_dot", "stray_char"):
+        want = (GOLDEN / f"bad_{name}.err").read_text()
+        assert re.match(r"error: \d+:\d+: ", want)
+        for line_end in ("\n", end):
+            path = write(GOLDEN / "bad" / f"{name}.aic", line_end)
+            assert run(["repair", path, "--class", "repair"], capsys) == (2, "", want)
+    path = write(GOLDEN / "mutual_flip.aic", end)
+    code, out, _ = run(["repair", path, "--class", "repair"], capsys)
+    assert (code, out) == (0, (GOLDEN / "mutual_flip.repair.out").read_text())
 
 
 def test_kind_mismatch_is_an_input_error(capsys):
@@ -750,6 +796,25 @@ def test_weak26_is_its_generator_output():
     assert (GOLDEN / "weak26.aic").read_text() == print_instance(instance)
 
 
+def test_atom_pools_go_on_after_z_in_sorted_order():
+    """Up to 26 names a pool is the letters; past them it goes on after
+    ``z``, so the consecutive atoms that ``components_aic`` gives each
+    component stay contiguous in universe order, and a 34-atom instance
+    has a body on every rule."""
+    rnd = random.Random(0)
+    for n in range(61):
+        atoms = gen.atom_pool(rnd, n)
+        assert len(set(atoms)) == n
+        assert list(atoms) == sorted(atoms)
+        assert all(model.ATOM_RE.match(a) for a in atoms)
+        assert model.RESERVED_WORDS.isdisjoint(atoms)
+        if n <= 26:
+            assert atoms == tuple("abcdefghijklmnopqrstuvwxyz"[:n])
+    atoms, db, program = gen.components_aic(random.Random("wide34"), (4,) * 8, 2)
+    assert len(atoms) == 34
+    assert all(rule.body for rule in program)
+
+
 def test_lattice_verify_text_summary(capsys):
     code, out, _ = run(
         ["lattice", str(GOLDEN / "mutual_pair_chain.rev"), "--verify"], capsys
@@ -1001,6 +1066,20 @@ def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
         proc = run_fresh(argv, COLUMNS="80")
         fresh = (proc.returncode, proc.stdout, proc.stderr)
         assert (code, captured.out, captured.err) == fresh, argv
+
+
+def test_an_empty_command_line_is_an_argument_error(capsys, monkeypatch):
+    # A .cmd file cannot hold an empty command line, so this golden lives
+    # here; its usage lines are those of usage_unknown_command.err.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    captured = capsys.readouterr()
+    usage = (GOLDEN / "usage_unknown_command.err").read_text().splitlines(True)[:3]
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err == "".join(usage) + (
+        "aicrepair: error: the following arguments are required: command\n"
+    )
 
 
 # What the parser declares, frozen as a literal: per subcommand its help,
