@@ -13,8 +13,11 @@ handler, the kinds of program it takes and its options.
 :func:`main` is the one front door. It hands the arguments after the
 subcommand's name straight to that subcommand's parser; the top-level
 parser sees a request only for help, an unknown subcommand or arguments
-left over, and reports those as it always has. It then reads the instance
-file in one binary read and parses it, checks its kind against the
+left over, and reports those as it always has. An option value that
+argparse read as empty (``--set=--`` on some Python versions gives ``[]``,
+past ``type`` and ``choices``) is then rejected, once, as that
+subcommand's argument error. It then reads the instance file in one
+binary read and parses it, checks its kind against the
 ``kinds`` the subcommand declares (``translate`` takes the kind opposite
 to ``--to``), resolves ``--class`` against that kind's classes and checks
 the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``) of a
@@ -24,7 +27,9 @@ would never consult it. Each handler gets the parsed arguments (the bound
 as ``args.limits``), the instance and its ``_KINDS`` row.
 
 Exit codes: 0 on success, 1 when the computation is refused (for example
-the universe exceeds the exhaustive bound), 2 on malformed input.
+the universe exceeds the exhaustive bound), 2 on malformed input. A
+refused or malformed request prints nothing on stdout: ``shift --verify``
+verifies before it prints the shifted instance.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
 object (``"schema": 1``). Listings, text or JSON, are written from the
 blocks of a report, never from its full hit list, a slice of sets per
@@ -298,9 +303,9 @@ def cmd_shift(args, instance: Instance, kind: _Kind) -> int:
     witness = transforms.shift_instance(
         instance.db, instance.program, by, universe=instance.universe()
     )
+    checked = _verify_shift(instance, witness, args) if args.verify else 0
     _print_instance(instance, db=witness.shifted_db, program=witness.shifted_program)
-    if args.verify:
-        checked = _verify_shift(instance, witness, args)
+    if checked:
         print(f"shift-verify: ok ({checked} classes)", file=sys.stderr)
     return 0
 
@@ -511,6 +516,13 @@ def main(argv: list[str] | None = None) -> int:
         # Help, an unknown command or leftover arguments: the top-level
         # parser reports them as it always has.
         args = parser.parse_args(argv)
+    if [] in vars(args).values():
+        # argparse reads "--set=--" as an empty list, past type and choices.
+        for flag, settings in _COMMANDS[args.command][3:]:
+            if getattr(args, settings.get("dest", flag[2:].replace("-", "_"))) == []:
+                parser.commands[args.command].error(
+                    f"argument {flag}: expected one argument"
+                )
     command, kinds = args.command, args.kinds
     if command == "translate":
         command += f" --to {args.to}"

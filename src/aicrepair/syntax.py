@@ -58,6 +58,15 @@ _LEXABLE_RE = re.compile(rf"(?:{_SPACE}|{_TOKEN})*")
 _TRAILING_COMMENT_RE = re.compile(r"%[^\n]*\Z")
 # Builds a literal, action or revision literal from its checked fields.
 _new = tuple.__new__
+# How an item of each class, an atom with a flag, is written: the leading
+# tokens and the flag each gives, the flag of an item with no leading token
+# (None: it needs one), what a bad item was expected to be, and whether the
+# atom sits in parentheses.
+_FORMS = {
+    Literal: ({"not": False}, True, None, False),
+    UpdateAction: ({"+": True, "-": False}, None, "'+atom' or '-atom'", False),
+    RevLiteral: ({"in": True, "out": False}, None, "'in(atom)' or 'out(atom)'", True),
+}
 
 
 def _describe(token: str) -> str:
@@ -90,13 +99,15 @@ class _Parser:
     input. Positions are worked out from the text only when an error is
     raised.
 
-    Rules and the ``--set``, ``--query`` and ``--by`` lists are read by one
-    reader per item kind: :meth:`literals`, :meth:`actions`,
-    :meth:`rev_literals` and :meth:`atoms`. Each reads the items separated
-    by ``sep`` from token ``pos`` on, in one loop, and returns them with the
-    position after them. The readers build an item once and keep it in
-    :attr:`made`, by class, flag and atom; :attr:`names` holds every name
-    read as an atom, so :meth:`check` tests a name once."""
+    Rules and the ``--set``, ``--query`` and ``--by`` lists are read by two
+    readers: :meth:`items` reads literals, update actions and revision
+    literals, each an atom with a flag, in the form the table
+    :data:`_FORMS` gives their class, and :meth:`atoms` reads bare atoms.
+    Each reads the items separated by ``sep`` from token ``pos`` on, in one
+    loop, and returns them with the position after them. :meth:`items`
+    builds an item once and keeps it in :attr:`made`, by class, flag and
+    atom; :attr:`names` holds every name read as an atom, so :meth:`check`
+    tests a name once."""
 
     def __init__(self, text: str):
         parts = _SPLIT_RE.split(text)
@@ -109,7 +120,7 @@ class _Parser:
         self.tokens = list(filter(None, parts[1::2]))
         self.tokens.append("")
         self.pos = 0
-        self.made = {cls: ({}, {}) for cls in (Literal, UpdateAction, RevLiteral)}
+        self.made = {cls: ({}, {}) for cls in _FORMS}
         self.names: set[str] = set()
 
     def fail(self, message: str, index: int | None = None):
@@ -224,12 +235,12 @@ class _Parser:
     def aic_rule(self) -> AicRule:
         """``body -> head.``"""
         tokens, pos = self.tokens, self.pos
-        body, pos = ([], pos) if tokens[pos] == "->" else self.literals(pos, ",")
+        body, pos = ([], pos) if tokens[pos] == "->" else self.items(pos, ",", Literal)
         pos = self.end(pos, "->")
         if tokens[pos] == "false":
             head, pos = [], pos + 1
         else:
-            head, pos = self.actions(pos, "|")
+            head, pos = self.items(pos, "|", UpdateAction)
         self.pos = self.end(pos, ".")
         return AicRule(frozenset(body), frozenset(head))
 
@@ -239,9 +250,9 @@ class _Parser:
         if tokens[pos] == "false":
             head, pos = [], pos + 1
         else:
-            head, pos = self.rev_literals(pos, "|")
+            head, pos = self.items(pos, "|", RevLiteral)
         pos = self.end(pos, "<-")
-        body, pos = ([], pos) if tokens[pos] == "." else self.rev_literals(pos, ",")
+        body, pos = ([], pos) if tokens[pos] == "." else self.items(pos, ",", RevLiteral)
         self.pos = self.end(pos, ".")
         return RevRule(frozenset(head), frozenset(body))
 
@@ -256,7 +267,7 @@ class _Parser:
         if tokens[pos] == ":-":
             pos += 1
             if tokens[pos] != ".":
-                body, pos = self.literals(pos, ",")
+                body, pos = self.items(pos, ",", Literal)
         if not (head or body):
             self.fail("a rule needs a head or a body", pos)
         self.pos = self.end(pos, ".")
@@ -265,88 +276,41 @@ class _Parser:
 
     # -- items ---------------------------------------------------------
 
-    def literals(self, pos: int, sep: str) -> tuple[list, int]:
-        """The literals from token ``pos`` on, separated by ``sep``, and
-        the position after them."""
-        tokens, names = self.tokens, self.names
-        negatives, positives = self.made[Literal]
+    def items(self, pos: int, sep: str, cls) -> tuple[list, int]:
+        """The items of class ``cls`` from token ``pos`` on, separated by
+        ``sep``, read in the form :data:`_FORMS` gives that class, and the
+        position after them."""
+        leads, bare, what, parens = _FORMS[cls]
+        tokens, names, made = self.tokens, self.names, self.made[cls]
         items = []
         while True:
-            name = tokens[pos]
-            if name == "not":
+            flag = leads.get(tokens[pos])
+            if flag is not None:
                 pos += 1
-                name = tokens[pos]
-                table, positive = negatives, False
+            elif bare is None:
+                self.expected(pos, what)
             else:
-                table, positive = positives, True
-            item = table.get(name)
-            if item is None:
-                if name not in names:
-                    self.check(pos)
-                item = table[name] = _new(Literal, (name, positive))
-            items.append(item)
-            pos += 1
-            if tokens[pos] != sep:
-                return items, pos
-            pos += 1
-
-    def actions(self, pos: int, sep: str) -> tuple[list, int]:
-        """The update actions from token ``pos`` on, as :meth:`literals`."""
-        tokens, names = self.tokens, self.names
-        deletions, insertions = self.made[UpdateAction]
-        items = []
-        while True:
-            sign = tokens[pos]
-            if sign == "+":
-                table, insert = insertions, True
-            elif sign == "-":
-                table, insert = deletions, False
-            else:
-                self.expected(pos, "'+atom' or '-atom'")
-            pos += 1
+                flag = bare
+            if parens:
+                pos = self.end(pos, "(")
             name = tokens[pos]
+            table = made[flag]
             item = table.get(name)
             if item is None:
                 if name not in names:
                     self.check(pos)
-                item = table[name] = _new(UpdateAction, (name, insert))
-            items.append(item)
+                item = table[name] = _new(cls, (name, flag))
             pos += 1
-            if tokens[pos] != sep:
-                return items, pos
-            pos += 1
-
-    def rev_literals(self, pos: int, sep: str) -> tuple[list, int]:
-        """The revision literals from token ``pos`` on, as :meth:`literals`."""
-        tokens, names = self.tokens, self.names
-        outs, ins = self.made[RevLiteral]
-        items = []
-        while True:
-            kind = tokens[pos]
-            if kind == "in":
-                table, is_in = ins, True
-            elif kind == "out":
-                table, is_in = outs, False
-            else:
-                self.expected(pos, "'in(atom)' or 'out(atom)'")
-            if tokens[pos + 1] != "(":
-                self.expected(pos + 1, "'('")
-            name = tokens[pos + 2]
-            item = table.get(name)
-            if item is None:
-                if name not in names:
-                    self.check(pos + 2)
-                item = table[name] = _new(RevLiteral, (name, is_in))
-            if tokens[pos + 3] != ")":
-                self.expected(pos + 3, "')'")
+            if parens:
+                pos = self.end(pos, ")")
             items.append(item)
-            pos += 4
             if tokens[pos] != sep:
                 return items, pos
             pos += 1
 
     def atoms(self, pos: int, sep: str) -> tuple[list, int]:
-        """The atoms from token ``pos`` on, as :meth:`literals`."""
+        """The atoms from token ``pos`` on, separated by ``sep``, and the
+        position after them."""
         tokens, names = self.tokens, self.names
         items = []
         while True:
@@ -379,11 +343,12 @@ def parse_program(text: str, kind: str) -> tuple:
     return rules
 
 
-def _parse_comma_list(text: str, read) -> frozenset:
-    """A comma-separated list read by ``read``, a :class:`_Parser` reader."""
+def _parse_comma_list(text: str, read, *extra) -> frozenset:
+    """A comma-separated list read by ``read``, a :class:`_Parser` reader,
+    given ``extra`` after the separator."""
     parser = _Parser(text)
     tokens = parser.tokens
-    items, pos = read(parser, 0, ",") if tokens[0] else ([], 0)
+    items, pos = read(parser, 0, ",", *extra) if tokens[0] else ([], 0)
     if tokens[pos]:
         parser.fail(f"unexpected {_describe(tokens[pos])}", pos)
     return frozenset(items)
@@ -391,17 +356,17 @@ def _parse_comma_list(text: str, read) -> frozenset:
 
 def parse_actions(text: str) -> frozenset[UpdateAction]:
     """Parse a comma-separated list of update actions, e.g. ``+a, -b``."""
-    return _parse_comma_list(text, _Parser.actions)
+    return _parse_comma_list(text, _Parser.items, UpdateAction)
 
 
 def parse_rev_literals(text: str) -> frozenset[RevLiteral]:
     """Parse a comma-separated list like ``in(a), out(b)``."""
-    return _parse_comma_list(text, _Parser.rev_literals)
+    return _parse_comma_list(text, _Parser.items, RevLiteral)
 
 
 def parse_literals(text: str) -> frozenset[Literal]:
     """Parse a comma-separated list of literals, e.g. ``a, not b``."""
-    return _parse_comma_list(text, _Parser.literals)
+    return _parse_comma_list(text, _Parser.items, Literal)
 
 
 def parse_atoms(text: str) -> frozenset[str]:

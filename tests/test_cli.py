@@ -3,9 +3,10 @@
 Each ``tests/golden/*.cmd`` file holds one command line (paths relative to
 the golden directory) and the matching ``.out`` file holds its exact
 stdout. A command whose input is rejected has an ``.err`` file instead: its
-exact stderr, after exit code 2 and an empty stdout. The ``usage_*``
-goldens pin what argparse prints for help (exit 0) and for argument
-errors (exit 2), at a terminal width of 80 columns.
+exact stderr, after exit code 2 and an empty stdout; a refused command has
+a ``.refused`` file, its exact stderr after exit code 1 and an empty
+stdout. The ``usage_*`` goldens pin what argparse prints for help (exit 0)
+and for argument errors (exit 2), at a terminal width of 80 columns.
 """
 
 import dataclasses
@@ -34,12 +35,25 @@ from aicrepair.syntax import Instance, format_set, print_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 REPLAYS = sorted(GOLDEN.glob("*.cmd"))
+# The suffix of the file beside a golden command that holds what it must
+# print, and the exit code that goes with it.
+OUTCOMES = {".out": 0, ".err": 2, ".refused": 1}
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_or_exit(argv, capsys):
+    """As :func:`run`, also for help and argument errors, which leave
+    through argparse's SystemExit."""
+    try:
+        return run(argv, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def run_fresh(argv, **env):
@@ -60,22 +74,20 @@ def run_fresh(argv, **env):
 
 @pytest.mark.parametrize("cmd_file", REPLAYS, ids=lambda p: p.stem)
 def test_golden_replay(cmd_file, capsys, monkeypatch):
-    # Help and argument errors leave through argparse's SystemExit; the
-    # help text is wrapped to the terminal width, so it is pinned.
+    # The help text is wrapped to the terminal width, so it is pinned, and
+    # the refusals read the default atom bound.
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("AICREPAIR_MAX_ATOMS", raising=False)
     monkeypatch.chdir(GOLDEN)
     argv = shlex.split(cmd_file.read_text().strip())
-    try:
-        code, out, err = run(argv, capsys)
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        code, out, err = exc.code, captured.out, captured.err
-    if cmd_file.with_suffix(".err").exists():
-        assert (code, out) == (2, "")
-        assert err == cmd_file.with_suffix(".err").read_text()
+    code, out, err = run_or_exit(argv, capsys)
+    (suffix,) = [x for x in OUTCOMES if cmd_file.with_suffix(x).exists()]
+    want = cmd_file.with_suffix(suffix).read_text()
+    assert code == OUTCOMES[suffix]
+    if suffix == ".out":
+        assert out == want
     else:
-        assert code == 0
-        assert out == cmd_file.with_suffix(".out").read_text()
+        assert (out, err) == ("", want)
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -297,6 +309,49 @@ def test_negative_atom_bound_env_is_malformed(argv, value, capsys, monkeypatch):
     assert code == 0, err
 
 
+# A file and a class of each kind, and a good value for each other option.
+KIND_SAMPLES = {
+    "aic": ("pair_delete.aic", "repair"),
+    "rev": ("choice_pair.rev", "revision"),
+    "lp": ("even_loop.lp", None),
+}
+GOOD_VALUES = {"--set": "+a", "--to": "rev", "--by": "a", "--query": "a",
+               "--format": "text", "--max-atoms": "12"}
+
+
+def _valued_options():
+    """Every option that takes a value, of every subcommand, as the command
+    line that gives every other required option a good value, the option
+    and a good value of it."""
+    for name, (_, _, kinds, *options) in cli._COMMANDS.items():
+        file, cls = KIND_SAMPLES[kinds[0]]
+        good = {**GOOD_VALUES, "--class": cls}
+        for flag, settings in options:
+            if "action" in settings:
+                continue
+            argv = [name, file]
+            for other, other_settings in options:
+                if other != flag and other_settings.get("required"):
+                    argv += [other, good[other]]
+            yield pytest.param(argv, flag, good[flag], id=name + flag)
+
+
+@pytest.mark.parametrize("argv, flag, value", _valued_options())
+def test_an_option_value_read_as_empty_is_an_argument_error(
+    argv, flag, value, capsys, monkeypatch
+):
+    # argparse reads "--set=--" as an empty list, past type and choices, on
+    # some Python versions, and as "--" on others: either way the request is
+    # refused as malformed before anything is printed. How argparse words
+    # it differs between versions, so no message is pinned.
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = run_or_exit(argv + [f"{flag}={value}"], capsys)
+    assert code == 0, err
+    code, out, err = run_or_exit(argv + [f"{flag}=--"], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "[]" not in err
+
+
 def test_check_reports_nonmembers_without_refusing(capsys):
     code, out, _ = run(
         [
@@ -448,10 +503,11 @@ def test_shift_checks_the_shift_set_against_an_empty_universe(tmp_path, capsys):
 
 
 def test_shift_verify_reports_class_count_on_stderr(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["shift", str(GOLDEN / "pair_delete.aic"), "--by", "a", "--verify"], capsys
     )
     assert code == 0
+    assert out == (GOLDEN / "pair_delete.shift.out").read_text()
     assert err == "shift-verify: ok (8 classes)\n"
     code, _, err = run(
         ["shift", str(GOLDEN / "mutual_pair_chain.rev"), "--by", "a", "--verify"],
@@ -484,8 +540,8 @@ def test_shift_verify_refuses_a_wrong_witness(name, first, fault, capsys, monkey
     monkeypatch.setattr(
         transforms, "shift_instance", lambda *a, **k: fault(shift_instance(*a, **k))
     )
-    code, _, err = run(["shift", str(GOLDEN / name), "--by", "a", "--verify"], capsys)
-    assert code == 1
+    code, out, err = run(["shift", str(GOLDEN / name), "--by", "a", "--verify"], capsys)
+    assert (code, out) == (1, "")
     assert err == f"refused: shift verification failed for {first}\n"
 
 
