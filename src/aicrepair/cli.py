@@ -10,14 +10,19 @@ between them on the given instance.
 
 Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
 handler, the kinds of program it takes and its options.
-:func:`main` is the one front door. It hands the arguments after the
-subcommand's name straight to that subcommand's parser; the top-level
-parser sees a request only for help, an unknown subcommand or arguments
-left over, and reports those as it always has. An option value that
-argparse read as empty (``--set=--`` on some Python versions gives ``[]``,
-past ``type`` and ``choices``) is then rejected, once, as that
-subcommand's argument error. It then reads the instance file in one
-binary read and parses it, checks its kind against the
+:func:`main` is the one front door. A command line in the plain forms
+(one file, declared flags spelled in full, as ``--flag value`` or
+``--flag=value``, and bare switches) is read by :func:`_read_plain`,
+driven by the same rows, into the namespace argparse would give; such a
+request neither imports argparse nor builds its parser. Any other
+command line goes to argparse: the subcommand's parser reads the words
+after its name, and the top-level parser sees a request only for help,
+an unknown subcommand or arguments left over, and reports those as it
+always has. An option value that argparse read as empty (``--set=--`` on
+some Python versions gives ``[]``, past ``type`` and ``choices``) is then
+rejected, once, as that subcommand's argument error. :func:`main` then
+reads the instance file in one binary read and parses it, checks its
+kind against the
 ``kinds`` the subcommand declares (``translate`` takes the kind opposite
 to ``--to``), resolves ``--class`` against that kind's classes and checks
 the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``) of a
@@ -38,15 +43,14 @@ write (:func:`_write_sets`); ``cqa`` counts per block.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import enum
 import functools
 import itertools
 import json
 import sys
-from types import ModuleType
-from typing import Callable, NamedTuple
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import asp, query, repairs, revisions, transforms
 from .errors import InputError, Refusal
@@ -65,6 +69,9 @@ from .syntax import (
     parse_rev_literals,
     print_instance,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 _SLICE = 4096  # sets per write of a listing
@@ -481,11 +488,102 @@ _COMMANDS = {
 }
 
 
+def _settings(kinds: tuple, flag: str, settings: dict) -> dict:
+    """The ``add_argument`` keywords of an option of a subcommand that takes
+    ``kinds``: a ``--class`` takes those kinds' classes as its choices."""
+    if flag == "--class":
+        return {**settings, "choices": [c.value for k in kinds for c in _KINDS[k].classes]}
+    return settings
+
+
+class _Flag(NamedTuple):
+    dest: str
+    switch: bool  # a bare flag (``store_true``) that takes no value
+    convert: Callable
+    choices: tuple | list | None
+
+
+def _plain_forms() -> dict:
+    """Per subcommand, what :func:`_read_plain` reads its words by, from
+    ``_COMMANDS``: the namespace argparse would start from, ``file`` unset,
+    each option's :class:`_Flag` by flag, and the required flags."""
+    forms = {}
+    for name, (_, func, kinds, *options) in _COMMANDS.items():
+        start = {"command": name, "func": func, "kinds": kinds, "file": None}
+        flags = {}
+        for flag, settings in options:
+            settings = _settings(kinds, flag, settings)
+            dest = settings.get("dest", flag[2:].replace("-", "_"))
+            switch = settings.get("action") == "store_true"
+            start[dest] = False if switch else settings.get("default")
+            convert, choices = settings.get("type", str), settings.get("choices")
+            flags[flag] = _Flag(dest, switch, convert, choices)
+        required = {flag for flag, settings in options if settings.get("required")}
+        forms[name] = start, flags, required
+    return forms
+
+
+_PLAIN = _plain_forms()
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv`` when its words after the
+    subcommand's name are in the plain forms, else ``None``: one word that
+    does not start with ``-`` (the file), and declared flags spelled in
+    full, as ``--flag value`` with a value that does not start with ``-``,
+    ``--flag=value`` with a value that is neither empty nor ``--``, or a
+    bare switch. A value is converted by the option's ``type`` and must be
+    one of its ``choices``, every required option must be given, and a
+    repeated option keeps its last value. Anything else (help, an
+    abbreviated or unknown flag, a missing or second file, a bad value) is
+    left to argparse, which reports it as it always has."""
+    form = _PLAIN.get(argv[0]) if argv else None
+    if form is None:
+        return None
+    start, flags, required = form
+    values, given, words = dict(start), set(), iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if values["file"] is not None:
+                return None
+            values["file"] = word
+            continue
+        flag, eq, value = word.partition("=")
+        option = flags.get(flag)
+        if option is None:
+            return None
+        if option.switch:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    return None
+            elif value in ("", "--"):
+                return None
+            try:
+                value = option.convert(value)
+            except ValueError:
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+        given.add(flag)
+    if values["file"] is None or not given >= required:
+        return None
+    return SimpleNamespace(**values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs more
-    than answering a small request, and parsing leaves it unchanged. Its
+    """The argument parser, built once per process, and only for a request
+    that :func:`_read_plain` leaves to it: building it costs more than
+    answering a small request, and parsing leaves it unchanged. Its
     ``commands`` holds each subcommand's parser by name."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aicrepair",
         description="Repair databases under active integrity constraints "
@@ -498,15 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.set_defaults(func=func, kinds=kinds)
         for flag, settings in options:
-            if flag == "--class":
-                classes = [c.value for k in kinds for c in _KINDS[k].classes]
-                settings = {**settings, "choices": classes}
-            p.add_argument(flag, **settings)
+            p.add_argument(flag, **_settings(kinds, flag, settings))
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parse(argv: list[str]):
+    """``argv`` read by argparse, for the requests :func:`_read_plain`
+    leaves to it; help and argument errors leave through ``SystemExit``."""
     parser = build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
     if sub:
@@ -518,11 +614,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--set=--" as an empty list, past type and choices.
-        for flag, settings in _COMMANDS[args.command][3:]:
-            if getattr(args, settings.get("dest", flag[2:].replace("-", "_"))) == []:
+        for flag, option in _PLAIN[args.command][1].items():
+            if getattr(args, option.dest) == []:
                 parser.commands[args.command].error(
                     f"argument {flag}: expected one argument"
                 )
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or _parse(argv)
     command, kinds = args.command, args.kinds
     if command == "translate":
         command += f" --to {args.to}"

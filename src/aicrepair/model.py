@@ -27,6 +27,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -410,11 +411,11 @@ _TABLE_BITS = 10
 
 
 @cache
-def _table(k: int) -> tuple[list[list[int]], list[int], list[int]]:
+def _table(k: int) -> tuple[list[int], list[int], list[int]]:
     """The truth table of ``k`` positions: its ``2**k`` rows, the masks
-    over the positions in the order of their sorted positions, cut into
-    runs of 8, and per position the column whose bit ``j`` is set when row
-    ``j`` holds the position, and its complement."""
+    over the positions in the order of their sorted positions, and per
+    position the column whose bit ``j`` is set when row ``j`` holds the
+    position, and its complement."""
     order = [0]
     for p in reversed(range(k)):
         # The masks over positions p up: the empty one, those that hold
@@ -425,8 +426,18 @@ def _table(k: int) -> tuple[list[list[int]], list[int], list[int]]:
         int("".join("1" if s >> p & 1 else "0" for s in reversed(order)), 2)
         for p in range(k)
     ]
-    runs = [order[j:j + 8] for j in range(0, len(order), 8)]
-    return runs, columns, [full ^ c for c in columns]
+    return order, columns, [full ^ c for c in columns]
+
+
+@cache
+def _rows(k: int, t: int) -> list[int]:
+    """The rows of the truth table of ``k`` positions, shifted to start at
+    position ``t``."""
+    return [s << t for s in _table(k)[0]]
+
+
+# Binary digits as bytes that select (1) or skip (0) with ``compress``.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _block_search(
@@ -447,7 +458,8 @@ def _block_search(
     :func:`_join`, and every prefix costs one table read."""
     k = min(_TABLE_BITS, hi - lo)
     t = hi - k
-    runs, columns, complements = _table(k)
+    _, columns, complements = _table(k)
+    shifted = _rows(k, t)
     full = (1 << (1 << k)) - 1
     below = (1 << t) - 1
     # The rows where each clause that ends in the table holds: for all
@@ -465,12 +477,10 @@ def _block_search(
                 always |= rows
 
     def read(x: int, free: int) -> list[int]:
-        # The rows of ``free``, as masks over the prefix ``x``.
-        out: list[int] = []
-        for run, b in zip(runs, free.to_bytes(len(runs), "little")):
-            if b:
-                out += [x | run[p] << t for p in BYTE_POSITIONS[b]]
-        return out
+        # The rows of ``free``, as masks over the prefix ``x``: its binary
+        # digits, lowest first, select them.
+        rows = compress(shifted, bin(free)[:1:-1].encode().translate(_BITS))
+        return list(map(x.__or__, rows) if x else rows)
 
     if t == lo:
         return read(0, full ^ always), 1 << k

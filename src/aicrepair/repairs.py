@@ -428,21 +428,24 @@ def enumerate_classes(
         # once, and the weak class is their one block.
         pool = _product(blocks)
         blocks = [pool]
+    # The pool's sets whose every bit has a support clause, in canonical
+    # order; each grounding test keeps a sub-list of them.
+    candidates = [x for x in pool if not x & ~supported] if keys else []
     grounded = {}
     for normalized, g in keys:
         grounds = compiled.normalized if normalized else compiled
-        grounded[normalized, g] = {
-            x for x in pool if not x & ~supported and _grounded(g, grounds, x)
-        }
+        grounded[normalized, g] = [x for x in candidates if _grounded(g, grounds, x)]
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]
-        if change_minimal or grounding:
-            hits = minimal if change_minimal else pool
-            if grounding:
-                keep = grounded[normalized, grounding]
-                hits = [x for x in hits if x in keep]
+        if grounding:
+            hits = grounded[normalized, grounding]
+            if change_minimal:
+                keep = set(hits)
+                hits = [x for x in minimal if x in keep]
             parts = (tuple(hits),)
+        elif change_minimal:
+            parts = (tuple(minimal),)
         else:
             parts = tuple(map(tuple, blocks))
         reports[c] = Report(c, essential, parts, examined)

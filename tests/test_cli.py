@@ -6,7 +6,8 @@ stdout. A command whose input is rejected has an ``.err`` file instead: its
 exact stderr, after exit code 2 and an empty stdout; a refused command has
 a ``.refused`` file, its exact stderr after exit code 1 and an empty
 stdout. The ``usage_*`` goldens pin what argparse prints for help (exit 0)
-and for argument errors (exit 2), at a terminal width of 80 columns.
+and for argument errors (exit 2), at a terminal width of 80 columns, and
+``abbrev_options`` an abbreviated flag, which only argparse reads.
 """
 
 import dataclasses
@@ -24,8 +25,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aicrepair
+import argv_forms
 import engine_corpus
 import gen
 from aicrepair import cli, model, repairs, transforms
@@ -56,20 +59,25 @@ def run_or_exit(argv, capsys):
         return exc.code, captured.out, captured.err
 
 
-def run_fresh(argv, **env):
-    """Run the command line in a new interpreter, on this checkout's code."""
+def run_python(args, **env):
+    """Run a new interpreter with ``args``, on this checkout's code."""
     src = str(Path(aicrepair.__file__).parents[1])
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "aicrepair.cli", *argv],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def run_fresh(argv, **env):
+    """Run the command line in a new interpreter, on this checkout's code."""
+    return run_python(["-m", "aicrepair.cli", *argv], **env)
 
 
 @pytest.mark.parametrize("cmd_file", REPLAYS, ids=lambda p: p.stem)
@@ -1122,6 +1130,60 @@ def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
         proc = run_fresh(argv, COLUMNS="80")
         fresh = (proc.returncode, proc.stdout, proc.stderr)
         assert (code, captured.out, captured.err) == fresh, argv
+
+
+# cli._read_plain returns nothing, or exactly the namespace argparse gives
+# with the command added; it returns one exactly when the words are in the
+# plain forms and argparse reads them all without an error.
+
+
+@settings(max_examples=1000)
+@given(st.randoms(use_true_random=False))
+def test_the_plain_reader_reads_what_argparse_reads(rng):
+    argv_forms.check(argv_forms.draw(rng))
+
+
+def test_the_plain_reader_reads_what_argparse_reads_on_seeded_lists():
+    # A fixed sample as wide as the script's, which takes about 2 s: about
+    # a tenth of the lists are plain, and a reader that reads an
+    # abbreviation, a value word that starts with "-" or a value outside
+    # the choices fails on some of them.
+    assert argv_forms.agree(20_000, seed=0) > 1_000
+
+
+def test_argparse_reads_only_the_goldens_that_need_it():
+    # Help, argument errors, a negative --max-atoms given as a separate
+    # word, and abbreviated flags; the plain reader reads every other.
+    by_argparse = [
+        cmd_file.stem
+        for cmd_file in REPLAYS
+        if cli._read_plain(shlex.split(cmd_file.read_text())) is None
+    ]
+    prefixes = ("usage_", "bad_max_atoms_", "abbrev_options")
+    assert by_argparse == [p.stem for p in REPLAYS if p.stem.startswith(prefixes)]
+    assert len(by_argparse) == 20
+
+
+# Runs one request in a fresh interpreter, then says on stderr whether
+# argparse was ever imported.
+_PROBE = """\
+import sys
+from aicrepair import cli
+code = cli.main(sys.argv[1:])
+print("argparse" in sys.modules, file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def test_a_plain_request_does_not_load_argparse(monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    for argv, loaded in (
+        (["repair", "pair_delete.aic", "--class", "repair"], "False"),
+        (["repair", "pair_delete.aic", "--cl", "repair"], "True"),
+    ):
+        proc = run_python(["-c", _PROBE, *argv])
+        assert (proc.returncode, proc.stdout) == (0, "{-a}\n{-b}\n")
+        assert proc.stderr == loaded + "\n"
 
 
 def test_an_empty_command_line_is_an_argument_error(capsys, monkeypatch):
