@@ -15,21 +15,16 @@ handler, the kinds of program it takes and its options.
 ``--flag=value``, and bare switches) is read by :func:`_read_plain`,
 driven by the same rows, into the namespace argparse would give; such a
 request neither imports argparse nor builds its parser. Any other
-command line goes to argparse: the subcommand's parser reads the words
-after its name, and the top-level parser sees a request only for help,
-an unknown subcommand or arguments left over, and reports those as it
-always has. An option value that argparse read as empty (``--set=--`` on
-some Python versions gives ``[]``, past ``type`` and ``choices``) is then
-rejected, once, as that subcommand's argument error. :func:`main` then
-reads the instance file in one binary read and parses it, checks its
-kind against the
-``kinds`` the subcommand declares (``translate`` takes the kind opposite
-to ``--to``), resolves ``--class`` against that kind's classes and checks
-the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``) of a
-subcommand that takes one, in that order, before ``--set``, ``--query``
-or ``--by`` is read. A malformed bound is an error even where the engine
-would never consult it. Each handler gets the parsed arguments (the bound
-as ``args.limits``), the instance and its ``_KINDS`` row.
+command line, help and argument errors included, is read by one argparse
+``parse_args`` call (:func:`_parse`). :func:`main` then reads the
+instance file in one binary read and parses it, checks its kind against
+the ``kinds`` the subcommand declares (``translate`` takes the kind
+opposite to ``--to``), resolves ``--class`` against that kind's classes
+and checks the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``)
+of a subcommand that takes one, in that order, before ``--set``,
+``--query`` or ``--by`` is read. A malformed bound is an error even where
+the engine would never consult it. Each handler gets the parsed arguments
+(the bound as ``args.limits``), the instance and its ``_KINDS`` row.
 
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input. A
@@ -581,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process, and only for a request
     that :func:`_read_plain` leaves to it: building it costs more than
     answering a small request, and parsing leaves it unchanged. Its
-    ``commands`` holds each subcommand's parser by name."""
+    ``commands`` holds each subcommand's parser by name, which reports
+    :func:`_parse`'s own argument error."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -602,16 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]):
     """``argv`` read by argparse, for the requests :func:`_read_plain`
-    leaves to it; help and argument errors leave through ``SystemExit``."""
+    leaves to it; help and argument errors leave through ``SystemExit``.
+    An option value that argparse read as empty is rejected as the
+    subcommand's argument error."""
     parser = build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub:
-        args, rest = sub.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if not sub or rest:
-        # Help, an unknown command or leftover arguments: the top-level
-        # parser reports them as it always has.
-        args = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--set=--" as an empty list, past type and choices.
         for flag, option in _PLAIN[args.command][1].items():

@@ -217,9 +217,9 @@ class AicRule:
                 and Literal(a.atom, not a.insert) not in body
             ]
             if missing:
-                raise UpdatableConditionViolated(min(missing, key=_key), self._raw_text())
+                raise UpdatableConditionViolated(min(missing, key=_key), str(self))
 
-    def _raw_text(self) -> str:
+    def __str__(self) -> str:
         body = ", ".join(str(l) for l in ordered(self.body))
         head = " | ".join(str(a) for a in ordered(self.head)) or "false"
         return f"{body} -> {head}." if body else f"-> {head}."
@@ -248,9 +248,6 @@ class AicRule:
         return frozenset(l.atom for l in self.body) | frozenset(
             a.atom for a in self.head
         )
-
-    def __str__(self) -> str:
-        return self._raw_text()
 
 
 @dataclass(frozen=True)

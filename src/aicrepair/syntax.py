@@ -104,10 +104,8 @@ class _Parser:
     literals, each an atom with a flag, in the form the table
     :data:`_FORMS` gives their class, and :meth:`atoms` reads bare atoms.
     Each reads the items separated by ``sep`` from token ``pos`` on, in one
-    loop, and returns them with the position after them. :meth:`items`
-    builds an item once and keeps it in :attr:`made`, by class, flag and
-    atom; :attr:`names` holds every name read as an atom, so :meth:`check`
-    tests a name once."""
+    loop, and returns them with the position after them. :attr:`names`
+    holds every name read as an atom, so :meth:`check` tests a name once."""
 
     def __init__(self, text: str):
         parts = _SPLIT_RE.split(text)
@@ -120,7 +118,6 @@ class _Parser:
         self.tokens = list(filter(None, parts[1::2]))
         self.tokens.append("")
         self.pos = 0
-        self.made = {cls: ({}, {}) for cls in _FORMS}
         self.names: set[str] = set()
 
     def fail(self, message: str, index: int | None = None):
@@ -281,7 +278,7 @@ class _Parser:
         ``sep``, read in the form :data:`_FORMS` gives that class, and the
         position after them."""
         leads, bare, what, parens = _FORMS[cls]
-        tokens, names, made = self.tokens, self.names, self.made[cls]
+        tokens, names = self.tokens, self.names
         items = []
         while True:
             flag = leads.get(tokens[pos])
@@ -294,16 +291,12 @@ class _Parser:
             if parens:
                 pos = self.end(pos, "(")
             name = tokens[pos]
-            table = made[flag]
-            item = table.get(name)
-            if item is None:
-                if name not in names:
-                    self.check(pos)
-                item = table[name] = _new(cls, (name, flag))
+            if name not in names:
+                self.check(pos)
             pos += 1
             if parens:
                 pos = self.end(pos, ")")
-            items.append(item)
+            items.append(_new(cls, (name, flag)))
             if tokens[pos] != sep:
                 return items, pos
             pos += 1

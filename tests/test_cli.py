@@ -1164,6 +1164,20 @@ def test_argparse_reads_only_the_goldens_that_need_it():
     assert len(by_argparse) == 20
 
 
+def test_argparse_reads_the_plain_goldens_as_the_reader_does():
+    # No plain command line reaches cli._parse, so nothing else shows that
+    # argparse would still read one the same way, were the reader to leave
+    # it there.
+    read = 0
+    for cmd_file in REPLAYS:
+        argv = shlex.split(cmd_file.read_text())
+        plain = cli._read_plain(argv)
+        if plain is not None:
+            assert vars(cli._parse(argv)) == vars(plain), cmd_file.stem
+            read += 1
+    assert read == len(REPLAYS) - 20
+
+
 # Runs one request in a fresh interpreter, then says on stderr whether
 # argparse was ever imported.
 _PROBE = """\

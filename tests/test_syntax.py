@@ -220,32 +220,6 @@ def test_small_list_parsers():
         parse_actions("+a -b")
 
 
-def _the(items, item):
-    """The one member of ``items`` equal to ``item``."""
-    (found,) = [x for x in items if x == item]
-    return found
-
-
-def test_an_item_is_one_object_per_parse():
-    # The literal, action or revision literal that two rules share is built
-    # once: both rules hold the one object, and lp: rules the one atom
-    # string of that literal. Two-letter names are not interned.
-    programs = {
-        "aic": ("not ab, ef -> -ef. not ab, ef, not cd -> -ef | +cd.",
-                Literal("ab", False), UpdateAction("ef", False)),
-        "rev": ("in(ab) <- out(cd). in(ab) | in(ef) <- out(cd).",
-                RevLiteral("cd", False), RevLiteral("ab", True)),
-    }
-    for kind, (text, in_body, in_head) in programs.items():
-        first, second = parse_program(text, kind)
-        assert _the(first.body, in_body) is _the(second.body, in_body)
-        assert _the(first.head, in_head) is _the(second.head, in_head)
-    lp = parse_program("ab :- cd, not ef. gh :- not ef, cd.", "lp")
-    for part in ("pos_body", "neg_body"):
-        (first,), (second,) = (getattr(rule, part) for rule in lp)
-        assert first is second
-
-
 def test_format_helpers():
     assert format_set({UpdateAction("b", False), UpdateAction("a", True)}) == "{+a, -b}"
     assert format_set(()) == "{}"
