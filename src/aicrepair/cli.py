@@ -43,6 +43,7 @@ import enum
 import functools
 import itertools
 import json
+import math
 import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -192,33 +193,34 @@ def _write_sets(
     """Write the set of ``actions`` at each mask of the product of
     ``blocks`` (:func:`model._product`), in canonical order, as ``head``,
     its names (through ``quote``) in canonical order joined by ``", "``,
-    and ``tail``, with ``between`` between sets, ``_SLICE`` sets per write.
-    The top, the highest blocks but the lowest whose product fits in one
-    slice, is held as text, each block's masks labelled by
-    :func:`_texts`. The masks of the lower blocks' product are labelled a
-    slice at a time and joined to that text by :func:`model._join`: a
-    member's own row comes first when the top holds the empty set, and
-    its run (:class:`_Listing`), once the members that extend it are
-    written. With no top, one block or a last block wider than a slice,
-    the rows are the lower members themselves, one write per slice."""
+    and ``tail``, with ``between`` between sets, ``_SLICE`` sets per write
+    (:class:`_Listing`). The top, held as text with each block's masks
+    labelled by :func:`_texts`, takes the blocks from the last down, never
+    the lowest, while its product fits in one slice or that of the blocks
+    below it is larger. The masks of the lower blocks' product are labelled
+    a slice at a time and joined to that text by :func:`model._join`: a
+    member's own row comes first when the top holds the empty set, and its
+    run once the members that extend it are written. With no top (one
+    block), the rows are the lower members themselves, a slice at a time."""
     label = functools.partial(_texts, [quote(str(a)) for a in actions])
     j, size = len(blocks), 1
-    while j > 1 and size * len(blocks[j - 1]) <= _SLICE:
+    while j > 1 and (
+        size * len(blocks[j - 1]) <= _SLICE or math.prod(map(len, blocks[:j])) > size
+    ):
         j -= 1
         size *= len(blocks[j])
     low = _product(blocks[:j])
-    if j == len(blocks):
-        joiner = tail + between + head
-        for s in range(0, len(low), _SLICE):
-            texts = label(low[s:s + _SLICE])
-            sys.stdout.write((between if s else "") + head + joiner.join(texts) + tail)
-        return
-    top = _product(blocks[j:], label)
-    own = bool(top) and not top[0]
-    listing = _Listing(head, tail, between, top[1:] if own else top)
     chunks = (label(low[s:s + _SLICE]) for s in range(0, len(low), _SLICE))
-    texts = itertools.chain.from_iterable(chunks)
-    _join(low, texts, lambda a, text: (own, (text,)), listing)
+    if j == len(blocks):
+        listing = _Listing(head, tail, between, [])
+        for texts in chunks:
+            listing.put(texts)
+    else:
+        top = _product(blocks[j:], label)
+        own = bool(top) and not top[0]
+        listing = _Listing(head, tail, between, top[1:] if own else top)
+        texts = itertools.chain.from_iterable(chunks)
+        _join(low, texts, lambda a, text: (own, (text,)), listing)
     listing.flush()
 
 

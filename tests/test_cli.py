@@ -779,6 +779,8 @@ def _product_cases():
     singles = [[0, 1 << i] for i in range(14)]
     yield "a top of 12 blocks above 2", actions, singles
     yield "a last block wider than a slice", actions, [[0, 1], _canonical(1, 14)]
+    wide_middle = [[0, 1], _canonical(1, 14), [0, 1 << 14]]
+    yield "a block wider than a slice under one more", actions, wide_middle
     sizes = [_canonical(0, 2, False), _canonical(2, 5), _canonical(5, 8, False)]
     yield "a top of 3 blocks above 1", actions, [*sizes, _canonical(8, 14)[:50]]
 
@@ -839,17 +841,32 @@ def test_listings_print_in_slices_without_holding_the_rows(monkeypatch):
     universe, limits = model.Universe(atoms), model.Limits(len(atoms))
     report = repairs.enumerate_classes(db, program, [weak], universe, limits)[weak]
     assert report.size == 103_680
-    sink = _CountingSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        cli._write_sets(report.actions, report.blocks, "{", "}\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(sink.lines) == 103_680
-    assert max(sink.lines) == cli._SLICE == 4096
-    assert peak < 1.5 * 2**20, f"printing peaked at {peak / 2**20:.2f} MiB"
+    # Two products of 524,288 sets whose top is one block wider than a
+    # slice: last, or under one more block. Held as text over the 64 and
+    # 32 masks of the blocks below, they traced peaks of 1.8 and 2.6 MiB,
+    # against 36.4 and 18.2 MiB when the lower product was every block
+    # below the wide one, built as one list of masks (Python 3.11).
+    wide = tuple(model.UpdateAction(f"a{i:02}", i % 3 > 0) for i in range(19))
+    singles = [[0, 1 << i] for i in range(6)]
+    wide_last = [*singles, _canonical(6, 19)]
+    wide_under = [*singles[:5], _canonical(5, 18), [0, 1 << 18]]
+    cases = (
+        ("8 weak blocks", report.actions, report.blocks, 103_680, 1.5),
+        ("a wide last block", wide, wide_last, 524_288, 4),
+        ("a wide block under one more", wide, wide_under, 524_288, 4),
+    )
+    for where, actions, blocks, rows, mib in cases:
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._write_sets(actions, blocks, "{", "}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sink.lines) == rows, where
+        assert max(sink.lines) == cli._SLICE == 4096, where
+        assert peak < mib * 2**20, f"{where}: printing peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_weak26_is_its_generator_output():
@@ -858,6 +875,19 @@ def test_weak26_is_its_generator_output():
     atoms, db, program = gen.components_aic(random.Random("weak26"), (4,) * 6, 2)
     instance = Instance("aic", db, program, model.Universe(atoms))
     assert (GOLDEN / "weak26.aic").read_text() == print_instance(instance)
+
+
+def test_widetop23_is_one_wide_part_under_free_atoms():
+    """``widetop23.aic``, the 2,070,016-set weak listing that CI prints
+    under a memory limit: 8 atoms in no rule, then one 15-atom part whose
+    8,086 weak repairs are one block wider than a slice."""
+    instance = cli._load(str(GOLDEN / "widetop23.aic"))
+    weak = RepairClass.WEAK_REPAIR
+    db, program, universe = instance.db, instance.program, instance.universe()
+    limits = model.Limits(len(universe))
+    report = repairs.enumerate_classes(db, program, [weak], universe, limits)[weak]
+    assert [len(block) for block in report.blocks] == [2] * 8 + [8086]
+    assert report.size == 2_070_016
 
 
 def test_atom_pools_go_on_after_z_in_sorted_order():
