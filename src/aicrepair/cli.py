@@ -246,19 +246,19 @@ def _print_instance(instance: Instance, **changes) -> None:
     sys.stdout.write(print_instance(dataclasses.replace(instance, **changes)))
 
 
-def _enumerate(instance: Instance, args, db, program, classes) -> tuple:
+def _enumerate(kind: _Kind, args, universe, db, program, classes) -> tuple:
     """The actions searched and the report of every requested class, from
-    one engine call."""
-    reports = _KINDS[instance.kind].engine.enumerate_classes(
-        db, program, classes, instance.universe(), args.limits
-    )
+    one engine call over ``universe``."""
+    reports = kind.engine.enumerate_classes(db, program, classes, universe, args.limits)
     return reports[classes[0]].actions, reports
 
 
 def cmd_enumerate(args, instance: Instance, kind: _Kind) -> int:
     """``repair`` and ``revise``: every member of one class."""
     cls = args.cls
-    actions, reports = _enumerate(instance, args, instance.db, instance.program, [cls])
+    actions, reports = _enumerate(
+        kind, args, instance.universe(), instance.db, instance.program, [cls]
+    )
     if args.format == "json":
         sets = functools.partial(_write_sets, actions, reports[cls].blocks)
         _print_json(**{"class": cls.value}, sets=sets)
@@ -273,7 +273,7 @@ def cmd_check(args, instance: Instance, kind: _Kind) -> int:
         instance.program,
         args.cls,
         kind.parse_set(args.set),
-        instance.declared_universe,
+        instance.universe(),
         args.limits,
     )
     if args.format == "json":
@@ -303,35 +303,37 @@ def cmd_properize(args, instance: Instance, kind: _Kind) -> int:
 
 
 def cmd_shift(args, instance: Instance, kind: _Kind) -> int:
-    by = parse_atoms(args.by)
+    by, universe = parse_atoms(args.by), instance.universe()
     witness = transforms.shift_instance(
-        instance.db, instance.program, by, universe=instance.universe()
+        instance.db, instance.program, by, universe=universe
     )
-    checked = _verify_shift(instance, witness, args) if args.verify else 0
+    checked = args.verify and _verify_shift(instance, kind, universe, witness, args)
     _print_instance(instance, db=witness.shifted_db, program=witness.shifted_program)
     if checked:
         print(f"shift-verify: ok ({checked} classes)", file=sys.stderr)
     return 0
 
 
-def _verify_shift(instance: Instance, witness, args) -> int:
-    """Enumerate every class on both sides: the transported sets of each
-    class must be the shifted side's. Both sides search the essential
-    actions of one universe, so a set maps to the same bits on both sides,
-    except that no set holding a bit whose shifted action is not the
-    transported one (a bit of ``moved``) can be transported onto one."""
+def _verify_shift(instance: Instance, kind: _Kind, universe, witness, args) -> int:
+    """Enumerate every class on both sides over one universe, whose
+    essential actions both sides search. Shifting keeps every body's atoms
+    and flips, at a shifted atom, its literals and the database alike, so
+    each rule compiles to the same bits and both searches cut at the same
+    positions: the classes match exactly when their blocks do. But no
+    transported set holds a bit of ``moved``, whose shifted action is not
+    the transported one; a class with a member must have it in no mask."""
     classes = _classes(instance)
     actions, original = _enumerate(
-        instance, args, instance.db, instance.program, classes
+        kind, args, universe, instance.db, instance.program, classes
     )
     shifted_actions, shifted = _enumerate(
-        instance, args, witness.shifted_db, witness.shifted_program, classes
+        kind, args, universe, witness.shifted_db, witness.shifted_program, classes
     )
     pairs = zip(witness.transport(actions), shifted_actions)
     moved = sum(1 << i for i, (a, b) in enumerate(pairs) if a != b)
-    for cls in classes:
-        hits = original[cls].hits
-        if set(hits) != set(shifted[cls].hits) or any(x & moved for x in hits):
+    for cls, rep in original.items():
+        masks = itertools.chain.from_iterable(rep.blocks)
+        if rep.blocks != shifted[cls].blocks or rep.size and any(x & moved for x in masks):
             raise Refusal(f"shift verification failed for {cls.value}")
     return len(classes)
 
@@ -355,7 +357,7 @@ def cmd_cqa(args, instance: Instance, kind: _Kind) -> int:
         instance.program,
         args.cls,
         literals,
-        universe=instance.declared_universe,
+        universe=instance.universe(),
         limits=args.limits,
     )
     if args.format == "json":
@@ -404,14 +406,14 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
 
 
 def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
-    classes = _classes(instance)
+    classes, universe = _classes(instance), instance.universe()
     actions, reports = _enumerate(
-        instance, args, instance.db, instance.program, classes
+        kind, args, universe, instance.db, instance.program, classes
     )
     relations = None
     if args.verify:
         normalized = kind.normalize(instance.program)
-        _, norm = _enumerate(instance, args, instance.db, normalized, classes[:4])
+        _, norm = _enumerate(kind, args, universe, instance.db, normalized, classes[:4])
         relations = _relations(reports, norm, classes)
     violated = [text for text, holds in relations or () if not holds]
 

@@ -345,16 +345,16 @@ class Report:
     masks over disjoint positions, lowest first, each in canonical order,
     whose members are the unions of one mask per block
     (:func:`model._product`). A weak class is the product of the position
-    blocks of the clause search, unless a grounded class of the same call
-    listed its members; any other class is one block. ``size``, the
-    number of members, is the product of the block sizes. ``hits``, the
-    members in canonical order, and ``sets``, the same as frozensets, are
-    built on first read. ``examined`` counts the candidate sets the
-    engine visited for the request: the sets of the repair tree, when a
-    change-minimal class is asked for, plus, when a weak class is, the
-    candidates of the clause search, summed over the position blocks it
-    splits into: ``2**k`` for each truth table a block reads over ``k``
-    of its positions, since a table decides all its rows at once."""
+    blocks of the clause search, whatever else the call asks for; any
+    other class is one block. ``size``, the number of members, is the
+    product of the block sizes. ``hits``, the members in canonical order,
+    and ``sets``, the same as frozensets, are built on first read.
+    ``examined`` counts the candidate sets the engine visited for the
+    request: the sets of the repair tree, when a change-minimal class is
+    asked for, plus, when a weak class is, the candidates of the clause
+    search, summed over the position blocks it splits into: ``2**k`` for
+    each truth table a block reads over ``k`` of its positions, since a
+    table decides all its rows at once."""
 
     semantics: enum.Enum
     actions: tuple
@@ -389,15 +389,14 @@ def enumerate_classes(
     The change-minimal weak repairs come from the repair tree (see
     :func:`_least`), and only a weak class asks for the clause search that
     finds every weak repair, as a product of blocks: the report of
-    ``weak-repair`` keeps them, unless a grounded class filters the weak
-    repairs, which lists them as one block. A justified set is founded,
-    so every action of a grounded set has a support clause that holds, and
+    ``weak-repair`` keeps them. A justified set is founded, so every
+    action of a grounded set has a support clause that holds, and
     normalizing keeps the support clauses: the grounding tests run only on
-    the sets whose every bit has one. When every class is grounded, the
-    tree and the search flip only head actions. The normalized classes are the
-    justified ones of the normalized program, whose weak repairs and
-    change-minimal sets are those of the program. Results are in canonical
-    order.
+    the sets whose every bit has one: the product of each block's masks
+    that have that property. When every class is grounded, the tree and the search flip only
+    head actions. The normalized classes are the justified ones of the
+    normalized program, whose weak repairs and change-minimal sets are
+    those of the program. Results are in canonical order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -422,15 +421,13 @@ def enumerate_classes(
 
     keys = dict.fromkeys(row[:2] for row in rows if row[1])
     supported = sum(compiled.support) if keys else 0
-    pool = minimal
-    if keys and blocks:
-        # A grounded class filters every weak repair, so they are listed
-        # once, and the weak class is their one block.
-        pool = _product(blocks)
-        blocks = [pool]
-    # The pool's sets whose every bit has a support clause, in canonical
-    # order; each grounding test keeps a sub-list of them.
-    candidates = [x for x in pool if not x & ~supported] if keys else []
+    # The weak repairs, else the change-minimal ones, whose every bit has a
+    # support clause, in canonical order: a union of one mask per block has
+    # them all exactly when each of its masks does. Each grounding test
+    # keeps a sub-list of them.
+    candidates = keys and _product(
+        [[x for x in b if not x & ~supported] for b in blocks or [minimal]]
+    )
     grounded = {}
     for normalized, g in keys:
         grounds = compiled.normalized if normalized else compiled

@@ -817,6 +817,9 @@ def _one_scan_matches(kind, db, program, uni, seed) -> None:
         got = together[cls]
         assert got.semantics is cls
         assert got.sets == alone.sets, f"{seed}: {cls.value}"
+        if cls is classes[0]:
+            # The weak class keeps the blocks of the clause search.
+            assert got.blocks == alone.blocks, seed
 
 
 def test_one_scan_matches_per_class_enumeration(capsys):
