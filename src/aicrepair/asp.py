@@ -29,6 +29,7 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
+    _product,
     members,
 )
 from .repairs import RepairClass
@@ -133,7 +134,8 @@ def answer_sets(
         uni,
         limits,
     )
-    return tuple(members(tuple(a.atom for a in report.actions), report.hits))
+    atoms = tuple(a.atom for a in report.actions)
+    return tuple(members(atoms, _product(report.blocks)))
 
 
 def aic_of_rule(rule: LpRule) -> AicRule:

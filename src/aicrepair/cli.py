@@ -9,11 +9,12 @@ enumerates every class at once and can verify the containment relations
 between them on the given instance.
 
 Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
-handler, the kinds of program it takes and its options.
-:func:`main` is the one front door. A command line in the plain forms
-(one file, declared flags spelled in full, as ``--flag value`` or
-``--flag=value``, and bare switches) is read by :func:`_read_plain`,
-driven by the same rows, into the namespace argparse would give; such a
+handler, its kinds of program and its options with all their
+``add_argument`` keywords (a ``--class`` lists its kinds' classes as its
+choices). :func:`main` is the one front door. A command line in the plain
+forms (one file, declared flags spelled in full, as ``--flag value`` or
+``--flag=value``, and bare switches) is read by :func:`_read_plain` from
+those rows as declared, into the namespace argparse would give; such a
 request neither imports argparse nor builds its parser. Any other
 command line, help and argument errors included, is read by one argparse
 ``parse_args`` call (:func:`_parse`). :func:`main` then reads the
@@ -32,7 +33,7 @@ refused or malformed request prints nothing on stdout: ``shift --verify``
 verifies before it prints the shifted instance.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
 object (``"schema": 1``). Listings, text or JSON, are written from the
-blocks of a report, never from its full hit list, a slice of sets per
+blocks of a report, never from its full member list, a slice of sets per
 write (:func:`_write_sets`); ``cqa`` counts per block.
 """
 
@@ -44,6 +45,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -227,7 +229,7 @@ def _write_sets(
 def _print_json(**fields) -> None:
     """Write one JSON object as ``json.dumps`` would: the schema version,
     then ``fields`` in order. A listing (a partial :func:`_write_sets` over
-    its actions and hits) is written in slices where its value goes."""
+    its actions and blocks) is written in slices where its value goes."""
     listings: list = []
     text = json.dumps(
         {"schema": SCHEMA_VERSION, **fields},
@@ -376,32 +378,49 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     ``base`` holds the report of every class of the program, the two
     normalized justified ones included; ``norm`` holds those of the first
     four classes of the enumerated normalized program. Both requests hold
-    a weak class, so both search every essential action and their hits
-    compare directly. Each class's hits become a set once."""
+    a weak class, so both search every essential action and their masks
+    compare directly. Each ``==`` compares blocks, which is exact: its
+    sides are both one block in canonical order, or both the weak class of
+    the program and of its normalization, which has the same bodies and so
+    the same cuts. Each ``<=`` tests every mask of its left side, one
+    block, for membership in the right side's product: its bits on the
+    bits of each block's masks must be a mask of that block, and it may
+    hold no other bit."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
-    base, norm = ({c: set(rep.hits) for c, rep in d.items()} for d in (base, norm))
+
+    @functools.cache
+    def parts(c) -> list:
+        # The bits each block of base[c] owns, with its set of masks, then
+        # the bits that no block owns (the blocks own disjoint bits).
+        blocks = base[c].blocks
+        owns = [functools.reduce(operator.or_, block, 0) for block in blocks]
+        return [*zip(owns, map(set, blocks)), (~sum(owns), {0})]
+
+    def within(a: repairs.Report, c) -> bool:
+        (masks,) = a.blocks
+        return all(all(x & own in s for own, s in parts(c)) for x in masks)
+
     n = "normalized:"
     relations = [
-        (f"{n}{jr.value} == {n}{jwr.value}", base[njr] == base[njwr]),
-        (f"{n}{jr.value} <= {jr.value}", base[njr] <= base[jr]),
-        (f"{jr.value} <= {fr.value}", base[jr] <= base[fr]),
-        (f"{fr.value} <= {r.value}", base[fr] <= base[r]),
-        (f"{r.value} == {n}{r.value}", base[r] == norm[r]),
-        (f"{n}{fr.value} == {fr.value}", norm[fr] == base[fr]),
-        (f"{jr.value} <= {jwr.value}", base[jr] <= base[jwr]),
-        (f"{fr.value} <= {fwr.value}", base[fr] <= base[fwr]),
-        (f"{r.value} <= {wr.value}", base[r] <= base[wr]),
-        (f"{n}{jwr.value} <= {jwr.value}", base[njwr] <= base[jwr]),
-        (f"{jwr.value} <= {fwr.value}", base[jwr] <= base[fwr]),
-        (f"{fwr.value} <= {wr.value}", base[fwr] <= base[wr]),
-        (f"{wr.value} == {n}{wr.value}", base[wr] == norm[wr]),
-        (f"{n}{fwr.value} == {fwr.value}", norm[fwr] == base[fwr]),
+        (f"{n}{jr.value} == {n}{jwr.value}", base[njr].blocks == base[njwr].blocks),
+        (f"{n}{jr.value} <= {jr.value}", within(base[njr], jr)),
+        (f"{jr.value} <= {fr.value}", within(base[jr], fr)),
+        (f"{fr.value} <= {r.value}", within(base[fr], r)),
+        (f"{r.value} == {n}{r.value}", base[r].blocks == norm[r].blocks),
+        (f"{n}{fr.value} == {fr.value}", norm[fr].blocks == base[fr].blocks),
+        (f"{jr.value} <= {jwr.value}", within(base[jr], jwr)),
+        (f"{fr.value} <= {fwr.value}", within(base[fr], fwr)),
+        (f"{r.value} <= {wr.value}", within(base[r], wr)),
+        (f"{n}{jwr.value} <= {jwr.value}", within(base[njwr], jwr)),
+        (f"{jwr.value} <= {fwr.value}", within(base[jwr], fwr)),
+        (f"{fwr.value} <= {wr.value}", within(base[fwr], wr)),
+        (f"{wr.value} == {n}{wr.value}", base[wr].blocks == norm[wr].blocks),
+        (f"{n}{fwr.value} == {fwr.value}", norm[fwr].blocks == base[fwr].blocks),
     ]
     supported = RevisionClass.SUPPORTED_REVISION
     if supported in base:
-        relations.append(
-            (f"{fwr.value} == {supported.value}", base[fwr] == base[supported])
-        )
+        holds = base[fwr].blocks == base[supported].blocks
+        relations.append((f"{fwr.value} == {supported.value}", holds))
     return relations
 
 
@@ -442,26 +461,32 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
 
 
 def _option(flag: str, help: str | None = None, **settings) -> tuple:
-    """An option of a subcommand: its flag and ``add_argument`` keywords."""
-    return flag, {"help": help, **settings}
+    """An option of a subcommand: its flag and all its ``add_argument``
+    keywords, ``dest`` included."""
+    return flag, {"help": help, "dest": flag[2:].replace("-", "_"), **settings}
+
+
+def _class(help: str, *kinds: str) -> tuple:
+    """The ``--class`` option, whose choices are the classes of ``kinds``."""
+    choices = [c.value for k in kinds for c in _KINDS[k].classes]
+    return _option("--class", help, dest="cls", required=True, choices=choices)
 
 
 _BOTH = ("aic", "rev")
-_class = functools.partial(_option, "--class", dest="cls", required=True)
-_EITHER = _class("repair or revision class, matching the instance kind")
+_EITHER = _class("repair or revision class, matching the instance kind", *_BOTH)
 _FORMAT = _option("--format", "output format", choices=("text", "json"), default="text")
 _MAX_ATOMS = _option("--max-atoms", type=int, metavar="N",
                      help="override the exhaustive-enumeration bound on universe size")
 
 #: Every subcommand, in the order ``--help`` lists them: its help, its
 #: handler, the kinds of program it takes, then its options after ``file``
-#: as (flag, ``add_argument`` keywords). A ``--class`` takes the classes of
-#: those kinds as its choices.
+#: as (flag, ``add_argument`` keywords). Both readers, :func:`_read_plain`
+#: and :func:`build_parser`'s argparse, read these rows as they stand.
 _COMMANDS = {
     "repair": ("enumerate repairs of an aic instance", cmd_enumerate, ("aic",),
-               _class("repair class"), _FORMAT, _MAX_ATOMS),
+               _class("repair class", "aic"), _FORMAT, _MAX_ATOMS),
     "revise": ("enumerate revisions of a rev instance", cmd_enumerate, ("rev",),
-               _class("revision class"), _FORMAT, _MAX_ATOMS),
+               _class("revision class", "rev"), _FORMAT, _MAX_ATOMS),
     "check": ("test one set for membership in a class", cmd_check, _BOTH, _EITHER,
               _option("--set", "candidate set, e.g. '+a,-b' or 'in(a),out(b)'",
                       required=True),
@@ -473,7 +498,7 @@ _COMMANDS = {
     "shift": ("dualize the atoms of a shifting set", cmd_shift, _BOTH,
               _option("--by", "comma-separated atoms", required=True),
               _option("--verify", "re-enumerate all classes on both sides and compare",
-                      action="store_true"),
+                      action="store_true", default=False),
               _MAX_ATOMS),
     "answer-sets": ("answer sets of an lp instance", cmd_answer_sets, ("lp",),
                     _FORMAT, _MAX_ATOMS),
@@ -482,47 +507,21 @@ _COMMANDS = {
             _FORMAT, _MAX_ATOMS),
     "lattice": ("enumerate every class and check their containments", cmd_lattice, _BOTH,
                 _option("--verify", "check the containment relations between the classes",
-                        action="store_true"),
+                        action="store_true", default=False),
                 _FORMAT, _MAX_ATOMS),
 }
 
 
-def _settings(kinds: tuple, flag: str, settings: dict) -> dict:
-    """The ``add_argument`` keywords of an option of a subcommand that takes
-    ``kinds``: a ``--class`` takes those kinds' classes as its choices."""
-    if flag == "--class":
-        return {**settings, "choices": [c.value for k in kinds for c in _KINDS[k].classes]}
-    return settings
-
-
-class _Flag(NamedTuple):
-    dest: str
-    switch: bool  # a bare flag (``store_true``) that takes no value
-    convert: Callable
-    choices: tuple | list | None
-
-
-def _plain_forms() -> dict:
-    """Per subcommand, what :func:`_read_plain` reads its words by, from
-    ``_COMMANDS``: the namespace argparse would start from, ``file`` unset,
-    each option's :class:`_Flag` by flag, and the required flags."""
-    forms = {}
-    for name, (_, func, kinds, *options) in _COMMANDS.items():
-        start = {"command": name, "func": func, "kinds": kinds, "file": None}
-        flags = {}
-        for flag, settings in options:
-            settings = _settings(kinds, flag, settings)
-            dest = settings.get("dest", flag[2:].replace("-", "_"))
-            switch = settings.get("action") == "store_true"
-            start[dest] = False if switch else settings.get("default")
-            convert, choices = settings.get("type", str), settings.get("choices")
-            flags[flag] = _Flag(dest, switch, convert, choices)
-        required = {flag for flag, settings in options if settings.get("required")}
-        forms[name] = start, flags, required
-    return forms
-
-
-_PLAIN = _plain_forms()
+@functools.cache
+def _form(name: str) -> tuple:
+    """What :func:`_read_plain` reads the words of subcommand ``name`` by:
+    the namespace argparse would start from, ``file`` unset, each option's
+    keywords by flag, and the required flags."""
+    _, func, kinds, *options = _COMMANDS[name]
+    start = {"command": name, "func": func, "kinds": kinds, "file": None}
+    start.update({settings["dest"]: settings.get("default") for _, settings in options})
+    required = {flag for flag, settings in options if settings.get("required")}
+    return start, dict(options), required
 
 
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
@@ -536,10 +535,9 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     repeated option keeps its last value. Anything else (help, an
     abbreviated or unknown flag, a missing or second file, a bad value) is
     left to argparse, which reports it as it always has."""
-    form = _PLAIN.get(argv[0]) if argv else None
-    if form is None:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    start, flags, required = form
+    start, flags, required = _form(argv[0])
     values, given, words = dict(start), set(), iter(argv[1:])
     for word in words:
         if not word.startswith("-"):
@@ -551,7 +549,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
         option = flags.get(flag)
         if option is None:
             return None
-        if option.switch:
+        if option.get("action") == "store_true":
             if eq:
                 return None
             value = True
@@ -563,12 +561,12 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
             elif value in ("", "--"):
                 return None
             try:
-                value = option.convert(value)
+                value = option.get("type", str)(value)
             except ValueError:
                 return None
-            if option.choices is not None and value not in option.choices:
+            if "choices" in option and value not in option["choices"]:
                 return None
-        values[option.dest] = value
+        values[option["dest"]] = value
         given.add(flag)
     if values["file"] is None or not given >= required:
         return None
@@ -596,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.set_defaults(func=func, kinds=kinds)
         for flag, settings in options:
-            p.add_argument(flag, **_settings(kinds, flag, settings))
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -609,8 +607,8 @@ def _parse(argv: list[str]):
     args = parser.parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--set=--" as an empty list, past type and choices.
-        for flag, option in _PLAIN[args.command][1].items():
-            if getattr(args, option.dest) == []:
+        for flag, settings in _form(args.command)[1].items():
+            if getattr(args, settings["dest"]) == []:
                 parser.commands[args.command].error(
                     f"argument {flag}: expected one argument"
                 )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .model import AicRule, Limits, Literal, Universe
@@ -49,11 +51,12 @@ def cqa(
     the constraint ``query -> false``, so it holds in the database
     repaired by the mask ``x`` exactly when ``x & m == f``. The members
     are never listed: they are the unions of one mask per block of the
-    report, and the blocks split the positions, so the query holds in a
-    union exactly when its bits on each block's positions hold in that
-    block's mask. ``holding`` is the product, over the blocks, of the
-    masks where the query's bits on the block hold, and ``total`` the
-    product of the block sizes."""
+    report. A block owns the bits its masks hold, the blocks own disjoint
+    bits, and no member holds a bit that no block owns. So the query holds
+    in a union exactly when it needs no unowned bit flipped and its bits
+    on each block's own bits hold in that block's mask. ``holding`` is
+    the product, over the blocks, of the masks where the query's bits on
+    the block hold, and ``total`` the product of the block sizes."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")
@@ -67,16 +70,14 @@ def cqa(
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
     clauses = _Compiled(db, (AicRule(query, frozenset()),), report.actions).clauses
     m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
-    holding, below = 1, 0
-    for block in report.blocks[:-1]:
-        # The positions of a block: those below its top mask's top bit
-        # that no block below holds; the last block holds the rest.
-        own = (1 << max(block).bit_length()) - 1 & ~below
+    holding, owned = 1, 0
+    for block in report.blocks:
+        own = reduce(or_, block)
         fails = f & own
         holding *= sum(1 for x in block if x & m == fails)
-        below |= own
-    fails = f & ~below
-    holding *= sum(1 for x in report.blocks[-1] if x & m == fails)
+        owned |= own
+    if f & ~owned:
+        holding = 0
     if holding == total:
         status = CqaStatus.TRUE
     elif holding == 0:

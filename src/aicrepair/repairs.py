@@ -347,8 +347,9 @@ class Report:
     (:func:`model._product`). A weak class is the product of the position
     blocks of the clause search, whatever else the call asks for; any
     other class is one block. ``size``, the number of members, is the
-    product of the block sizes. ``hits``, the members in canonical order,
-    and ``sets``, the same as frozensets, are built on first read.
+    product of the block sizes. ``sets``, the members as frozensets in
+    canonical order, is built on first read, and reading it builds the
+    whole product.
     ``examined`` counts the candidate sets the engine visited for the
     request: the sets of the repair tree, when a change-minimal class is
     asked for, plus, when a weak class is, the candidates of the clause
@@ -366,12 +367,8 @@ class Report:
         return prod(map(len, self.blocks))
 
     @cached_property
-    def hits(self) -> tuple[int, ...]:
-        return tuple(_product(self.blocks))
-
-    @cached_property
     def sets(self) -> tuple[frozenset, ...]:
-        return tuple(members(self.actions, self.hits))
+        return tuple(members(self.actions, _product(self.blocks)))
 
 
 def enumerate_classes(

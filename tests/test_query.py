@@ -111,8 +111,8 @@ def _verdict(db, q, sets) -> tuple:
 
 def test_cqa_counts_per_block(monkeypatch):
     # The verdict comes from the blocks of the report, never from its
-    # folded hits: it must equal the count over the members, and the
-    # oracles' count up to 8 atoms.
+    # members listed in full: it must equal the count over the members, and
+    # the oracles' count up to 8 atoms.
     reports = []
     enumerate_repairs = query.enumerate_repairs
 
@@ -131,8 +131,27 @@ def test_cqa_counts_per_block(monkeypatch):
                 members.append(oracle(db, program, atoms))
             for q in queries:
                 verdict = cqa(db, program, cls, q, universe, limits)
-                assert "hits" not in reports.pop().__dict__, name
+                assert "sets" not in reports.pop().__dict__, name
                 for sets in members:
                     want = _verdict(db, q, sets)
                     got = (verdict.status, verdict.holding, verdict.total)
                     assert got == want, f"{name} {cls.value} {q}"
+
+
+def test_cqa_reads_the_bits_each_block_owns():
+    # The middle weak block spans the positions of b, c and d, but no weak
+    # repair flips c: a block owns the bits its masks hold, and a literal
+    # on c is decided by the database alone.
+    program = parse_program("c -> -c.\nb, d -> -b.", "aic")
+    db, universe, weak = frozenset(), Universe(tuple("abcde")), RepairClass.WEAK_REPAIR
+    report = repairs.enumerate_repairs(db, program, weak, universe)
+    assert report.blocks == ((0, 0b1), (0, 0b10, 0b1000), (0, 0b10000))
+    for text, status in (
+        ("c", CqaStatus.FALSE),
+        ("not c", CqaStatus.TRUE),
+        ("not c, b, e", CqaStatus.UNKNOWN),
+    ):
+        q = parse_literals(text)
+        verdict = cqa(db, program, weak, q, universe)
+        assert verdict.status is status, text
+        assert (status, verdict.holding, verdict.total) == _verdict(db, q, report.sets)

@@ -243,7 +243,7 @@ def test_enumeration_orders_sets_canonically():
     keys = [oracles.canonical_key(s) for s in report.sets]
     assert keys == sorted(keys)
     assert report.actions == (UpdateAction("a", False), UpdateAction("b", False))
-    assert report.hits == (0b01, 0b11, 0b10)
+    assert report.blocks == ((0b01, 0b11, 0b10),)
 
 
 def test_the_repair_tree_counts_the_sets_it_visits():
