@@ -23,7 +23,6 @@ from math import prod
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
-from . import transforms
 from .errors import NotNormalProgram
 from .model import (
     AicProgram,
@@ -98,9 +97,9 @@ class _Compiled:
     ``db`` is the no-effect action of its atom, the dual of the essential
     one: it is in the no-effect set of ``x`` exactly when ``x`` leaves its
     bit 0, and always outside the positions, where atoms keep their ``db``
-    value. Each rule is read once, into :attr:`rules`, and the clauses
-    and support clauses are derived from it; each part is built on first
-    use."""
+    value. Each rule is read once, into :attr:`rules`, and the clauses,
+    support clauses and normalized program are derived from it; each part
+    is built on first use."""
 
     def __init__(self, db, program: AicProgram, actions: tuple):
         self.db, self.program, self.actions = db, program, actions
@@ -173,8 +172,30 @@ class _Compiled:
 
     @cached_property
     def normalized(self) -> "_Compiled":
-        """The normalized program over the same positions."""
-        return _Compiled(self.db, transforms.normalize_aic(self.program), self.actions)
+        """The normalized program, split from :attr:`rules`: it keeps each
+        body, so a rule splits into one per head bit ``b`` (both, for a bit
+        in ``he`` and ``hn``), its trigger the body but ``b``'s dual. Every
+        head action of a kept rule has a bit: an essential one is a
+        position, and a no-effect one's dual fails in ``db``, so without a
+        bit its rule is dropped. An empty head stays, as does the program
+        when no rule splits."""
+        out = []
+        for te, tn, he, hn in self.rules:
+            t, h, y = te | hn, tn | he, he | hn
+            if not y:
+                out.append((te, tn, he, hn))
+            while y:
+                b = y & -y
+                y ^= b
+                if he & b:
+                    out.append((t, h & ~b, b, 0))
+                if hn & b:
+                    out.append((t & ~b, h, 0, b))
+        if len(out) == len(self.rules):
+            return self
+        normalized = _Compiled(self.db, self.program, self.actions)
+        normalized.rules = out
+        return normalized
 
     def weak(self, x: int) -> bool:
         return all(x & m != f for m, f in self.clauses)
@@ -284,12 +305,14 @@ def _require_normal(program) -> None:
             raise NotNormalProgram(str(r))
 
 
-def _grounded(grounding, compiled: _Compiled, x: int) -> bool:
-    if grounding == "founded":
-        return compiled.founded(x)
-    if grounding == "justified":
-        return compiled.justified(x)
-    return True
+def _grounded(grounding, compiled: _Compiled, normalized: bool, x: int) -> bool:
+    """``x``, a weak repair, is founded, and for a justified class also
+    justified, on the program or its normalization. A justified set is
+    founded on either, so the walk runs only on a founded set."""
+    if not compiled.founded(x):
+        return False
+    walks = compiled.normalized if normalized else compiled
+    return grounding == "founded" or walks.justified(x)
 
 
 def check_membership(
@@ -301,8 +324,9 @@ def check_membership(
     limits: Limits | None = None,
 ) -> bool:
     """Membership test for any repair class, including the normalized ones:
-    their grounding test runs on the normalized program, which keeps every
-    body. Atoms outside a declared universe are rejected up front. Given
+    their justified walk runs on the normalized program, which keeps every
+    body, after the founded test. Atoms outside a declared universe are
+    rejected up front. Given
     ``limits``, a candidate on more atoms than the bound is refused when
     the test searches its subsets (a change-minimal class, or a justified
     walk on a disjunctive program); without it no check is refused. A
@@ -322,7 +346,7 @@ def check_membership(
     x = sum(compiled.bit[a.atom] for a in u)
     if not compiled.weak(x):
         return False
-    if not _grounded(grounding, compiled.normalized if normalized else compiled, x):
+    if grounding and not _grounded(grounding, compiled, normalized, x):
         return False
     # Change-minimal when the repair tree over its own bits has no leaf
     # but itself: the walk stops at the first other one.
@@ -386,14 +410,15 @@ def enumerate_classes(
     The change-minimal weak repairs come from the repair tree (see
     :func:`_least`), and only a weak class asks for the clause search that
     finds every weak repair, as a product of blocks: the report of
-    ``weak-repair`` keeps them. A justified set is founded, so every
-    action of a grounded set has a support clause that holds, and
-    normalizing keeps the support clauses: the grounding tests run only on
-    the sets whose every bit has one: the product of each block's masks
-    that have that property. When every class is grounded, the tree and the search flip only
-    head actions. The normalized classes are the justified ones of the
-    normalized program, whose weak repairs and change-minimal sets are
-    those of the program. Results are in canonical order.
+    ``weak-repair`` keeps them. Grounding is a cascade: the founded test
+    runs once, on the product of each block's masks whose every bit has a
+    support clause. A justified set is founded, and normalizing keeps the
+    support clauses, so the justified walks, plain and normalized, run
+    only on the founded sets. When every class is grounded, the tree and
+    the search flip only head actions. The normalized classes are the
+    justified ones of the normalized program, whose weak repairs and
+    change-minimal sets are those of the program. Results are in
+    canonical order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -420,15 +445,16 @@ def enumerate_classes(
     supported = sum(compiled.support) if keys else 0
     # The weak repairs, else the change-minimal ones, whose every bit has a
     # support clause, in canonical order: a union of one mask per block has
-    # them all exactly when each of its masks does. Each grounding test
-    # keeps a sub-list of them.
+    # them all exactly when each of its masks does. The founded ones are
+    # tested once; each justified walk keeps a sub-list of them.
     candidates = keys and _product(
         [[x for x in b if not x & ~supported] for b in blocks or [minimal]]
     )
-    grounded = {}
-    for normalized, g in keys:
-        grounds = compiled.normalized if normalized else compiled
-        grounded[normalized, g] = [x for x in candidates if _grounded(g, grounds, x)]
+    founded = [x for x in candidates if compiled.founded(x)]
+    grounded = {(False, "founded"): founded}
+    for normalized in {n for n, g in keys if g == "justified"}:
+        walks = compiled.normalized if normalized else compiled
+        grounded[normalized, "justified"] = [x for x in founded if walks.justified(x)]
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]

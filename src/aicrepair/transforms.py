@@ -29,10 +29,8 @@ from .model import (
     RevRule,
     Universe,
     UpdateAction,
-    lit,
     ordered,
     rev_literal,
-    ua,
 )
 
 
@@ -82,10 +80,10 @@ def to_aic_rule(rule: RevRule) -> AicRule:
     body and their update actions to the head."""
     if not rule.proper:
         raise NotProperProgram(str(rule))
-    body = frozenset(lit(b) for b in rule.body) | frozenset(
-        lit(a).dual() for a in rule.head
-    )
-    return AicRule(body, frozenset(ua(a) for a in rule.head))
+    new = tuple.__new__
+    body = {new(Literal, b) for b in rule.body}
+    body.update(new(Literal, (atom, not flag)) for atom, flag in rule.head)
+    return AicRule(body, {new(UpdateAction, a) for a in rule.head})
 
 
 def to_aic(program: RevProgram) -> AicProgram:

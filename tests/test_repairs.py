@@ -2,6 +2,7 @@
 enumeration behaviour (atom bound, canonical order)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from aicrepair.errors import (
     UniverseTooLarge,
     UnknownAtom,
 )
-from aicrepair.model import Limits, Universe, UpdateAction, walk
+from aicrepair.model import Limits, Universe, UpdateAction, essential_actions, walk
 from aicrepair.repairs import (
     RepairClass,
     check_justified_weak_repair,
@@ -139,6 +140,72 @@ def test_a_body_with_an_atom_and_its_dual_keeps_its_rule():
     y_rule = parse_program("y, not y -> +y | -y.", "aic")
     assert not check_membership(frozenset(), x_rule, jwr, uas("+x"))
     assert check_membership(frozenset(), y_rule, jwr, uas("+y"))
+
+
+def test_the_normalized_program_is_split_from_the_compiled_rules():
+    # Over db = {a, b}: a head with +a and -a, an empty head, a no-effect
+    # head action (+a), and a body literal (c) that fails outside the
+    # head positions, which drops its rule there.
+    hand_built = (
+        frozenset({"a", "b"}),
+        parse_program(
+            "a, not a, b -> +a | -a.\na, not b -> false.\n"
+            "not a, b -> +a | -b.\na, c -> -a.",
+            "aic",
+        ),
+    )
+    # Then seeded programs of 2-6 atoms, normal and disjunctive.
+    rnd = random.Random("normalized-split")
+    instances = [hand_built]
+    for i in range(1000):
+        atoms = gen.atom_pool(rnd, rnd.randint(2, 6))
+        program = gen.aic_program(rnd, atoms, normal=i % 2 == 0, rules=(1, 6))
+        instances.append((gen.database(rnd, atoms), program))
+    for i, (db, program) in enumerate(instances):
+        essential = essential_actions(db, Universe.collect(db, program))
+        heads = frozenset().union(*(r.head for r in program))
+        # Over all essential actions, and over the head actions alone.
+        for actions in (essential, tuple(a for a in essential if a in heads)):
+            compiled = _Compiled(db, program, actions)
+            want = _Compiled(db, normalize_aic(program), actions).rules
+            assert Counter(compiled.normalized.rules) == Counter(want), i
+    # A normal program is its own normalization.
+    compiled = _Compiled(frozenset(), CHAIN, uas("+a, +b"))
+    assert compiled.normalized is compiled
+
+
+def test_every_justified_walk_runs_on_a_founded_set(monkeypatch):
+    # A justified weak repair is founded, on the program and on its
+    # normalization alike, so a mask that fails ``founded`` on the
+    # program is never walked, by an enumeration or a membership check.
+    walked = []
+    justified = _Compiled.justified
+
+    def recording(self, x):
+        walked.append((self.actions, x))
+        return justified(self, x)
+
+    monkeypatch.setattr(_Compiled, "justified", recording)
+    classes = [c for c in RepairClass if repairs._TABLE[c][1] == "justified"]
+    rnd = random.Random("cascade")
+    unfounded = walks = 0
+    for i in range(150):
+        atoms = gen.atom_pool(rnd, rnd.randint(2, 6))
+        db, uni = gen.database(rnd, atoms), Universe(atoms)
+        program = gen.aic_program(rnd, atoms, normal=i % 2 == 0, rules=(1, 6))
+        reports = repairs.enumerate_classes(db, program, RepairClass, uni)
+        weak = reports[RepairClass.WEAK_REPAIR]
+        for c in classes:
+            repairs.enumerate_classes(db, program, [c], uni)
+            for u in weak.sets:
+                check_membership(db, program, c, u, uni)
+        unfounded += weak.size - reports[RepairClass.FOUNDED_WEAK_REPAIR].size
+        for actions, x in walked:
+            assert _Compiled(db, program, actions).founded(x), i
+        walks += len(walked)
+        walked.clear()
+    # Both kinds of weak repair occur: the walks ran, and they skipped some.
+    assert walks and unfounded
 
 
 def test_closedness_on_the_pair_constraint():
