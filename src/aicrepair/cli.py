@@ -11,13 +11,14 @@ between them on the given instance.
 Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
 handler, its kinds of program and its options with all their
 ``add_argument`` keywords (a ``--class`` lists its kinds' classes as its
-choices). :func:`main` is the one front door. A command line in the plain
-forms (one file, declared flags spelled in full, as ``--flag value`` or
+choices). :func:`main` is the one front door; it drops one leading
+``--``. A command line in the plain forms (one file, declared flags spelled in full, as ``--flag value`` or
 ``--flag=value``, and bare switches) is read by :func:`_read_plain` from
 those rows as declared, into the namespace argparse would give; such a
 request neither imports argparse nor builds its parser. Any other
 command line, help and argument errors included, is read by one argparse
-``parse_args`` call (:func:`_parse`). :func:`main` then reads the
+``parse_args`` call (:func:`_parse`), whose text is written from the same
+rows, the same on every Python and terminal. :func:`main` then reads the
 instance file in one binary read and parses it, checks its kind against
 the ``kinds`` the subcommand declares (``translate`` takes the kind
 opposite to ``--to``), resolves ``--class`` against that kind's classes
@@ -573,27 +574,85 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+_WIDTH = 78  # argparse's text width on an 80-column terminal
+
+
+def _usage(prog: str, options: list[str], positionals: list[str]) -> str:
+    """What argparse 3.10–3.12 writes after ``usage: `` at 80 columns: one
+    line if it fits in ``_WIDTH``, else ``prog`` and the options wrapped at
+    ``_WIDTH``, then the positionals wrapped on lines of their own, every
+    line after the first indented past ``usage: prog``."""
+    text = " ".join([prog, *options, *positionals])
+    if len("usage: " + text) <= _WIDTH:
+        return text
+    indent = " " * len(f"usage: {prog}")
+    lines = [f"usage: {prog}"]
+    for words in options, positionals:
+        for word in words:
+            if len(lines[-1]) + 1 + len(word) > _WIDTH and lines[-1] != indent:
+                lines.append(indent)
+            lines[-1] += " " + word
+        lines.append(indent)
+    return "\n".join(lines[:-1])[len("usage: "):]
+
+
+def _option_usage(flag: str, settings: dict) -> list[str]:
+    """The words of an option in a usage line: a required option's flag and
+    metavar apart, an optional one as one ``[...]`` word."""
+    if settings.get("action") == "store_true":
+        words = [flag]
+    else:
+        choices = settings.get("choices")
+        metavar = settings.get("metavar") or settings["dest"].upper()
+        words = [flag, "{" + ",".join(choices) + "}" if choices else metavar]
+    return words if settings.get("required") else ["[" + " ".join(words) + "]"]
+
+
+def _invalid_choice(value: str, choices) -> str:
+    """The "invalid choice" message, its choices quoted as 3.10–3.12 quote them."""
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process, and only for a request
     that :func:`_read_plain` leaves to it: building it costs more than
     answering a small request, and parsing leaves it unchanged. Its
     ``commands`` holds each subcommand's parser by name, which reports
-    :func:`_parse`'s own argument error."""
+    :func:`_parse`'s own argument error. What it prints depends on
+    ``_COMMANDS`` alone, not on the Python or the terminal: each usage is
+    given (:func:`_usage`), help is formatted at ``_WIDTH``, and an option
+    with choices is checked by its ``type``, which words the error."""
     import argparse
 
+    def one_of(choices) -> Callable[[str], str]:
+        def choice(value: str) -> str:
+            if value not in choices:
+                raise argparse.ArgumentTypeError(_invalid_choice(value, choices))
+            return value
+
+        return choice
+
+    formatter = functools.partial(argparse.HelpFormatter, width=_WIDTH)
     parser = argparse.ArgumentParser(
         prog="aicrepair",
+        usage=_usage("aicrepair", ["[-h]"], ["{" + ",".join(_COMMANDS) + "}", "..."]),
         description="Repair databases under active integrity constraints "
         "and revision programs.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
     for name, (help, func, kinds, *options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help)
+        prog = f"aicrepair {name}"
+        words = [word for option in options for word in _option_usage(*option)]
+        usage = _usage(prog, ["[-h]", *words], ["file"])
+        p = sub.add_parser(name, help=help, prog=prog, usage=usage, formatter_class=formatter)
         p.add_argument("file")
         p.set_defaults(func=func, kinds=kinds)
         for flag, settings in options:
+            if "choices" in settings:
+                settings = {**settings, "type": one_of(settings["choices"])}
             p.add_argument(flag, **settings)
     return parser
 
@@ -601,9 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]):
     """``argv`` read by argparse, for the requests :func:`_read_plain`
     leaves to it; help and argument errors leave through ``SystemExit``.
-    An option value that argparse read as empty is rejected as the
-    subcommand's argument error."""
+    A first word that names no subcommand, and an option value that
+    argparse read as empty, are rejected here, worded as argparse 3.10–3.12
+    word them."""
     parser = build_parser()
+    if argv and argv[0] not in _COMMANDS and (argv[0] == "-" or argv[0][:1] != "-"):
+        # argparse reads it as the subcommand, whatever follows.
+        parser.error(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
     args = parser.parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--set=--" as an empty list, past type and choices.
@@ -617,6 +680,7 @@ def _parse(argv: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    argv = argv[1:] if argv[:1] == ["--"] else argv
     args = _read_plain(argv) or _parse(argv)
     command, kinds = args.command, args.kinds
     if command == "translate":

@@ -305,16 +305,6 @@ def _require_normal(program) -> None:
             raise NotNormalProgram(str(r))
 
 
-def _grounded(grounding, compiled: _Compiled, normalized: bool, x: int) -> bool:
-    """``x``, a weak repair, is founded, and for a justified class also
-    justified, on the program or its normalization. A justified set is
-    founded on either, so the walk runs only on a founded set."""
-    if not compiled.founded(x):
-        return False
-    walks = compiled.normalized if normalized else compiled
-    return grounding == "founded" or walks.justified(x)
-
-
 def check_membership(
     db: frozenset[str],
     program: AicProgram,
@@ -346,7 +336,12 @@ def check_membership(
     x = sum(compiled.bit[a.atom] for a in u)
     if not compiled.weak(x):
         return False
-    if grounding and not _grounded(grounding, compiled, normalized, x):
+    # A justified set is founded on the program and on its normalization,
+    # so the justified walk runs only on a founded set.
+    if grounding and not compiled.founded(x):
+        return False
+    walks = compiled.normalized if normalized else compiled
+    if grounding == "justified" and not walks.justified(x):
         return False
     # Change-minimal when the repair tree over its own bits has no leaf
     # but itself: the walk stops at the first other one.

@@ -61,11 +61,12 @@ _new = tuple.__new__
 # How an item of each class, an atom with a flag, is written: the leading
 # tokens and the flag each gives, the flag of an item with no leading token
 # (None: it needs one), what a bad item was expected to be, and whether the
-# atom sits in parentheses.
+# atom sits in parentheses. A bare atom (class str) is the name itself.
 _FORMS = {
     Literal: ({"not": False}, True, None, False),
     UpdateAction: ({"+": True, "-": False}, None, "'+atom' or '-atom'", False),
     RevLiteral: ({"in": True, "out": False}, None, "'in(atom)' or 'out(atom)'", True),
+    str: ({}, True, None, False),
 }
 
 
@@ -99,11 +100,10 @@ class _Parser:
     input. Positions are worked out from the text only when an error is
     raised.
 
-    Rules and the ``--set``, ``--query`` and ``--by`` lists are read by two
-    readers: :meth:`items` reads literals, update actions and revision
-    literals, each an atom with a flag, in the form the table
-    :data:`_FORMS` gives their class, and :meth:`atoms` reads bare atoms.
-    Each reads the items separated by ``sep`` from token ``pos`` on, in one
+    Rules and the ``--set``, ``--query`` and ``--by`` lists are read by one
+    reader, :meth:`items`: literals, update actions, revision literals and
+    bare atoms, in the form the table :data:`_FORMS` gives their class. It
+    reads the items separated by ``sep`` from token ``pos`` on, in one
     loop, and returns them with the position after them. :attr:`names`
     holds every name read as an atom, so :meth:`check` tests a name once."""
 
@@ -259,7 +259,7 @@ class _Parser:
         if tokens[pos] == "false":
             head, pos = [], pos + 1
         else:
-            head, pos = self.atoms(pos, "|")
+            head, pos = self.items(pos, "|", str)
         body = []
         if tokens[pos] == ":-":
             pos += 1
@@ -296,22 +296,7 @@ class _Parser:
             pos += 1
             if parens:
                 pos = self.end(pos, ")")
-            items.append(_new(cls, (name, flag)))
-            if tokens[pos] != sep:
-                return items, pos
-            pos += 1
-
-    def atoms(self, pos: int, sep: str) -> tuple[list, int]:
-        """The atoms from token ``pos`` on, separated by ``sep``, and the
-        position after them."""
-        tokens, names = self.tokens, self.names
-        items = []
-        while True:
-            name = tokens[pos]
-            if name not in names:
-                self.check(pos)
-            items.append(name)
-            pos += 1
+            items.append(name if cls is str else _new(cls, (name, flag)))
             if tokens[pos] != sep:
                 return items, pos
             pos += 1
@@ -336,12 +321,11 @@ def parse_program(text: str, kind: str) -> tuple:
     return rules
 
 
-def _parse_comma_list(text: str, read, *extra) -> frozenset:
-    """A comma-separated list read by ``read``, a :class:`_Parser` reader,
-    given ``extra`` after the separator."""
+def _parse_comma_list(text: str, cls) -> frozenset:
+    """A comma-separated list of items of class ``cls`` (:data:`_FORMS`)."""
     parser = _Parser(text)
     tokens = parser.tokens
-    items, pos = read(parser, 0, ",", *extra) if tokens[0] else ([], 0)
+    items, pos = parser.items(0, ",", cls) if tokens[0] else ([], 0)
     if tokens[pos]:
         parser.fail(f"unexpected {_describe(tokens[pos])}", pos)
     return frozenset(items)
@@ -349,22 +333,22 @@ def _parse_comma_list(text: str, read, *extra) -> frozenset:
 
 def parse_actions(text: str) -> frozenset[UpdateAction]:
     """Parse a comma-separated list of update actions, e.g. ``+a, -b``."""
-    return _parse_comma_list(text, _Parser.items, UpdateAction)
+    return _parse_comma_list(text, UpdateAction)
 
 
 def parse_rev_literals(text: str) -> frozenset[RevLiteral]:
     """Parse a comma-separated list like ``in(a), out(b)``."""
-    return _parse_comma_list(text, _Parser.items, RevLiteral)
+    return _parse_comma_list(text, RevLiteral)
 
 
 def parse_literals(text: str) -> frozenset[Literal]:
     """Parse a comma-separated list of literals, e.g. ``a, not b``."""
-    return _parse_comma_list(text, _Parser.items, Literal)
+    return _parse_comma_list(text, Literal)
 
 
 def parse_atoms(text: str) -> frozenset[str]:
     """Parse a comma-separated list of atoms."""
-    return _parse_comma_list(text, _Parser.atoms)
+    return _parse_comma_list(text, str)
 
 
 def print_instance(instance: Instance) -> str:

@@ -6,10 +6,12 @@ stdout. A command whose input is rejected has an ``.err`` file instead: its
 exact stderr, after exit code 2 and an empty stdout; a refused command has
 a ``.refused`` file, its exact stderr after exit code 1 and an empty
 stdout. The ``usage_*`` goldens pin what argparse prints for help (exit 0)
-and for argument errors (exit 2), at a terminal width of 80 columns, and
-``abbrev_options`` an abbreviated flag, which only argparse reads.
+and for argument errors (exit 2), which the CLI writes at 80 columns
+whatever the terminal's width, and ``abbrev_options`` an abbreviated flag,
+which only argparse reads.
 """
 
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -82,9 +84,12 @@ def run_fresh(argv, **env):
 
 @pytest.mark.parametrize("cmd_file", REPLAYS, ids=lambda p: p.stem)
 def test_golden_replay(cmd_file, capsys, monkeypatch):
-    # The help text is wrapped to the terminal width, so it is pinned, and
-    # the refusals read the default atom bound.
-    monkeypatch.setenv("COLUMNS", "80")
+    replay(cmd_file, capsys, monkeypatch)
+
+
+def replay(cmd_file, capsys, monkeypatch):
+    """Run the golden command and compare with its outcome file; the
+    refusals read the default atom bound."""
     monkeypatch.delenv("AICREPAIR_MAX_ATOMS", raising=False)
     monkeypatch.chdir(GOLDEN)
     argv = shlex.split(cmd_file.read_text().strip())
@@ -1263,7 +1268,6 @@ SUBCOMMANDS = ("repair", "revise", "check", "translate", "normalize",
 def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
     # Help, then an argument error, then a good request, all through the
     # one parser of this process; each must read as it does in a fresh one.
-    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(GOLDEN)
     requests = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
     requests += [["repair", "pair_delete.aic", "--class", "nonsense"]]
@@ -1275,7 +1279,7 @@ def test_one_parser_per_process_answers_as_a_fresh_process(capsys, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        proc = run_fresh(argv, COLUMNS="80")
+        proc = run_fresh(argv)
         fresh = (proc.returncode, proc.stdout, proc.stderr)
         assert (code, captured.out, captured.err) == fresh, argv
 
@@ -1348,10 +1352,9 @@ def test_a_plain_request_does_not_load_argparse(monkeypatch):
         assert proc.stderr == loaded + "\n"
 
 
-def test_an_empty_command_line_is_an_argument_error(capsys, monkeypatch):
+def test_an_empty_command_line_is_an_argument_error(capsys):
     # A .cmd file cannot hold an empty command line, so this golden lives
     # here; its usage lines are those of usage_unknown_command.err.
-    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     captured = capsys.readouterr()
@@ -1362,6 +1365,43 @@ def test_an_empty_command_line_is_an_argument_error(capsys, monkeypatch):
     )
 
 
+def _check_value_as_in_python_3_13_13(self, action, value):
+    # Python 3.13.13's argparse words an invalid choice with its choices
+    # unquoted; 3.10-3.12 quote them, as the goldens do.
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise argparse.ArgumentError(
+            action, f"invalid choice: {str(value)!r} (choose from {choices})"
+        )
+
+
+@pytest.mark.parametrize("name", ["usage_bad_class", "usage_unknown_command"])
+def test_choice_errors_do_not_follow_the_argparse_wording(name, capsys, monkeypatch):
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "_check_value", _check_value_as_in_python_3_13_13
+    )
+    replay(GOLDEN / f"{name}.cmd", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("name", ["usage_help", "usage_help_repair", "usage_missing_class"])
+def test_help_and_usage_do_not_follow_the_terminal_width(
+    name, columns, capsys, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", columns)
+    replay(GOLDEN / f"{name}.cmd", capsys, monkeypatch)
+
+
+def test_one_leading_double_dash_is_read_as_nothing(capsys, monkeypatch):
+    # "--" before the subcommand ends no options, so it is dropped, once.
+    monkeypatch.chdir(GOLDEN)
+    plain = ["repair", "pair_delete.aic", "--class", "repair"]
+    assert run_or_exit(["--", *plain], capsys) == (0, "{-a}\n{-b}\n", "")
+    for argv in (plain, ["repair", "pair_delete.aic", "--cl", "repair"], ["--help"],
+                 ["repiar", "pair_delete.aic"], []):
+        assert run_or_exit(["--", *argv], capsys) == run_or_exit(argv, capsys), argv
+
+
 # What the parser declares, frozen as a literal: per subcommand its help,
 # handler name and kinds, and per action its option strings, dest, required,
 # choices, default, metavar, help and type name.
@@ -1369,7 +1409,7 @@ _HELP = (("-h", "--help"), "help", False, None, "==SUPPRESS==", None,
          "show this help message and exit", None)
 _FILE = ((), "file", True, None, None, None, None, None)
 _FORMAT = (("--format",), "format", False, ("text", "json"), "text", None,
-           "output format", None)
+           "output format", "choice")
 _MAX_ATOMS = (("--max-atoms",), "max_atoms", False, None, None, "N",
               "override the exhaustive-enumeration bound on universe size", "int")
 _REPAIR_CLASSES = (
@@ -1385,17 +1425,18 @@ _REVISION_CLASSES = (
 )
 _EITHER = "repair or revision class, matching the instance kind"
 _EITHER_CLASS = (("--class",), "cls", True, _REPAIR_CLASSES + _REVISION_CLASSES,
-                 None, None, _EITHER, None)
+                 None, None, _EITHER, "choice")
 PARSER_PIN = {
     "repair": ("enumerate repairs of an aic instance", "cmd_enumerate", ("aic",), [
         _HELP, _FILE,
-        (("--class",), "cls", True, _REPAIR_CLASSES, None, None, "repair class", None),
+        (("--class",), "cls", True, _REPAIR_CLASSES, None, None, "repair class",
+         "choice"),
         _FORMAT, _MAX_ATOMS,
     ]),
     "revise": ("enumerate revisions of a rev instance", "cmd_enumerate", ("rev",), [
         _HELP, _FILE,
         (("--class",), "cls", True, _REVISION_CLASSES, None, None, "revision class",
-         None),
+         "choice"),
         _FORMAT, _MAX_ATOMS,
     ]),
     "check": ("test one set for membership in a class", "cmd_check", ("aic", "rev"), [
@@ -1406,7 +1447,7 @@ PARSER_PIN = {
     ]),
     "translate": ("translate between aic and rev", "cmd_translate", ("aic", "rev"), [
         _HELP, _FILE,
-        (("--to",), "to", True, ("aic", "rev"), None, None, None, None),
+        (("--to",), "to", True, ("aic", "rev"), None, None, None, "choice"),
     ]),
     "normalize": ("split disjunctive heads", "cmd_normalize", ("aic", "rev"), [
         _HELP, _FILE,
