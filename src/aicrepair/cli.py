@@ -46,7 +46,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -205,6 +204,7 @@ def _write_sets(
     member's own row comes first when the top holds the empty set, and its
     run once the members that extend it are written. With no top (one
     block), the rows are the lower members themselves, a slice at a time."""
+    blocks = [block for block in blocks if block != (0,)]  # {∅} changes no product
     label = functools.partial(_texts, [quote(str(a)) for a in actions])
     j, size = len(blocks), 1
     while j > 1 and (
@@ -321,8 +321,8 @@ def _verify_shift(instance: Instance, kind: _Kind, universe, witness, args) -> i
     """Enumerate every class on both sides over one universe, whose
     essential actions both sides search. Shifting keeps every body's atoms
     and flips, at a shifted atom, its literals and the database alike, so
-    each rule compiles to the same bits and both searches cut at the same
-    positions: the classes match exactly when their blocks do. But no
+    each rule compiles to the same bits and both sides split at the same
+    ranges: the classes match exactly when their blocks do. But no
     transported set holds a bit of ``moved``, whose shifted action is not
     the transported one; a class with a member must have it in no mask."""
     classes = _classes(instance)
@@ -379,27 +379,16 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     ``base`` holds the report of every class of the program, the two
     normalized justified ones included; ``norm`` holds those of the first
     four classes of the enumerated normalized program. Both requests hold
-    a weak class, so both search every essential action and their masks
-    compare directly. Each ``==`` compares blocks, which is exact: its
-    sides are both one block in canonical order, or both the weak class of
-    the program and of its normalization, which has the same bodies and so
-    the same cuts. Each ``<=`` tests every mask of its left side, one
-    block, for membership in the right side's product: its bits on the
-    bits of each block's masks must be a mask of that block, and it may
-    hold no other bit."""
+    a weak class, so both search every essential action, and the program
+    and its normalization have the same bodies, so every report is a
+    product over the same ranges (:class:`repairs.Report`): ``==``
+    compares blocks, and ``A <= B`` holds when ``A`` has no member or each
+    block of ``A`` is inside the block of ``B`` over its range."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
 
-    @functools.cache
-    def parts(c) -> list:
-        # The bits each block of base[c] owns, with its set of masks, then
-        # the bits that no block owns (the blocks own disjoint bits).
-        blocks = base[c].blocks
-        owns = [functools.reduce(operator.or_, block, 0) for block in blocks]
-        return [*zip(owns, map(set, blocks)), (~sum(owns), {0})]
-
     def within(a: repairs.Report, c) -> bool:
-        (masks,) = a.blocks
-        return all(all(x & own in s for own, s in parts(c)) for x in masks)
+        pairs = zip(a.blocks, base[c].blocks)
+        return not a.size or all(set(x) <= set(y) for x, y in pairs)
 
     n = "normalized:"
     relations = [
@@ -621,20 +610,18 @@ def build_parser() -> argparse.ArgumentParser:
     ``commands`` holds each subcommand's parser by name, which reports
     :func:`_parse`'s own argument error. What it prints depends on
     ``_COMMANDS`` alone, not on the Python or the terminal: each usage is
-    given (:func:`_usage`), help is formatted at ``_WIDTH``, and an option
-    with choices is checked by its ``type``, which words the error."""
+    given (:func:`_usage`), help is formatted at ``_WIDTH``, and every
+    parser words the "invalid choice" error of whichever word argparse
+    checks against a subcommand's or an option's choices."""
     import argparse
 
-    def one_of(choices) -> Callable[[str], str]:
-        def choice(value: str) -> str:
-            if value not in choices:
-                raise argparse.ArgumentTypeError(_invalid_choice(value, choices))
-            return value
-
-        return choice
+    class Parser(argparse.ArgumentParser):
+        def _check_value(self, action, value):
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
 
     formatter = functools.partial(argparse.HelpFormatter, width=_WIDTH)
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="aicrepair",
         usage=_usage("aicrepair", ["[-h]"], ["{" + ",".join(_COMMANDS) + "}", "..."]),
         description="Repair databases under active integrity constraints "
@@ -651,8 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.set_defaults(func=func, kinds=kinds)
         for flag, settings in options:
-            if "choices" in settings:
-                settings = {**settings, "type": one_of(settings["choices"])}
             p.add_argument(flag, **settings)
     return parser
 
@@ -660,13 +645,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]):
     """``argv`` read by argparse, for the requests :func:`_read_plain`
     leaves to it; help and argument errors leave through ``SystemExit``.
-    A first word that names no subcommand, and an option value that
-    argparse read as empty, are rejected here, worded as argparse 3.10–3.12
-    word them."""
+    A ``--`` where the subcommand goes (3.13.13 skips it), and an option
+    value that argparse read as empty, are rejected here, worded as
+    argparse 3.10–3.12 word them."""
     parser = build_parser()
-    if argv and argv[0] not in _COMMANDS and (argv[0] == "-" or argv[0][:1] != "-"):
-        # argparse reads it as the subcommand, whatever follows.
-        parser.error(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
+    # argparse 3.10–3.12 take a "--" after the words they read as options
+    # as the subcommand, unless no word follows it or help comes first.
+    lead = [*itertools.takewhile(lambda w: w != "--" and parser._parse_optional(w), argv)]
+    rest, helps = argv[len(lead):], {"-h", "--h", "--he", "--hel", "--help"}
+    if rest[:1] == ["--"] and rest[1:] and helps.isdisjoint(lead):
+        parser.error(f"argument command: {_invalid_choice('--', _COMMANDS)}")
     args = parser.parse_args(argv)
     if [] in vars(args).values():
         # argparse reads "--set=--" as an empty list, past type and choices.

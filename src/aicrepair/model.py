@@ -366,39 +366,25 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
 
 
 def clause_search(
-    clauses: Iterable[tuple[int, int]], n: int
+    clauses: Iterable[tuple[int, int]], ranges: Sequence[tuple[int, int]]
 ) -> tuple[list[list[int]], int]:
-    """The masks over ``n`` positions that make no clause hold (``x & m !=
-    f`` for every ``(m, f)``), as the blocks they are the product of, and
-    the number of candidates examined.
-
-    Position ``i`` is a cut when no clause holds bits both below ``i`` and
-    at or above it; the cuts split the positions into blocks that no
-    clause crosses, so the masks are the unions of one mask per block
-    (:func:`_product`). Each block's masks are found by
-    :func:`_block_search` on the block's own clauses, in the order of
-    their sorted positions, and the blocks come lowest positions first. A
-    clause with no position always holds, so no mask qualifies: the one
-    block is empty. The count is summed over the blocks: ``2**k`` for each
-    truth table a block reads over ``k`` of its positions, so ``2`` for a
-    block of one position in no clause, and ``1`` when there is no
-    position (a table of one row)."""
-    by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    spans = 0
+    """The masks over the positions of ``ranges`` that make no clause hold
+    (``x & m != f`` for every ``(m, f)``), as one block per range, and the
+    number of candidates examined. No clause crosses a range, so the masks
+    are the unions of one mask per block (:func:`_product`), each block's
+    masks found by :func:`_block_search` on the range's own clauses, in
+    the order of their sorted positions. A clause with no position always
+    holds, so every block is empty. The count is summed over the blocks:
+    ``2**k`` for each truth table a block reads over ``k`` of its
+    positions, so ``2`` for a block of one position in no clause, and
+    ``1`` for an empty range (a table of one row)."""
+    by_last: list[list[tuple[int, int]]] = [[] for _ in range(ranges[-1][1])]
     for m, f in clauses:
         if not m:
-            return [[]], 0
-        top = m.bit_length()
-        by_last[top - 1].append((m, f))
-        # The positions low + 1 .. high that the clause crosses.
-        spans |= (1 << top) - 2 * (m & -m)
-    starts = [0, *positions(((1 << n) - 1) & ~(spans | 1)), n]
-    blocks, nodes = [], 0
-    for lo, hi in zip(starts, starts[1:]):
-        found, visited = _block_search(by_last, lo, hi)
-        blocks.append(found)
-        nodes += visited
-    return blocks, nodes
+            return [[] for _ in ranges], 0
+        by_last[m.bit_length() - 1].append((m, f))
+    searched = [_block_search(by_last, lo, hi) for lo, hi in ranges]
+    return [found for found, _ in searched], sum(nodes for _, nodes in searched)
 
 
 #: The number of positions at the top of a block that one truth table

@@ -50,13 +50,13 @@ def cqa(
     The query is compiled over the positions of the report as the body of
     the constraint ``query -> false``, so it holds in the database
     repaired by the mask ``x`` exactly when ``x & m == f``. The members
-    are never listed: they are the unions of one mask per block of the
-    report. A block owns the bits its masks hold, the blocks own disjoint
-    bits, and no member holds a bit that no block owns. So the query holds
-    in a union exactly when it needs no unowned bit flipped and its bits
-    on each block's own bits hold in that block's mask. ``holding`` is
-    the product, over the blocks, of the masks where the query's bits on
-    the block hold, and ``total`` the product of the block sizes."""
+    are never listed: they are the unions of one mask per block, one block
+    per range of positions that no rule crosses. A block owns the bits its
+    masks hold, and no member holds a bit that no block owns. So the query
+    holds in a union exactly when it needs no unowned bit flipped and its
+    bits on each block's own bits hold in that block's mask. ``holding``
+    is the product, over the blocks, of the masks where the query's bits
+    on the block hold, and ``total`` the product of the block sizes."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")

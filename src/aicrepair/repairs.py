@@ -16,6 +16,7 @@ universe and never validate again.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -97,14 +98,14 @@ class _Compiled:
     ``db`` is the no-effect action of its atom, the dual of the essential
     one: it is in the no-effect set of ``x`` exactly when ``x`` leaves its
     bit 0, and always outside the positions, where atoms keep their ``db``
-    value. Each rule is read once, into :attr:`rules`, and the clauses,
-    support clauses and normalized program are derived from it; each part
-    is built on first use."""
+    value. Each rule is read once, into :attr:`rules` (unless given), and
+    the clauses, support clauses and normalized program are derived from
+    it; each is built on first use."""
 
-    def __init__(self, db, program: AicProgram, actions: tuple):
+    def __init__(self, db, program: AicProgram, actions: tuple, rules=None):
         self.db, self.program, self.actions = db, program, actions
-        self.n = len(actions)
-        self.bit = {a.atom: 1 << i for i, a in enumerate(actions)}
+        if rules is not None:
+            self.rules = rules
 
     @cached_property
     def rules(self) -> list[tuple[int, int, int, int]]:
@@ -119,7 +120,7 @@ class _Compiled:
         set, and its rule is dropped; a literal that holds is no bit. A
         body that holds an atom and its dual never holds, but its rule is
         kept: it still constrains the justified walk."""
-        db, bit = self.db, self.bit
+        db, bit = self.db, {a.atom: 1 << i for i, a in enumerate(self.actions)}
         out = []
         for r in self.program:
             fails = holds = 0
@@ -193,12 +194,30 @@ class _Compiled:
                     out.append((t & ~b, h, 0, b))
         if len(out) == len(self.rules):
             return self
-        normalized = _Compiled(self.db, self.program, self.actions)
-        normalized.rules = out
-        return normalized
+        return _Compiled(self.db, self.program, self.actions, out)
 
-    def weak(self, x: int) -> bool:
-        return all(x & m != f for m, f in self.clauses)
+    def split(self) -> tuple[list[tuple[int, int]], list["_Compiled"]]:
+        """The ranges ``(lo, hi)`` of positions ``lo`` to ``hi - 1`` between
+        the cuts, lowest first, and per range its part: the program of the
+        rules whose bits lie in it, or the program itself when it is one
+        range. ``i`` is a cut when no rule has bits both below ``i`` and at
+        or above it. A rule's bits are its body's, which hold its head's,
+        so every clause, support clause and normalized rule lies in one
+        part. A rule with no bit, a body that holds whatever is flipped,
+        lands in the last part, which it leaves with no weak repair."""
+        bits, spans = [te | tn | he | hn for te, tn, he, hn in self.rules], 0
+        for m in bits:
+            # The positions low + 1 .. high that the rule crosses.
+            spans |= (1 << m.bit_length()) - 2 * (m & -m)
+        n = len(self.actions)
+        starts = [0, *positions(((1 << n) - 1) & ~(spans | 1))]
+        ranges = list(zip(starts, [*starts[1:], n]))
+        if len(starts) == 1:
+            return ranges, [self]
+        parts = [_Compiled(self.db, self.program, self.actions, []) for _ in starts]
+        for rule, m in zip(self.rules, bits):
+            parts[bisect_right(starts, (m & -m).bit_length() - 1) - 1].rules.append(rule)
+        return ranges, parts
 
     def founded(self, x: int) -> bool:
         support, y = self.support, x
@@ -333,8 +352,8 @@ def check_membership(
     compiled = _Compiled(db, program, essential_actions(db, uni))
     if not u.issubset(compiled.actions):
         return False
-    x = sum(compiled.bit[a.atom] for a in u)
-    if not compiled.weak(x):
+    x = sum(1 << i for i, a in enumerate(compiled.actions) if a in u)
+    if any(x & m == f for m, f in compiled.clauses):
         return False
     # A justified set is founded on the program and on its normalization,
     # so the justified walk runs only on a founded set.
@@ -359,22 +378,20 @@ class Report:
     The members are masks over ``actions``, the essential actions the
     engine searched, in universe order (their revision literals when
     ``semantics`` is a revision class): bit ``i`` stands for
-    ``actions[i]``. Every report of one engine call shares its
-    ``actions``. ``blocks`` holds the members as a product: tuples of
-    masks over disjoint positions, lowest first, each in canonical order,
-    whose members are the unions of one mask per block
-    (:func:`model._product`). A weak class is the product of the position
-    blocks of the clause search, whatever else the call asks for; any
-    other class is one block. ``size``, the number of members, is the
-    product of the block sizes. ``sets``, the members as frozensets in
-    canonical order, is built on first read, and reading it builds the
-    whole product.
-    ``examined`` counts the candidate sets the engine visited for the
-    request: the sets of the repair tree, when a change-minimal class is
-    asked for, plus, when a weak class is, the candidates of the clause
-    search, summed over the position blocks it splits into: ``2**k`` for
-    each truth table a block reads over ``k`` of its positions, since a
-    table decides all its rows at once."""
+    ``actions[i]``. ``blocks`` holds the members as a product: per range
+    of positions that no rule crosses (``_Compiled.split``), lowest
+    first, the masks over it in canonical order; the members are the
+    unions of one mask per block (:func:`model._product`). Every report of
+    one engine call shares its ``actions`` and its ranges, and a class
+    with no member is ``((),)``, so two classes are equal exactly when
+    their blocks are. ``size``, the number of members, is the product of
+    the block sizes. ``sets``, the members as frozensets in canonical
+    order, is built on first read, and reading it builds the whole
+    product. ``examined`` counts the candidate sets the engine visited for
+    the request, summed over the ranges: the sets the repair trees visit,
+    when a change-minimal class is asked for, plus, when a weak class is,
+    ``2**k`` for each truth table the clause search reads over ``k``
+    positions, since a table decides all its rows at once."""
 
     semantics: enum.Enum
     actions: tuple
@@ -401,19 +418,22 @@ def enumerate_classes(
 
     Candidates are the subsets of the essential actions (one polarity per
     universe atom), so consistency and change-effectiveness hold by
-    construction; the program is compiled once over their bit positions.
-    The change-minimal weak repairs come from the repair tree (see
-    :func:`_least`), and only a weak class asks for the clause search that
-    finds every weak repair, as a product of blocks: the report of
-    ``weak-repair`` keeps them. Grounding is a cascade: the founded test
-    runs once, on the product of each block's masks whose every bit has a
-    support clause. A justified set is founded, and normalizing keeps the
-    support clauses, so the justified walks, plain and normalized, run
-    only on the founded sets. When every class is grounded, the tree and
-    the search flip only head actions. The normalized classes are the
+    construction. The program is compiled once over their bit positions
+    and split into parts, one per range of positions that no rule crosses
+    (``_Compiled.split``). Each test is local to one rule or one atom, and
+    change-minimality is minimality in a product order, so every class is
+    the product of its classes on the parts, each searched on its own: the
+    change-minimal weak repairs by the part's repair tree (:func:`_least`),
+    and, only for a weak class, every weak repair by the clause search.
+    Grounding is a cascade: the founded test runs once, on the part's weak
+    repairs, else its change-minimal ones, whose every bit has a support
+    clause. A justified set is founded, and normalizing keeps the support
+    clauses, so the justified walks, plain and normalized, run on the part's
+    rules and its founded sets only. When every class is grounded, the tree
+    and the search flip only head actions. The normalized classes are the
     justified ones of the normalized program, whose weak repairs and
-    change-minimal sets are those of the program. Results are in
-    canonical order.
+    change-minimal sets are those of the program. Results are in canonical
+    order.
     """
     classes = tuple(dict.fromkeys(classes))
     limits = limits or Limits()
@@ -428,42 +448,41 @@ def enumerate_classes(
         # weak repairs its minimality is tested against.
         essential = tuple(a for a in essential if a in heads)
     compiled = _Compiled(db, program, essential)
-    seen: set = set()
-    minimal, blocks, nodes = [], [], 0
-    if any(m for _, _, m in rows):
-        minimal = _least(compiled.clauses, (1 << compiled.n) - 1, seen)
+    ranges, parts = compiled.split()
+    weak, minimal, examined = [], [], 0
     if not all(m for _, _, m in rows):
-        blocks, nodes = clause_search(compiled.clauses, compiled.n)
-    examined = len(seen) + nodes
+        weak, examined = clause_search(compiled.clauses, ranges)
+    if any(m for _, _, m in rows):
+        seen: set = set()
+        minimal = [
+            _least(part.clauses, (1 << hi) - (1 << lo), seen)
+            for part, (lo, hi) in zip(parts, ranges)
+        ]
+        examined += len(seen)
 
+    # Per part, the founded ones of its weak repairs, else its change-minimal
+    # ones, whose every bit has a support clause; each walk keeps a sub-list.
     keys = dict.fromkeys(row[:2] for row in rows if row[1])
-    supported = sum(compiled.support) if keys else 0
-    # The weak repairs, else the change-minimal ones, whose every bit has a
-    # support clause, in canonical order: a union of one mask per block has
-    # them all exactly when each of its masks does. The founded ones are
-    # tested once; each justified walk keeps a sub-list of them.
-    candidates = keys and _product(
-        [[x for x in b if not x & ~supported] for b in blocks or [minimal]]
-    )
-    founded = [x for x in candidates if compiled.founded(x)]
-    grounded = {(False, "founded"): founded}
-    for normalized in {n for n, g in keys if g == "justified"}:
-        walks = compiled.normalized if normalized else compiled
-        grounded[normalized, "justified"] = [x for x in founded if walks.justified(x)]
+    grounded: dict = {key: [] for key in [(False, "founded"), *keys]}
+    for part, block in zip(parts, weak or minimal) if keys else ():
+        supported = sum(part.support)
+        founded = [x for x in block if not x & ~supported and part.founded(x)]
+        grounded[False, "founded"].append(founded)
+        for normalized in {n for n, g in keys if g == "justified"}:
+            walks = part.normalized if normalized else part
+            grounded[normalized, "justified"].append([*filter(walks.justified, founded)])
     reports = {}
     for c in classes:
         normalized, grounding, change_minimal = _TABLE[c]
         if grounding:
-            hits = grounded[normalized, grounding]
+            blocks = grounded[normalized, grounding]
             if change_minimal:
-                keep = set(hits)
-                hits = [x for x in minimal if x in keep]
-            parts = (tuple(hits),)
-        elif change_minimal:
-            parts = (tuple(minimal),)
+                pairs = zip(minimal, blocks)
+                blocks = [[*filter(set(b).__contains__, m)] for m, b in pairs]
         else:
-            parts = tuple(map(tuple, blocks))
-        reports[c] = Report(c, essential, parts, examined)
+            blocks = minimal if change_minimal else weak
+        blocks = tuple(map(tuple, blocks))
+        reports[c] = Report(c, essential, blocks if all(blocks) else ((),), examined)
     return reports
 
 

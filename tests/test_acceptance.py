@@ -32,6 +32,7 @@ from aicrepair.errors import UniverseTooLarge
 from aicrepair.model import (
     DEFAULT_MAX_ATOMS,
     AicRule,
+    Limits,
     Literal,
     RevLiteral,
     RevRule,
@@ -817,9 +818,12 @@ def _one_scan_matches(kind, db, program, uni, seed) -> None:
         got = together[cls]
         assert got.semantics is cls
         assert got.sets == alone.sets, f"{seed}: {cls.value}"
-        if cls is classes[0]:
-            # The weak class keeps the blocks of the clause search.
-            assert got.blocks == alone.blocks, seed
+        # Every class is a product over the ranges of the positions
+        # searched, which a grounded class alone keeps to the head actions.
+        if got.actions == alone.actions:
+            assert got.blocks == alone.blocks, f"{seed}: {cls.value}"
+        else:
+            assert repairs._TABLE[revisions._REPAIR_CLASS.get(cls, cls)][1], seed
 
 
 def test_one_scan_matches_per_class_enumeration(capsys):
@@ -1293,6 +1297,17 @@ def _clause_set(rnd, n) -> list[tuple[int, int]]:
     return clauses
 
 
+def _ranges(clauses, n) -> list[tuple[int, int]]:
+    """The ranges of ``n`` positions split at every cut: a position that no
+    clause holds bits both below and at or above."""
+    cuts = [
+        i for i in range(1, n)
+        if not any(m & ((1 << i) - 1) and m >> i for m, _ in clauses)
+    ]
+    starts = [0, *cuts, n]
+    return list(zip(starts, starts[1:]))
+
+
 def _block_gate() -> None:
     for i in range(BLOCK_CLAUSE_SETS):
         rnd = random.Random(f"block-search-{i}")
@@ -1301,7 +1316,7 @@ def _block_gate() -> None:
         want = _CANONICAL[n]
         for m, f in clauses:
             want = [x for x in want if x & m != f]
-        blocks, nodes = clause_search(clauses, n)
+        blocks, nodes = clause_search(clauses, _ranges(clauses, n))
         found = list(model._product(blocks))
         assert found == want, f"block-search-{i}: {n} positions, {clauses}"
         assert (nodes == 0) == any(not m for m, _ in clauses), f"block-search-{i}"
@@ -1352,8 +1367,9 @@ def test_table_search_matches_the_node_search_past_brute_force():
     ))
     for where, db, program, atoms in cases:
         actions = essential_actions(db, Universe(atoms))
-        clauses = repairs._Compiled(db, program, actions).clauses
-        blocks, _ = clause_search(clauses, len(actions))
+        compiled = repairs._Compiled(db, program, actions)
+        clauses = compiled.clauses
+        blocks, _ = clause_search(clauses, compiled.split()[0])
         found = list(model._product(blocks))
         assert found == oracles.clause_search(clauses, len(actions)), where
 
@@ -1447,3 +1463,116 @@ def test_position_blocks_match_plain_scan(monkeypatch):
                 revisions, rclasses, rgrounded, rwant, rd, r, uni, rnd, where
             )
     assert blocks["contiguous"] > 2 * blocks["interleaved"], blocks
+
+
+# ---------------------------------------------------------------------------
+# Gate 12: every class is the product of its classes on the components
+
+PRODUCT_GATE_INSTANCES = 40
+
+#: Each class and its definition on sets: ``(db, program, atoms) -> sets``.
+AIC_ORACLES = {
+    RepairClass.WEAK_REPAIR: oracles.weak_repairs,
+    RepairClass.REPAIR: oracles.repairs,
+    RepairClass.FOUNDED_WEAK_REPAIR: oracles.founded_weak_repairs,
+    RepairClass.FOUNDED_REPAIR: oracles.founded_repairs,
+    RepairClass.JUSTIFIED_WEAK_REPAIR: oracles.justified_weak_repairs,
+    RepairClass.JUSTIFIED_REPAIR: oracles.justified_repairs,
+    RepairClass.JUSTIFIED_WEAK_REPAIR_NORMALIZED: lambda db, p, atoms: (
+        oracles.justified_weak_repairs(db, oracles.normalize(p), atoms)
+    ),
+    RepairClass.JUSTIFIED_REPAIR_NORMALIZED: lambda db, p, atoms: (
+        oracles.justified_repairs(db, oracles.normalize(p), atoms)
+    ),
+}
+REV_ORACLES = {
+    RevisionClass.WEAK_REVISION: oracles.weak_revisions,
+    RevisionClass.REVISION: oracles.revisions,
+    RevisionClass.FOUNDED_WEAK_REVISION: oracles.founded_weak_revisions,
+    RevisionClass.FOUNDED_REVISION: oracles.founded_revisions,
+    RevisionClass.JUSTIFIED_WEAK_REVISION: oracles.justified_weak_revisions,
+    RevisionClass.JUSTIFIED_REVISION: oracles.justified_revisions,
+    RevisionClass.JUSTIFIED_WEAK_REVISION_NORMALIZED: lambda db, p, atoms: (
+        oracles.justified_weak_revisions(db, oracles.normalize_rev(p), atoms)
+    ),
+    RevisionClass.JUSTIFIED_REVISION_NORMALIZED: lambda db, p, atoms: (
+        oracles.justified_revisions(db, oracles.normalize_rev(p), atoms)
+    ),
+    RevisionClass.SUPPORTED_REVISION: oracles.supported_revisions,
+}
+
+
+def _oracle_product(oracle, db, program, groups) -> set[frozenset]:
+    """The unions of one member per group of the class the oracle defines,
+    each group of atoms with the rules over it and its share of ``db``."""
+    out = {frozenset()}
+    for atoms in groups:
+        rules = tuple(r for r in program if r.atoms() <= set(atoms))
+        part = oracle(db & set(atoms), rules, atoms)
+        out = {u | v for u in out for v in part}
+    return out
+
+
+def _products_match(engine, oracles_of, db, program, groups, uni, where) -> None:
+    """Every class, in one call and alone, is the product of its oracle
+    classes on the groups, in canonical order; every report of the call is
+    a product over the same ranges, and a class with no member is one
+    empty block."""
+    classes = [
+        c for c in oracles_of
+        if c is not RevisionClass.SUPPORTED_REVISION or is_normal(program)
+    ]
+    together = engine.enumerate_classes(db, program, classes, uni)
+    ranges = {len(rep.blocks) for rep in together.values() if rep.size}
+    assert len(ranges) <= 1, where
+    for cls in classes:
+        want = sorted(
+            _oracle_product(oracles_of[cls], db, program, groups),
+            key=lambda u: sorted(map(model._key, u)),
+        )
+        for got in (together[cls], engine.enumerate_classes(db, program, [cls], uni)[cls]):
+            assert list(got.sets) == want, f"{where}: {cls.value}"
+            assert got.size or got.blocks == ((),), f"{where}: {cls.value}"
+
+
+def test_every_class_is_the_product_of_its_component_classes():
+    # 2-4 components of 2-3 atoms, each with its own rules (normal or
+    # disjunctive, now and then a body with an atom and its dual, proper
+    # or improper rev: rules), and 0-3 free atoms, at most 12 atoms.
+    for i in range(PRODUCT_GATE_INSTANCES):
+        seed = f"component-product-{i}"
+        rnd = random.Random(seed)
+        atoms, components, free = _components(rnd)
+        uni, normal = Universe(atoms), rnd.random() < 0.5
+        program, rprogram, db, rdb = (), (), frozenset(), frozenset()
+        for part in components:
+            rules = (1, len(part) + 1)
+            p = gen.aic_program(rnd, part, normal=normal, rules=rules)
+            p = _with_dual_pair(rnd, p, part)
+            r = gen.rev_program(
+                rnd, part, normal=normal, proper=rnd.random() < 0.5, rules=rules
+            )
+            r = _with_dual_pair(rnd, r, part)
+            program, rprogram = program + p, rprogram + r
+            db |= _database(rnd, part, p)
+            rdb |= _database(rnd, part, revisions._aic(r))
+        db |= gen.database(rnd, [a for (a,) in free])
+        rdb |= gen.database(rnd, [a for (a,) in free])
+        groups = components + free
+        _products_match(repairs, AIC_ORACLES, db, program, groups, uni, seed)
+        _products_match(revisions, REV_ORACLES, rdb, rprogram, groups, uni, seed)
+
+
+def test_wall_1_repairs_come_from_one_small_tree_per_component():
+    # 8 connected components of 4 atoms and 2 free atoms, each component's
+    # first rule violated: 1,296 repairs. One tree over all 34 positions
+    # visited 131,278 sets; one tree per range visits 48.
+    atoms, db, program = gen.components_aic(random.Random("probe/8/0"), (4,) * 8, 2)
+    db = gen.violating(db, program)
+    uni, limits = Universe(atoms), Limits(34)
+    report = enumerate_repairs(db, program, RepairClass.REPAIR, uni, limits)
+    assert report.examined <= 200
+    groups = [atoms[k:k + 4] for k in range(0, 32, 4)] + [(a,) for a in atoms[32:]]
+    want = _oracle_product(oracles.repairs, db, program, groups)
+    assert list(report.sets) == sorted(want, key=oracles.canonical_key)
+    assert report.size == 1296

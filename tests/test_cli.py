@@ -33,6 +33,7 @@ import aicrepair
 import argv_forms
 import engine_corpus
 import gen
+import oracles
 from aicrepair import cli, model, repairs, transforms
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
@@ -932,6 +933,38 @@ def test_weak26_is_its_generator_output():
     assert (GOLDEN / "weak26.aic").read_text() == print_instance(instance)
 
 
+#: The sha256 of ``repair wall42.aic --class repair --max-atoms 42``, which
+#: CI checks, with its 26,244 lines.
+WALL42_REPAIRS = "a259cd784ae091e63cc05a999419bba46eaa9fa8f0a4487d43356ce9cc198bd8"
+
+
+def test_wall42_repairs_are_the_product_of_component_repairs(capsys, monkeypatch):
+    """``wall42.aic`` is 10 components of 4 atoms, each with its first rule
+    violated, and 2 free atoms. Its repairs, which CI prints under a time
+    and memory limit, are the unions of one repair per component, each
+    from the oracle, in canonical order."""
+    atoms, db, program = gen.components_aic(random.Random("probe/10/0"), (4,) * 10, 2)
+    db = gen.violating(db, program)
+    instance = Instance("aic", db, program, model.Universe(atoms))
+    assert (GOLDEN / "wall42.aic").read_text() == print_instance(instance)
+    sets = [frozenset()]
+    for group in [atoms[k:k + 4] for k in range(0, 40, 4)] + [(a,) for a in atoms[40:]]:
+        rules = tuple(r for r in program if r.atoms() <= set(group))
+        part = oracles.repairs(db & set(group), rules, group)
+        sets = [u | v for u in sets for v in part]
+    rows = sorted(sorted(map(model._key, u)) for u in sets)
+    # Sorted by model._key, (atom, not insert): canonical order.
+    want = "".join(
+        "{" + ", ".join("+-"[deletes] + atom for atom, deletes in row) + "}\n"
+        for row in rows
+    )
+    digest = hashlib.sha256(want.encode()).hexdigest()
+    assert (len(rows), digest) == (26_244, WALL42_REPAIRS)
+    monkeypatch.chdir(GOLDEN)
+    argv = ["repair", "wall42.aic", "--class", "repair", "--max-atoms", "42"]
+    assert run(argv, capsys) == (0, want, "")
+
+
 def test_widetop23_is_one_wide_part_under_free_atoms():
     """``widetop23.aic``, the 2,070,016-set weak listing that CI prints
     under a memory limit: 8 atoms in no rule, then one 15-atom part whose
@@ -977,40 +1010,42 @@ def test_lattice_verify_compares_classes_as_blocks(name, atoms, monkeypatch):
     assert peak < 8 * 2**20, f"{name}: {peak / 2**20:.2f} MiB"
 
 
-#: A weak class of two blocks over 5 actions: the first owns bits 0 and 1,
-#: the second bits 2 and 3, and no block owns bit 4.
+#: A weak class over two ranges of positions: bits 0-1 and bits 2-3.
 WEAK_BLOCKS = ((0b0000, 0b0001, 0b0011), (0b0100, 0b1100))
 
 
-def _relations_of(repairs_masks, normalized_weak=WEAK_BLOCKS) -> dict:
-    """``cli._relations`` on hand-built reports: the weak class of the
-    program is ``WEAK_BLOCKS`` and that of its normalization
-    ``normalized_weak``, the repair class is one block of
-    ``repairs_masks``, and every other class is empty."""
+def _relations_of(repair_blocks, normalized_weak=WEAK_BLOCKS, weak=WEAK_BLOCKS) -> dict:
+    """``cli._relations`` on hand-built reports over the ranges of
+    ``WEAK_BLOCKS``: the weak class of the program is ``weak`` and that of
+    its normalization ``normalized_weak``, the repair class is
+    ``repair_blocks``, and every other class is empty."""
     classes = list(RepairClass)
-    weak, repair = classes[:2]
     base = {c: repairs.Report(c, (), ((),), 0) for c in classes}
-    base[weak] = repairs.Report(weak, (), WEAK_BLOCKS, 0)
-    base[repair] = repairs.Report(repair, (), (tuple(repairs_masks),), 0)
+    base[classes[0]] = repairs.Report(classes[0], (), weak, 0)
+    base[classes[1]] = repairs.Report(classes[1], (), repair_blocks, 0)
     norm = {c: base[c] for c in classes[:4]}
-    norm[weak] = repairs.Report(weak, (), normalized_weak, 0)
+    norm[classes[0]] = repairs.Report(classes[0], (), normalized_weak, 0)
     return dict(cli._relations(base, norm, classes))
 
 
 def test_lattice_relations_test_members_of_each_block():
-    # A member of the weak product has, on the bits of each block's masks,
-    # a mask of that block, and no other bit.
+    # Every report of one call is a product over the same ranges, so each
+    # block of a class is tested against the other's block over its range.
     within = "repair <= weak-repair"
-    assert _relations_of([])[within]
-    assert _relations_of([0b0101, 0b1101, 0b1111])[within]
-    assert not _relations_of([0b0101, 0b0110])[within]  # 0b10 on the first
-    assert not _relations_of([0b0101, 0b1001])[within]  # 0b1000 on the second
-    assert not _relations_of([0b0101, 0b10101])[within]  # bit 4, owned by none
+    assert _relations_of(((),))[within]
+    assert _relations_of(((0b0001,), (0b0100, 0b1100)))[within]
+    assert _relations_of(((0b0000, 0b0011), (0b1100,)))[within]
+    assert not _relations_of(((0b0001, 0b0010), (0b0100,)))[within]  # 0b10 on the first
+    assert not _relations_of(((0b0001,), (0b1000,)))[within]  # 0b1000 on the second
+    assert not _relations_of(((0b0001,), (0b0100,)), weak=((),))[within]
     same = "weak-repair == normalized:weak-repair"
-    assert _relations_of([])[same]
-    assert _relations_of([], ((0b0000, 0b0001, 0b0011), (0b0100, 0b1100)))[same]
-    assert not _relations_of([], (WEAK_BLOCKS[0], (0b0100,)))[same]
-    assert not _relations_of([], (WEAK_BLOCKS[0], (0b0100, 0b1000)))[same]
+    assert _relations_of(((),))[same]
+    assert not _relations_of(((),), (WEAK_BLOCKS[0], (0b0100,)))[same]
+    assert not _relations_of(((),), (WEAK_BLOCKS[0], (0b0100, 0b1000)))[same]
+    # A class with no member is one empty block, whichever range emptied
+    # it, so two empty classes compare equal.
+    assert _relations_of(((),), ((),), weak=((),))[same]
+    assert not _relations_of(((),), ((), (0b0100,)), weak=((0b0001,), ()))[same]
 
 
 def test_atom_pools_go_on_after_z_in_sorted_order():
@@ -1149,7 +1184,10 @@ def test_change_minimal_sets_come_from_one_tree_per_engine_call(
     monkeypatch.chdir(GOLDEN)
     code, _, _ = run(argv, capsys)
     assert code == 0
-    assert len(calls) == trees
+    # An enumeration runs one tree per range of positions, whose moves
+    # are the range: mutual_pair_chain.rev has two ranges, pair_delete.aic
+    # one. A check runs one tree, over the candidate's own bits.
+    assert len(calls) == trees * len({moves for _, moves in calls})
     if argv[0] == "lattice":
         assert len(enumerations) == trees
 
@@ -1383,6 +1421,29 @@ def test_choice_errors_do_not_follow_the_argparse_wording(name, capsys, monkeypa
     replay(GOLDEN / f"{name}.cmd", capsys, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--", "--", "repair", "pair_delete.aic", "--class", "repair"], "--"),
+        (["-x", "repiar"], "repiar"),
+    ],
+    ids=["second_double_dash", "after_an_option"],
+)
+def test_the_subcommand_error_names_the_word_argparse_takes(
+    argv, word, capsys, monkeypatch
+):
+    # Past the one leading "--" that main drops, argparse 3.10-3.12 take a
+    # "--" where the subcommand goes as the subcommand, and 3.13.13 skips
+    # it; the word after an unknown option is the subcommand on all of
+    # them. The error names that word, worded as 3.10-3.12 word it.
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "_check_value", _check_value_as_in_python_3_13_13
+    )
+    monkeypatch.chdir(GOLDEN)
+    want = (GOLDEN / "usage_unknown_command.err").read_text()
+    assert run_or_exit(argv, capsys) == (2, "", want.replace("'repiar'", repr(word)))
+
+
 @pytest.mark.parametrize("columns", ["40", "200"])
 @pytest.mark.parametrize("name", ["usage_help", "usage_help_repair", "usage_missing_class"])
 def test_help_and_usage_do_not_follow_the_terminal_width(
@@ -1409,7 +1470,7 @@ _HELP = (("-h", "--help"), "help", False, None, "==SUPPRESS==", None,
          "show this help message and exit", None)
 _FILE = ((), "file", True, None, None, None, None, None)
 _FORMAT = (("--format",), "format", False, ("text", "json"), "text", None,
-           "output format", "choice")
+           "output format", None)
 _MAX_ATOMS = (("--max-atoms",), "max_atoms", False, None, None, "N",
               "override the exhaustive-enumeration bound on universe size", "int")
 _REPAIR_CLASSES = (
@@ -1425,18 +1486,17 @@ _REVISION_CLASSES = (
 )
 _EITHER = "repair or revision class, matching the instance kind"
 _EITHER_CLASS = (("--class",), "cls", True, _REPAIR_CLASSES + _REVISION_CLASSES,
-                 None, None, _EITHER, "choice")
+                 None, None, _EITHER, None)
 PARSER_PIN = {
     "repair": ("enumerate repairs of an aic instance", "cmd_enumerate", ("aic",), [
         _HELP, _FILE,
-        (("--class",), "cls", True, _REPAIR_CLASSES, None, None, "repair class",
-         "choice"),
+        (("--class",), "cls", True, _REPAIR_CLASSES, None, None, "repair class", None),
         _FORMAT, _MAX_ATOMS,
     ]),
     "revise": ("enumerate revisions of a rev instance", "cmd_enumerate", ("rev",), [
         _HELP, _FILE,
         (("--class",), "cls", True, _REVISION_CLASSES, None, None, "revision class",
-         "choice"),
+         None),
         _FORMAT, _MAX_ATOMS,
     ]),
     "check": ("test one set for membership in a class", "cmd_check", ("aic", "rev"), [
@@ -1447,7 +1507,7 @@ PARSER_PIN = {
     ]),
     "translate": ("translate between aic and rev", "cmd_translate", ("aic", "rev"), [
         _HELP, _FILE,
-        (("--to",), "to", True, ("aic", "rev"), None, None, None, "choice"),
+        (("--to",), "to", True, ("aic", "rev"), None, None, None, None),
     ]),
     "normalize": ("split disjunctive heads", "cmd_normalize", ("aic", "rev"), [
         _HELP, _FILE,

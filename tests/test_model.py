@@ -278,7 +278,7 @@ def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
     """Compile the bodies over ``atoms`` and search; the masks found, the
     product of the blocks searched, come back as position tuples."""
     compiled = _compile(db, bodies, atoms)
-    blocks, nodes = clause_search(compiled.clauses, compiled.n)
+    blocks, nodes = clause_search(compiled.clauses, compiled.split()[0])
     return [tuple(positions(x)) for x in _product(blocks)], nodes
 
 
