@@ -10,8 +10,8 @@ Answer sets are an image of the repair semantics: the answer sets of a
 simple program are the justified weak repairs of its encoding
 (:func:`aic_of_program`) over the empty database, read as the atoms they
 insert. Any program is first made simple without changing its answer sets
-(:func:`_simplified`), so :func:`answer_sets` and :func:`is_answer_set` are
-each one call into :mod:`repairs`.
+(:func:`_simplified`), so :func:`enumerate_answer_sets` and
+:func:`is_answer_set` are each one call into :mod:`repairs`.
 """
 
 from __future__ import annotations
@@ -113,27 +113,36 @@ def is_answer_set(program: LogicProgram, interp: frozenset[str]) -> bool:
     )
 
 
-def answer_sets(
+def enumerate_answer_sets(
     program: LogicProgram,
     universe: Universe | None = None,
     limits: Limits | None = None,
-) -> tuple[frozenset[str], ...]:
-    """All answer sets, sorted: the justified weak repairs of the simplified
-    program's encoding over the empty database. Every action is an
-    insertion, so canonical order is atom order. The universe and its atom
-    bound are those of the program as given."""
+) -> repairs.Report:
+    """The answer sets as a report: the justified weak repairs of the
+    simplified program's encoding over the empty database. Every action
+    is an insertion, so canonical order is atom order. The universe and
+    its atom bound are those of the program as given."""
     uni = Universe.collect(program) if universe is None else universe
     atoms = chain.from_iterable(chain.from_iterable(map(_PARTS, program)))
     if not uni.covers(atoms):
         for r in program:
             uni.require(r.atoms(), "rule")
-    report = repairs.enumerate_repairs(
+    return repairs.enumerate_repairs(
         frozenset(),
         aic_of_program(_simplified(program)),
         RepairClass.JUSTIFIED_WEAK_REPAIR,
         uni,
         limits,
     )
+
+
+def answer_sets(
+    program: LogicProgram,
+    universe: Universe | None = None,
+    limits: Limits | None = None,
+) -> tuple[frozenset[str], ...]:
+    """All answer sets, sorted (:func:`enumerate_answer_sets`)."""
+    report = enumerate_answer_sets(program, universe, limits)
     atoms = tuple(a.atom for a in report.actions)
     return tuple(members(atoms, _product(report.blocks)))
 

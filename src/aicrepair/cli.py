@@ -8,34 +8,37 @@ canonical form, ``answer-sets`` runs the disjunctive-program semantics,
 enumerates every class at once and can verify the containment relations
 between them on the given instance.
 
-Each subcommand is declared once, as a row of ``_COMMANDS``: its help, its
-handler, its kinds of program and its options with all their
+Each subcommand is declared once, as a row of ``_COMMANDS``: its help,
+its handler, its kinds of program and its options with all their
 ``add_argument`` keywords (a ``--class`` lists its kinds' classes as its
 choices). :func:`main` is the one front door; it drops one leading
-``--``. A command line in the plain forms (one file, declared flags spelled in full, as ``--flag value`` or
-``--flag=value``, and bare switches) is read by :func:`_read_plain` from
-those rows as declared, into the namespace argparse would give; such a
-request neither imports argparse nor builds its parser. Any other
-command line, help and argument errors included, is read by one argparse
-``parse_args`` call (:func:`_parse`), whose text is written from the same
-rows, the same on every Python and terminal. :func:`main` then reads the
-instance file in one binary read and parses it, checks its kind against
-the ``kinds`` the subcommand declares (``translate`` takes the kind
-opposite to ``--to``), resolves ``--class`` against that kind's classes
-and checks the atom bound (``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``)
-of a subcommand that takes one, in that order, before ``--set``,
-``--query`` or ``--by`` is read. A malformed bound is an error even where
-the engine would never consult it. Each handler gets the parsed arguments
-(the bound as ``args.limits``), the instance and its ``_KINDS`` row.
+``--``. A command line in the plain forms (one file, declared flags
+spelled in full, as ``--flag value`` or ``--flag=value`` with a value
+other than ``--``, an empty one included, and bare switches) is read by
+:func:`_read_plain` from those rows as declared, into the namespace
+argparse would give; such a request neither imports argparse nor builds
+its parser. Any other command line, help and argument errors included,
+is read by one argparse ``parse_args`` call (:func:`_parse`), whose text
+is written from the same rows, the same on every Python and terminal.
+:func:`main` then reads the instance file in one binary read and parses
+it, checks its kind against the ``kinds`` the subcommand declares
+(``translate`` takes the kind opposite to ``--to``), resolves
+``--class`` against that kind's classes and checks the atom bound
+(``--max-atoms``, else ``AICREPAIR_MAX_ATOMS``) of a subcommand that
+takes one, in that order, before ``--set``, ``--query`` or ``--by`` is
+read. A malformed bound is an error even where the engine would never
+consult it. Each handler gets the parsed arguments (the bound as
+``args.limits``), the instance and its ``_KINDS`` row.
 
 Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input. A
 refused or malformed request prints nothing on stdout: ``shift --verify``
 verifies before it prints the shifted instance.
 Diagnostics go to stderr; ``--format json`` wraps results in a versioned
-object (``"schema": 1``). Listings, text or JSON, are written from the
-blocks of a report, never from its full member list, a slice of sets per
-write (:func:`_write_sets`); ``cqa`` counts per block.
+object (``"schema": 1``). Listings, text or JSON, answer sets included,
+are written from the blocks of a report, never from its full member
+list, a slice of sets per write (:func:`_write_sets`); ``cqa`` counts
+per block.
 """
 
 from __future__ import annotations
@@ -342,14 +345,13 @@ def _verify_shift(instance: Instance, kind: _Kind, universe, witness, args) -> i
 
 
 def cmd_answer_sets(args, instance: Instance, kind: None) -> int:
-    models = asp.answer_sets(
-        instance.program, universe=instance.universe(), limits=args.limits
-    )
-    rows = [sorted(m) for m in models]
+    report = asp.enumerate_answer_sets(instance.program, instance.universe(), args.limits)
+    atoms = tuple(a.atom for a in report.actions)  # every action is an insertion
+    sets = functools.partial(_write_sets, atoms, report.blocks)
     if args.format == "json":
-        _print_json(sets=rows)
+        _print_json(sets=sets)
     else:
-        sys.stdout.write("".join("{" + ", ".join(row) + "}\n" for row in rows))
+        sets("{", "}\n")
     return 0
 
 
@@ -519,10 +521,11 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     subcommand's name are in the plain forms, else ``None``: one word that
     does not start with ``-`` (the file), and declared flags spelled in
     full, as ``--flag value`` with a value that does not start with ``-``,
-    ``--flag=value`` with a value that is neither empty nor ``--``, or a
-    bare switch. A value is converted by the option's ``type`` and must be
-    one of its ``choices``, every required option must be given, and a
-    repeated option keeps its last value. Anything else (help, an
+    ``--flag=value`` with a value other than ``--`` (an empty one
+    included, which argparse reads as ``''``), or a bare switch. A value
+    is converted by the option's ``type`` and must be one of its
+    ``choices``, every required option must be given, and a repeated
+    option keeps its last value. Anything else (help, an
     abbreviated or unknown flag, a missing or second file, a bad value) is
     left to argparse, which reports it as it always has."""
     if not argv or argv[0] not in _COMMANDS:
@@ -548,7 +551,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
                 value = next(words, None)
                 if value is None or value.startswith("-"):
                     return None
-            elif value in ("", "--"):
+            elif value == "--":
                 return None
             try:
                 value = option.get("type", str)(value)
@@ -610,15 +613,23 @@ def build_parser() -> argparse.ArgumentParser:
     ``commands`` holds each subcommand's parser by name, which reports
     :func:`_parse`'s own argument error. What it prints depends on
     ``_COMMANDS`` alone, not on the Python or the terminal: each usage is
-    given (:func:`_usage`), help is formatted at ``_WIDTH``, and every
-    parser words the "invalid choice" error of whichever word argparse
-    checks against a subcommand's or an option's choices."""
+    given (:func:`_usage`), help is formatted at ``_WIDTH``, every parser
+    words the "invalid choice" error of whichever word argparse checks
+    against a subcommand's or an option's choices, and reads
+    ``--flag=--`` as an empty list, as 3.10–3.12 read it."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def _check_value(self, action, value):
             if action.choices is not None and value not in action.choices:
                 raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
+
+        def _get_values(self, action, arg_strings):
+            # 3.13 keeps the "--" of "--flag=--" as the option's value, past
+            # type and choices; 3.10-3.12 drop it and read an empty list.
+            if action.option_strings and arg_strings == ["--"]:
+                return []
+            return super()._get_values(action, arg_strings)
 
     formatter = functools.partial(argparse.HelpFormatter, width=_WIDTH)
     parser = Parser(
@@ -645,9 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]):
     """``argv`` read by argparse, for the requests :func:`_read_plain`
     leaves to it; help and argument errors leave through ``SystemExit``.
-    A ``--`` where the subcommand goes (3.13.13 skips it), and an option
-    value that argparse read as empty, are rejected here, worded as
-    argparse 3.10–3.12 word them."""
+    A ``--`` where the subcommand goes (3.13.13 skips it) is rejected
+    here, and so is an option read as an empty list (``--flag=--``, which
+    the parsers of :func:`build_parser` read so on every Python), each
+    worded as argparse 3.10–3.12 word them."""
     parser = build_parser()
     # argparse 3.10–3.12 take a "--" after the words they read as options
     # as the subcommand, unless no word follows it or help comes first.

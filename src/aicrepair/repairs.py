@@ -292,10 +292,18 @@ def _least(
     """The change-minimal weak repairs inside ``moves``, in canonical
     order: the leaves of the repair tree (:func:`_tree`). Every weak repair
     holds a change-minimal one, so a leaf is change-minimal when it holds
-    none of the leaves kept before it, smallest first."""
+    none of the leaves kept before it, smallest first. Each position's
+    column has a bit per kept leaf that flips it: a leaf ``u`` holds none
+    of them when the columns of the moves outside ``u`` cover every one."""
     kept: list[int] = []
+    columns = [0] * moves.bit_length()
     for u in sorted(walk(0, _tree(clauses, moves), seen), key=int.bit_count):
-        if all(v & u != v for v in kept):
+        outside = 0
+        for p in positions(moves & ~u):
+            outside |= columns[p]
+        if outside == (1 << len(kept)) - 1:
+            for p in positions(u):
+                columns[p] |= 1 << len(kept)
             kept.append(u)
     return sorted(kept, key=positions)
 

@@ -111,8 +111,8 @@ def plain(argv: list[str]) -> bool:
     """Whether the words after the subcommand's name are in the plain
     forms, their values left unchecked: one word that does not start with
     ``-``, and declared flags spelled in full, a bare one without ``=``,
-    any other as ``--flag=value`` (not empty, not ``--``) or as ``--flag
-    value`` (not starting with ``-``)."""
+    any other as ``--flag=value`` (not ``--``, but possibly empty) or as
+    ``--flag value`` (not starting with ``-``)."""
     flags = FLAGS.get(argv[0]) if argv else None
     if flags is None:
         return False
@@ -129,7 +129,7 @@ def plain(argv: list[str]) -> bool:
             if eq:
                 return False
         elif eq:
-            if value in ("", "--"):
+            if value == "--":
                 return False
         else:
             value = next(words, None)

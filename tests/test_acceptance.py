@@ -7,8 +7,10 @@ shifting transport, the logic-program bridge, checker agreement over full
 candidate spaces, one multi-class scan matching per-class enumeration, the
 repair tree of the change-minimal classes matching the scan, the clause
 search matching a plain scan of every subset, the engine's tests on masks
-matching their definitions on sets, and the search split into position
-blocks matching a brute-force scan.
+matching their definitions on sets, the search split into position
+blocks matching a brute-force scan, every class matching the product of
+its component classes, and the repair tree's column filter keeping what a
+pairwise scan keeps.
 All frozen values below were computed by ``tests/oracles.py`` and
 hand-checked before being written down.
 
@@ -1576,3 +1578,53 @@ def test_wall_1_repairs_come_from_one_small_tree_per_component():
     want = _oracle_product(oracles.repairs, db, program, groups)
     assert list(report.sets) == sorted(want, key=oracles.canonical_key)
     assert report.size == 1296
+
+
+# ---------------------------------------------------------------------------
+# Gate 13: the repair tree's column filter keeps the leaves that the pairwise
+# scan keeps
+
+LEAST_INSTANCES = 150
+LEAST_ATOMS = 12
+LEAST_ORACLE_ATOMS = 8
+
+
+def _pairwise_least(clauses, moves) -> list[int]:
+    """The change-minimal leaves of the repair tree by the pairwise scan:
+    smallest first, a leaf is kept when no leaf kept before it is inside
+    it."""
+    kept: list[int] = []
+    for u in sorted(model.walk(0, repairs._tree(clauses, moves)), key=int.bit_count):
+        if all(v & u != v for v in kept):
+            kept.append(u)
+    return sorted(kept, key=positions)
+
+
+def test_least_keeps_what_the_pairwise_scan_keeps():
+    # Connected programs under a violating database (the shape of Wall 3,
+    # one large component) and random ones; each range of positions is
+    # filtered on its own, as the engine filters it.
+    filtered = 0
+    for i in range(LEAST_INSTANCES):
+        seed = f"least-{i}"
+        rnd = random.Random(seed)
+        size = rnd.randint(2, LEAST_ATOMS)
+        atoms = gen.atom_pool(rnd, size)
+        if rnd.random() < 0.5:
+            program = gen.connected_aic(rnd, atoms, rnd.randint(1, size))
+        else:
+            program = gen.aic_program(rnd, atoms, rnd.random() < 0.5, (1, max(3, size)))
+        db = gen.violating(gen.database(rnd, atoms), program)
+        uni = Universe(atoms)
+        compiled = repairs._Compiled(db, program, essential_actions(db, uni))
+        ranges, parts = compiled.split()
+        for (lo, hi), part in zip(ranges, parts):
+            moves = (1 << hi) - (1 << lo)
+            want = _pairwise_least(part.clauses, moves)
+            assert repairs._least(part.clauses, moves) == want, f"{seed}: {lo}-{hi}"
+            filtered += len(want) > 1
+        if size <= LEAST_ORACLE_ATOMS:
+            got = enumerate_repairs(db, program, RepairClass.REPAIR, uni, Limits(size))
+            want = sorted(oracles.repairs(db, program, atoms), key=oracles.canonical_key)
+            assert list(got.sets) == want, seed
+    assert filtered >= LEAST_INSTANCES // 2
