@@ -147,16 +147,13 @@ class Universe:
             for name in names:
                 _check_atom_name(name)
         object.__setattr__(self, "atoms", names)
+        object.__setattr__(self, "_atom_set", frozenset(names))
 
     def __contains__(self, atom: str) -> bool:
         return atom in self._atom_set
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    @cached_property
-    def _atom_set(self) -> frozenset[str]:
-        return frozenset(self.atoms)
 
     def covers(self, atoms: Iterable[str]) -> bool:
         """Every atom is in the universe: one pass, in C. Callers that get

@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterable
 
 from .model import AicRule, Limits, Literal, Universe
-from .repairs import RepairClass, _Compiled, enumerate_repairs
+from .repairs import RepairClass, _Compiled, _compile, enumerate_repairs
 from .revisions import RevisionClass, enumerate_revisions
 
 
@@ -68,7 +68,8 @@ def cqa(
     total = report.size
     if not total:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
-    clauses = _Compiled(db, (AicRule(query, frozenset()),), report.actions).clauses
+    rules = _compile(db, (AicRule(query, frozenset()),), report.actions)
+    clauses = _Compiled(rules).clauses
     m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
     holding, owned = 1, 0
     for block in report.blocks:

@@ -91,87 +91,75 @@ def _universe_for(db, program, actions=(), universe=None) -> Universe:
     return Universe.collect(db, (a.atom for a in actions), program)
 
 
-class _Compiled:
-    """A program over the bit positions of ``actions``, essential actions
+def _compile(db, program: AicProgram, actions) -> list[tuple[int, int, int, int]]:
+    """The program over the bit positions of ``actions``, essential actions
     in universe order: bit ``i`` of a mask ``x`` flips ``actions[i]``, and
-    position order is canonical order. An action that does not flip
-    ``db`` is the no-effect action of its atom, the dual of the essential
-    one: it is in the no-effect set of ``x`` exactly when ``x`` leaves its
-    bit 0, and always outside the positions, where atoms keep their ``db``
-    value. Each rule is read once, into :attr:`rules` (unless given), and
-    the clauses, support clauses and normalized program are derived from
-    it; each is built on first use."""
-
-    def __init__(self, db, program: AicProgram, actions: tuple, rules=None):
-        self.db, self.program, self.actions = db, program, actions
-        if rules is not None:
-            self.rules = rules
-
-    @cached_property
-    def rules(self) -> list[tuple[int, int, int, int]]:
-        """Each rule some set can violate, in program order, as
-        ``(te, tn, he, hn)``: the essential and no-effect bits of its
-        trigger, ``ua`` of the body literals whose dual action is not in
-        the head, and of its head. A body literal that fails in ``db`` is
-        an essential trigger action or the dual of a no-effect head action,
-        one that holds a no-effect trigger action or the dual of an
-        essential head action. Outside the positions a failing literal is
-        a trigger action in no set, or the dual of a head action in every
-        set, and its rule is dropped; a literal that holds is no bit. A
-        body that holds an atom and its dual never holds, but its rule is
-        kept: it still constrains the justified walk."""
-        db, bit = self.db, {a.atom: 1 << i for i, a in enumerate(self.actions)}
-        out = []
-        for r in self.program:
-            fails = holds = 0
-            for l in r.body:
-                b = bit.get(l.atom, 0)
-                if (l.atom in db) != l.positive:
-                    if not b:
-                        break
-                    fails |= b
-                else:
-                    holds |= b
+    position order is canonical order. An action that does not flip ``db``
+    is the no-effect action of its atom, the dual of the essential one: it
+    is in the no-effect set of ``x`` exactly when ``x`` leaves its bit 0,
+    and always outside the positions, where atoms keep their ``db`` value.
+    Each rule some set can violate, in program order, as ``(te, tn, he,
+    hn)``: the essential and no-effect bits of its trigger, ``ua`` of the
+    body literals whose dual action is not in the head, and of its head. A
+    body literal that fails in ``db`` is an essential trigger action or
+    the dual of a no-effect head action, one that holds a no-effect
+    trigger action or the dual of an essential head action. Outside the
+    positions a failing literal is a trigger action in no set, or the dual
+    of a head action in every set, and its rule is dropped; a literal that
+    holds is no bit. A body that holds an atom and its dual never holds,
+    but its rule is kept: it still constrains the justified walk."""
+    bit = {a.atom: 1 << i for i, a in enumerate(actions)}
+    out = []
+    for r in program:
+        fails = holds = 0
+        for l in r.body:
+            b = bit.get(l.atom, 0)
+            if (l.atom in db) != l.positive:
+                if not b:
+                    break
+                fails |= b
             else:
-                he = hn = 0
-                for a in r.head:
-                    if (a.atom in db) != a.insert:
-                        he |= bit.get(a.atom, 0)
-                    else:
-                        hn |= bit.get(a.atom, 0)
-                out.append((fails & ~hn, holds & ~he, he, hn))
-        return out
+                holds |= b
+        else:
+            he = hn = 0
+            for a in r.head:
+                if (a.atom in db) != a.insert:
+                    he |= bit.get(a.atom, 0)
+                else:
+                    hn |= bit.get(a.atom, 0)
+            out.append((fails & ~hn, holds & ~he, he, hn))
+    return out
 
-    @cached_property
-    def clauses(self) -> list[tuple[int, int]]:
-        """The clause ``(m, f)`` of each body that can hold, in program
-        order: ``m`` holds the bits of its atoms and ``f`` those whose
-        literal fails in ``db``, so flipping ``x`` makes the body hold
-        exactly when ``x & m == f``. A bit that both fails and holds is an
-        atom and its dual."""
-        return [
+
+class _Compiled:
+    """Compiled rules (:func:`_compile`) and what the tests read from them.
+
+    ``clauses`` holds the clause ``(m, f)`` of each body that can hold, in
+    program order: ``m`` holds the bits of its atoms and ``f`` those whose
+    literal fails in ``db``, so flipping ``x`` makes the body hold exactly
+    when ``x & m == f``. A bit that both fails and holds is an atom and
+    its dual. ``support`` maps the bit ``b`` of each essential head action
+    ``a`` to the clauses of ``body − {dual(a)}``: ``a`` is founded when one
+    of them holds. ``dual(a)`` holds in ``db``, so only its bit leaves the
+    clause's holding bits."""
+
+    def __init__(self, rules: list[tuple[int, int, int, int]]):
+        self.rules = rules
+        self.clauses = [
             (te | tn | he | hn, te | hn)
-            for te, tn, he, hn in self.rules
+            for te, tn, he, hn in rules
             if not (te | hn) & (tn | he)
         ]
-
-    @cached_property
-    def support(self) -> dict[int, list[tuple[int, int]]]:
-        """Per bit ``b`` of an essential head action ``a``, the clauses of
-        ``body − {dual(a)}``: ``a`` is founded when one of them holds.
-        ``dual(a)`` holds in ``db``, so only its bit leaves the clause's
-        holding bits."""
-        support: dict[int, list] = {}
-        for te, tn, he, hn in self.rules:
+        support: dict[int, list[tuple[int, int]]] = {}
+        for te, tn, he, hn in rules:
             y = he
             while y:
                 b = y & -y
                 y ^= b
                 if not (te | hn) & (tn | he & ~b):
                     support.setdefault(b, []).append((te | tn | he & ~b | hn, te | hn))
-        return support
+        self.support = support
 
-    @cached_property
     def normalized(self) -> "_Compiled":
         """The normalized program, split from :attr:`rules`: it keeps each
         body, so a rule splits into one per head bit ``b`` (both, for a bit
@@ -192,32 +180,7 @@ class _Compiled:
                     out.append((t, h & ~b, b, 0))
                 if hn & b:
                     out.append((t & ~b, h, 0, b))
-        if len(out) == len(self.rules):
-            return self
-        return _Compiled(self.db, self.program, self.actions, out)
-
-    def split(self) -> tuple[list[tuple[int, int]], list["_Compiled"]]:
-        """The ranges ``(lo, hi)`` of positions ``lo`` to ``hi - 1`` between
-        the cuts, lowest first, and per range its part: the program of the
-        rules whose bits lie in it, or the program itself when it is one
-        range. ``i`` is a cut when no rule has bits both below ``i`` and at
-        or above it. A rule's bits are its body's, which hold its head's,
-        so every clause, support clause and normalized rule lies in one
-        part. A rule with no bit, a body that holds whatever is flipped,
-        lands in the last part, which it leaves with no weak repair."""
-        bits, spans = [te | tn | he | hn for te, tn, he, hn in self.rules], 0
-        for m in bits:
-            # The positions low + 1 .. high that the rule crosses.
-            spans |= (1 << m.bit_length()) - 2 * (m & -m)
-        n = len(self.actions)
-        starts = [0, *positions(((1 << n) - 1) & ~(spans | 1))]
-        ranges = list(zip(starts, [*starts[1:], n]))
-        if len(starts) == 1:
-            return ranges, [self]
-        parts = [_Compiled(self.db, self.program, self.actions, []) for _ in starts]
-        for rule, m in zip(self.rules, bits):
-            parts[bisect_right(starts, (m & -m).bit_length() - 1) - 1].rules.append(rule)
-        return ranges, parts
+        return self if len(out) == len(self.rules) else _Compiled(out)
 
     def founded(self, x: int) -> bool:
         support, y = self.support, x
@@ -252,6 +215,29 @@ class _Compiled:
             return None
 
         return all(leaf == x for leaf in walk(0, branch))
+
+
+def _split(rules: list, n: int) -> tuple[list[tuple[int, int]], list[_Compiled]]:
+    """The ranges ``(lo, hi)`` of positions ``lo`` to ``hi - 1`` between
+    the cuts of ``n`` positions, lowest first, and per range its part: the
+    rules whose bits lie in it, in program order. ``i`` is a cut when no
+    rule has bits both below ``i`` and at or above it. A rule's bits are
+    its body's, which hold its head's, so every clause, support clause and
+    normalized rule lies in one part. A rule with no bit, a body that
+    holds whatever is flipped, lands in the last part, which it leaves
+    with no weak repair."""
+    bits, spans = [te | tn | he | hn for te, tn, he, hn in rules], 0
+    for m in bits:
+        # The positions low + 1 .. high that the rule crosses.
+        spans |= (1 << m.bit_length()) - 2 * (m & -m)
+    cuts = ((1 << n) - 1) & ~(spans | 1)
+    if not cuts:
+        return [(0, n)], [_Compiled(rules)]
+    starts = [0, *positions(cuts)]
+    lists: list[list] = [[] for _ in starts]
+    for rule, m in zip(rules, bits):
+        lists[bisect_right(starts, (m & -m).bit_length() - 1) - 1].append(rule)
+    return list(zip(starts, [*starts[1:], n])), [*map(_Compiled, lists)]
 
 
 def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
@@ -357,17 +343,18 @@ def check_membership(
     )
     if limits is not None and (minimal or disjunctive):
         limits.check_universe({a.atom for a in u}, "candidate")
-    compiled = _Compiled(db, program, essential_actions(db, uni))
-    if not u.issubset(compiled.actions):
+    actions = essential_actions(db, uni)
+    if not u.issubset(actions):
         return False
-    x = sum(1 << i for i, a in enumerate(compiled.actions) if a in u)
+    compiled = _Compiled(_compile(db, program, actions))
+    x = sum(1 << i for i, a in enumerate(actions) if a in u)
     if any(x & m == f for m, f in compiled.clauses):
         return False
     # A justified set is founded on the program and on its normalization,
     # so the justified walk runs only on a founded set.
     if grounding and not compiled.founded(x):
         return False
-    walks = compiled.normalized if normalized else compiled
+    walks = compiled.normalized() if normalized else compiled
     if grounding == "justified" and not walks.justified(x):
         return False
     # Change-minimal when the repair tree over its own bits has no leaf
@@ -387,7 +374,7 @@ class Report:
     engine searched, in universe order (their revision literals when
     ``semantics`` is a revision class): bit ``i`` stands for
     ``actions[i]``. ``blocks`` holds the members as a product: per range
-    of positions that no rule crosses (``_Compiled.split``), lowest
+    of positions that no rule crosses (:func:`_split`), lowest
     first, the masks over it in canonical order; the members are the
     unions of one mask per block (:func:`model._product`). Every report of
     one engine call shares its ``actions`` and its ranges, and a class
@@ -428,7 +415,7 @@ def enumerate_classes(
     universe atom), so consistency and change-effectiveness hold by
     construction. The program is compiled once over their bit positions
     and split into parts, one per range of positions that no rule crosses
-    (``_Compiled.split``). Each test is local to one rule or one atom, and
+    (:func:`_split`). Each test is local to one rule or one atom, and
     change-minimality is minimality in a product order, so every class is
     the product of its classes on the parts, each searched on its own: the
     change-minimal weak repairs by the part's repair tree (:func:`_least`),
@@ -455,11 +442,11 @@ def enumerate_classes(
         # Every member is inside the heads, and so are its subsets, the
         # weak repairs its minimality is tested against.
         essential = tuple(a for a in essential if a in heads)
-    compiled = _Compiled(db, program, essential)
-    ranges, parts = compiled.split()
+    ranges, parts = _split(_compile(db, program, essential), len(essential))
     weak, minimal, examined = [], [], 0
     if not all(m for _, _, m in rows):
-        weak, examined = clause_search(compiled.clauses, ranges)
+        clauses = chain.from_iterable(part.clauses for part in parts)
+        weak, examined = clause_search(clauses, ranges)
     if any(m for _, _, m in rows):
         seen: set = set()
         minimal = [
@@ -477,7 +464,7 @@ def enumerate_classes(
         founded = [x for x in block if not x & ~supported and part.founded(x)]
         grounded[False, "founded"].append(founded)
         for normalized in {n for n, g in keys if g == "justified"}:
-            walks = part.normalized if normalized else part
+            walks = part.normalized() if normalized else part
             grounded[normalized, "justified"].append([*filter(walks.justified, founded)])
     reports = {}
     for c in classes:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -1185,8 +1186,8 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
     heads = frozenset().union(*(r.head for r in program))
     got = {"wr": set(weak), "fwr": set(), "jwr": set(), "njwr": set()}
     for actions in (essential, tuple(a for a in essential if a in heads)):
-        compiled = repairs._Compiled(db, program, actions)
-        normalized = repairs._Compiled(db, norm, actions)
+        compiled = repairs._Compiled(repairs._compile(db, program, actions))
+        normalized = repairs._Compiled(repairs._compile(db, norm, actions))
         least = sorted(
             (
                 sum(1 << i for i, a in enumerate(actions) if a in u)
@@ -1369,9 +1370,9 @@ def test_table_search_matches_the_node_search_past_brute_force():
     ))
     for where, db, program, atoms in cases:
         actions = essential_actions(db, Universe(atoms))
-        compiled = repairs._Compiled(db, program, actions)
-        clauses = compiled.clauses
-        blocks, _ = clause_search(clauses, compiled.split()[0])
+        rules = repairs._compile(db, program, actions)
+        clauses = repairs._Compiled(rules).clauses
+        blocks, _ = clause_search(clauses, repairs._split(rules, len(actions))[0])
         found = list(model._product(blocks))
         assert found == oracles.clause_search(clauses, len(actions)), where
 
@@ -1616,8 +1617,9 @@ def test_least_keeps_what_the_pairwise_scan_keeps():
             program = gen.aic_program(rnd, atoms, rnd.random() < 0.5, (1, max(3, size)))
         db = gen.violating(gen.database(rnd, atoms), program)
         uni = Universe(atoms)
-        compiled = repairs._Compiled(db, program, essential_actions(db, uni))
-        ranges, parts = compiled.split()
+        actions = essential_actions(db, uni)
+        rules = repairs._compile(db, program, actions)
+        ranges, parts = repairs._split(rules, len(actions))
         for (lo, hi), part in zip(ranges, parts):
             moves = (1 << hi) - (1 << lo)
             want = _pairwise_least(part.clauses, moves)
@@ -1628,3 +1630,90 @@ def test_least_keeps_what_the_pairwise_scan_keeps():
             want = sorted(oracles.repairs(db, program, atoms), key=oracles.canonical_key)
             assert list(got.sets) == want, seed
     assert filtered >= LEAST_INSTANCES // 2
+
+
+# ---------------------------------------------------------------------------
+# Gate 14: the parts of the split partition the compiled rules
+
+SPLIT_INSTANCES = 90
+
+
+def _split_instances():
+    """``(seed, db, program, atoms)``: connected programs, and programs of
+    components with free atoms; every other one has a body that holds an
+    atom of the rule and its dual, and every third one a rule with no
+    body, which no set can satisfy."""
+    for i in range(SPLIT_INSTANCES):
+        seed = f"split-{i}"
+        rnd = random.Random(seed)
+        if i % 2:
+            atoms = gen.atom_pool(rnd, rnd.randint(1, 10))
+            program = gen.connected_aic(rnd, atoms, rnd.randint(1, len(atoms)))
+            db = gen.database(rnd, atoms)
+        else:
+            parts = [rnd.randint(1, 4) for _ in range(rnd.randint(1, 4))]
+            atoms, db, program = gen.components_aic(rnd, parts, rnd.randint(0, 3))
+        if i % 4 < 2:
+            k = rnd.randrange(len(program))
+            r = program[k]
+            a = rnd.choice(sorted(r.atoms()))
+            r = AicRule(r.body | {Literal(a), Literal(a, False)}, r.head)
+            program = program[:k] + (r,) + program[k + 1:]
+        if i % 3 == 0:
+            k = rnd.randint(0, len(program))
+            program = program[:k] + (AicRule((), ()),) + program[k:]
+        yield seed, db, program, atoms
+
+
+def test_the_split_partitions_the_compiled_rules():
+    # Over all essential actions, and over the head actions alone (the
+    # positions of a request of grounded classes only, where a body on
+    # other atoms that holds in db is a rule with no bit).
+    counts = {"parts": 0, "dual": 0, "no bit": 0}
+    for seed, db, program, atoms in _split_instances():
+        uni = Universe(atoms)
+        essential = essential_actions(db, uni)
+        heads = frozenset().union(*(r.head for r in program))
+        for actions in (essential, tuple(a for a in essential if a in heads)):
+            where = f"{seed} over {len(actions)} positions"
+            rules = repairs._compile(db, program, actions)
+            whole = repairs._Compiled(rules)
+            ranges, parts = repairs._split(rules, len(actions))
+            starts = [lo for lo, _ in ranges]
+            assert starts == [0, *(hi for _, hi in ranges[:-1])], where
+            assert ranges[-1][1] == len(actions) and len(parts) == len(ranges), where
+
+            def part_of(m):
+                """The range that holds the bits ``m``; the last, for none."""
+                if not m:
+                    return len(ranges) - 1
+                return bisect_right(starts, (m & -m).bit_length() - 1) - 1
+
+            for (lo, hi), part in zip(ranges, parts):
+                span = (1 << hi) - (1 << lo)
+                for te, tn, he, hn in part.rules:
+                    assert not (te | tn | he | hn) & ~span, where
+                for b in part.support:
+                    assert b & span, where
+            # Each part's rules, clauses and support are the whole
+            # program's that lie in its range, in program order.
+            by_part = sorted(rules, key=lambda r: part_of(r[0] | r[1] | r[2] | r[3]))
+            assert [r for p in parts for r in p.rules] == by_part, where
+            by_part = sorted(whole.clauses, key=lambda c: part_of(c[0]))
+            assert [c for p in parts for c in p.clauses] == by_part, where
+            support = {b: s for p in parts for b, s in p.support.items()}
+            assert support == whole.support, where
+            # A rule with no bit leaves the last range with no weak repair.
+            if (0, 0, 0, 0) in rules:
+                assert (0, 0) in parts[-1].clauses, where
+                assert clause_search(parts[-1].clauses, ranges[-1:])[0] == [[]], where
+                counts["no bit"] += 1
+            counts["parts"] += len(parts) > 1
+            counts["dual"] += any((te | hn) & (tn | he) for te, tn, he, hn in rules)
+        for cls in (RepairClass.WEAK_REPAIR, RepairClass.FOUNDED_WEAK_REPAIR):
+            limits = Limits(len(atoms))
+            report = repairs.enumerate_classes(db, program, [cls], uni, limits)[cls]
+            rules = repairs._compile(db, program, report.actions)
+            if (0, 0, 0, 0) in rules:
+                assert report.blocks == ((),), f"{seed}: {cls.value}"
+    assert min(counts.values()) >= SPLIT_INSTANCES // 4, counts

@@ -49,6 +49,7 @@ from aicrepair.model import (
     ua,
     walk,
 )
+from aicrepair import repairs
 from aicrepair.repairs import _Compiled
 from aicrepair.transforms import shift
 
@@ -271,14 +272,15 @@ def _compile(db, bodies, atoms) -> _Compiled:
     actions of ``atoms``, bit ``i`` for ``atoms[i]``."""
     program = tuple(AicRule(frozenset(body), frozenset()) for body in bodies)
     actions = tuple(UpdateAction(a, a not in db) for a in atoms)
-    return _Compiled(db, program, actions)
+    return _Compiled(repairs._compile(db, program, actions))
 
 
 def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
     """Compile the bodies over ``atoms`` and search; the masks found, the
     product of the blocks searched, come back as position tuples."""
     compiled = _compile(db, bodies, atoms)
-    blocks, nodes = clause_search(compiled.clauses, compiled.split()[0])
+    ranges, _ = repairs._split(compiled.rules, len(atoms))
+    blocks, nodes = clause_search(compiled.clauses, ranges)
     return [tuple(positions(x)) for x in _product(blocks)], nodes
 
 

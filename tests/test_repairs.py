@@ -22,6 +22,7 @@ from aicrepair.repairs import (
     is_closed,
     is_founded_set,
     _Compiled,
+    _compile,
     _least,
 )
 from aicrepair.syntax import parse_actions, parse_program
@@ -85,7 +86,7 @@ def test_least_drops_a_leaf_reached_before_a_smaller_leaf_inside_it():
         "not a, not b, not c -> +a | +b | +c.\nc, not b -> +b.", "aic"
     )
     actions = tuple(UpdateAction(atom, True) for atom in "abc")
-    compiled = _Compiled(frozenset(), program, actions)
+    compiled = _Compiled(_compile(frozenset(), program, actions))
     seen = set()
     assert _least(compiled.clauses, 0b111, seen) == [0b001, 0b010]
     assert seen == {0b000, 0b001, 0b010, 0b100, 0b110}
@@ -128,7 +129,8 @@ def test_a_body_with_an_atom_and_its_dual_keeps_its_rule():
         ("x, not x -> +x.", [(0b01, 0, 0b01, 0)], {0b01: [(0b01, 0b01)]}),
         ("y, not y -> +y | -y.", [(0, 0, 0b10, 0b10)], {0b10: [(0b10, 0b10)]}),
     ):
-        compiled = _Compiled(frozenset(), parse_program(text, "aic"), actions)
+        program = parse_program(text, "aic")
+        compiled = _Compiled(_compile(frozenset(), program, actions))
         assert compiled.rules == rules, text
         assert compiled.clauses == [], text
         assert compiled.support == support, text
@@ -166,24 +168,31 @@ def test_the_normalized_program_is_split_from_the_compiled_rules():
         heads = frozenset().union(*(r.head for r in program))
         # Over all essential actions, and over the head actions alone.
         for actions in (essential, tuple(a for a in essential if a in heads)):
-            compiled = _Compiled(db, program, actions)
-            want = _Compiled(db, normalize_aic(program), actions).rules
-            assert Counter(compiled.normalized.rules) == Counter(want), i
+            compiled = _Compiled(_compile(db, program, actions))
+            want = _compile(db, normalize_aic(program), actions)
+            assert Counter(compiled.normalized().rules) == Counter(want), i
     # A normal program is its own normalization.
-    compiled = _Compiled(frozenset(), CHAIN, uas("+a, +b"))
-    assert compiled.normalized is compiled
+    compiled = _Compiled(_compile(frozenset(), CHAIN, uas("+a, +b")))
+    assert compiled.normalized() is compiled
 
 
 def test_every_justified_walk_runs_on_a_founded_set(monkeypatch):
     # A justified weak repair is founded, on the program and on its
     # normalization alike, so a mask that fails ``founded`` on the
     # program is never walked, by an enumeration or a membership check.
-    walked = []
+    # A part holds no actions, so each call's walked masks are paired with
+    # the positions that call searched: its report's actions, or the
+    # essential actions for a membership check.
+    walked, calls = [], []
     justified = _Compiled.justified
 
     def recording(self, x):
-        walked.append((self.actions, x))
+        walked.append(x)
         return justified(self, x)
+
+    def searched(actions):
+        calls.extend((actions, x) for x in walked)
+        walked.clear()
 
     monkeypatch.setattr(_Compiled, "justified", recording)
     classes = [c for c in RepairClass if repairs._TABLE[c][1] == "justified"]
@@ -195,15 +204,19 @@ def test_every_justified_walk_runs_on_a_founded_set(monkeypatch):
         program = gen.aic_program(rnd, atoms, normal=i % 2 == 0, rules=(1, 6))
         reports = repairs.enumerate_classes(db, program, RepairClass, uni)
         weak = reports[RepairClass.WEAK_REPAIR]
+        searched(weak.actions)
+        essential = essential_actions(db, uni)
         for c in classes:
-            repairs.enumerate_classes(db, program, [c], uni)
+            searched(repairs.enumerate_classes(db, program, [c], uni)[c].actions)
             for u in weak.sets:
                 check_membership(db, program, c, u, uni)
+                searched(essential)
         unfounded += weak.size - reports[RepairClass.FOUNDED_WEAK_REPAIR].size
-        for actions, x in walked:
-            assert _Compiled(db, program, actions).founded(x), i
-        walks += len(walked)
-        walked.clear()
+        # Each mask against the whole program, compiled again.
+        for actions, x in calls:
+            assert _Compiled(_compile(db, program, actions)).founded(x), i
+        walks += len(calls)
+        calls.clear()
     # Both kinds of weak repair occur: the walks ran, and they skipped some.
     assert walks and unfounded
 
