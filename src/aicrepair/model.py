@@ -251,7 +251,8 @@ class AicRule:
 class RevRule:
     """A revision rule ``a1 | ... | ak <- b1, ..., bm`` over revision literals.
 
-    Either side may be empty, but not both; an empty head is a constraint.
+    Either side may be empty: an empty head is a constraint, and with an
+    empty body too, ``false <- .``, a constraint that every set violates.
     """
 
     head: frozenset[RevLiteral]
@@ -260,10 +261,8 @@ class RevRule:
     def __init__(self, head: Iterable[RevLiteral], body: Iterable[RevLiteral]):
         # Written once, as in AicRule.
         fields = self.__dict__
-        fields["head"] = head = frozenset(head)
-        fields["body"] = body = frozenset(body)
-        if not head and not body:
-            raise InputError("a revision rule needs a head or a body")
+        fields["head"] = frozenset(head)
+        fields["body"] = frozenset(body)
 
     @property
     def normal(self) -> bool:
@@ -362,31 +361,9 @@ def essential_actions(db: frozenset[str], universe: Universe) -> tuple[UpdateAct
     return tuple(UpdateAction(a, a not in db) for a in universe.atoms)
 
 
-def clause_search(
-    clauses: Iterable[tuple[int, int]], ranges: Sequence[tuple[int, int]]
-) -> tuple[list[list[int]], int]:
-    """The masks over the positions of ``ranges`` that make no clause hold
-    (``x & m != f`` for every ``(m, f)``), as one block per range, and the
-    number of candidates examined. No clause crosses a range, so the masks
-    are the unions of one mask per block (:func:`_product`), each block's
-    masks found by :func:`_block_search` on the range's own clauses, in
-    the order of their sorted positions. A clause with no position always
-    holds, so every block is empty. The count is summed over the blocks:
-    ``2**k`` for each truth table a block reads over ``k`` of its
-    positions, so ``2`` for a block of one position in no clause, and
-    ``1`` for an empty range (a table of one row)."""
-    by_last: list[list[tuple[int, int]]] = [[] for _ in range(ranges[-1][1])]
-    for m, f in clauses:
-        if not m:
-            return [[] for _ in ranges], 0
-        by_last[m.bit_length() - 1].append((m, f))
-    searched = [_block_search(by_last, lo, hi) for lo, hi in ranges]
-    return [found for found, _ in searched], sum(nodes for _, nodes in searched)
-
-
-#: The number of positions at the top of a block that one truth table
+#: The number of positions at the top of a range that one truth table
 #: decides: ``2**10`` rows, one 1024-bit int per column. At least 1, so
-#: that each level of :func:`_block_search` leaves fewer positions.
+#: that each level of :func:`clause_search` leaves fewer positions.
 _TABLE_BITS = 10
 
 
@@ -420,41 +397,49 @@ def _rows(k: int, t: int) -> list[int]:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _block_search(
-    by_last: list[list[tuple[int, int]]], lo: int, hi: int
+def clause_search(
+    clauses: Sequence[tuple[int, int]], lo: int, hi: int
 ) -> tuple[list[int], int]:
     """The masks over positions ``lo`` to ``hi - 1`` that make no clause
-    of the block hold, and the candidates examined (see
-    :func:`clause_search`).
+    hold (``x & m != f`` for every ``(m, f)``), in the order of their
+    sorted positions, and the number of candidates examined: ``2**k`` for
+    each truth table read over ``k`` positions, so ``2`` for a range of one
+    position in no clause, and ``1`` for an empty range (a table of one
+    row). The clauses are one part's (:func:`repairs._split`), each inside
+    the range or with no position; a clause with no position always holds,
+    so it leaves no mask, and the count is ``0``.
 
     The top ``k = min(_TABLE_BITS, hi - lo)`` positions, from ``t = hi -
-    k`` up, are decided by a truth table (:func:`_table`): a clause that
-    ends at ``t`` or above holds at the rows where its bits from ``t`` up
+    k`` up, are decided by a truth table (:func:`_table`): a clause with a
+    bit at ``t`` or above holds at the rows where its bits from ``t`` up
     hold, the AND of their columns, once its bits below ``t`` agree with
     the prefix ``x``; the rows where none holds are the masks ``x | s <<
     t``. When ``t`` is ``lo`` the one prefix is ``0`` and the free rows
     are the masks. Otherwise the prefixes are the masks over ``lo`` to ``t
-    - 1``, found the same way, each with its free rows joined by
-    :func:`_join`, and every prefix costs one table read."""
+    - 1`` that make no clause ending below ``t`` hold, found the same way,
+    each with its free rows joined by :func:`_join`, and every prefix
+    costs one table read."""
     k = min(_TABLE_BITS, hi - lo)
     t = hi - k
     _, columns, complements = _table(k)
     shifted = _rows(k, t)
     full = (1 << (1 << k)) - 1
     below = (1 << t) - 1
-    # The rows where each clause that ends in the table holds: for all
-    # prefixes when it has no bit below ``t``, else only those that agree
-    # with its bits there.
-    always, late = 0, []
-    for i in range(t, hi):
-        for m, f in by_last[i]:
-            rows = full
-            for p in positions(m >> t):
-                rows &= columns[p] if f >> t + p & 1 else complements[p]
-            if m & below:
-                late.append((m & below, f & below, rows))
-            else:
-                always |= rows
+    # The rows where each clause in the table holds: for all prefixes when
+    # it has no bit below ``t``, else only those that agree with its bits
+    # there. The clauses that end below ``t`` go to the prefixes' search.
+    always, late, early = 0, [], []
+    for m, f in clauses:
+        if not m >> t:
+            early.append((m, f))
+            continue
+        rows = full
+        for p in positions(m >> t):
+            rows &= columns[p] if f >> t + p & 1 else complements[p]
+        if m & below:
+            late.append((m & below, f & below, rows))
+        else:
+            always |= rows
 
     def read(x: int, free: int) -> list[int]:
         # The rows of ``free``, as masks over the prefix ``x``: its binary
@@ -463,7 +448,7 @@ def _block_search(
         return list(map(x.__or__, rows) if x else rows)
 
     if t == lo:
-        return read(0, full ^ always), 1 << k
+        return ([], 0) if early else (read(0, full ^ always), 1 << k)
 
     def high(x: int, _) -> tuple[bool, list[int]]:
         bad = always
@@ -472,7 +457,7 @@ def _block_search(
                 bad |= rows
         return not bad & 1, read(x, full & ~(bad | 1))
 
-    prefixes, nodes = _block_search(by_last, lo, t)
+    prefixes, nodes = clause_search(early, lo, t)
     return _join(prefixes, prefixes, high), nodes + (len(prefixes) << k)
 
 

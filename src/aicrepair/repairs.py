@@ -417,9 +417,10 @@ def enumerate_classes(
     and split into parts, one per range of positions that no rule crosses
     (:func:`_split`). Each test is local to one rule or one atom, and
     change-minimality is minimality in a product order, so every class is
-    the product of its classes on the parts, each searched on its own: the
-    change-minimal weak repairs by the part's repair tree (:func:`_least`),
-    and, only for a weak class, every weak repair by the clause search.
+    the product of its classes on the parts. One loop visits each part
+    once and searches it on its own rules: the change-minimal weak repairs
+    by its repair tree (:func:`_least`), and, only for a weak class, every
+    weak repair by its clause search.
     Grounding is a cascade: the founded test runs once, on the part's weak
     repairs, else its change-minimal ones, whose every bit has a support
     clause. A justified set is founded, and normalizing keeps the support
@@ -442,43 +443,45 @@ def enumerate_classes(
         # Every member is inside the heads, and so are its subsets, the
         # weak repairs its minimality is tested against.
         essential = tuple(a for a in essential if a in heads)
+    weakly = not all(m for _, _, m in rows)
+    minimally = any(m for _, _, m in rows)
+    grounding = any(g for _, g, _ in rows)
+    walks = {n for n, g, _ in rows if g == "justified"}
+    blocks: dict = {c: [] for c in classes}
+    seen: set = set()
+    examined = 0
     ranges, parts = _split(_compile(db, program, essential), len(essential))
-    weak, minimal, examined = [], [], 0
-    if not all(m for _, _, m in rows):
-        clauses = chain.from_iterable(part.clauses for part in parts)
-        weak, examined = clause_search(clauses, ranges)
-    if any(m for _, _, m in rows):
-        seen: set = set()
-        minimal = [
-            _least(part.clauses, (1 << hi) - (1 << lo), seen)
-            for part, (lo, hi) in zip(parts, ranges)
-        ]
-        examined += len(seen)
-
-    # Per part, the founded ones of its weak repairs, else its change-minimal
-    # ones, whose every bit has a support clause; each walk keeps a sub-list.
-    keys = dict.fromkeys(row[:2] for row in rows if row[1])
-    grounded: dict = {key: [] for key in [(False, "founded"), *keys]}
-    for part, block in zip(parts, weak or minimal) if keys else ():
-        supported = sum(part.support)
-        founded = [x for x in block if not x & ~supported and part.founded(x)]
-        grounded[False, "founded"].append(founded)
-        for normalized in {n for n, g in keys if g == "justified"}:
-            walks = part.normalized() if normalized else part
-            grounded[normalized, "justified"].append([*filter(walks.justified, founded)])
-    reports = {}
-    for c in classes:
-        normalized, grounding, change_minimal = _TABLE[c]
+    for part, (lo, hi) in zip(parts, ranges):
+        weak = minimal = ()
+        if weakly:
+            weak, nodes = clause_search(part.clauses, lo, hi)
+            examined += nodes
+        if minimally:
+            minimal = _least(part.clauses, (1 << hi) - (1 << lo), seen)
+        # The founded ones of the part's weak repairs, else of its
+        # change-minimal ones, whose every bit has a support clause; each
+        # justified walk keeps a sub-list of them.
         if grounding:
-            blocks = grounded[normalized, grounding]
-            if change_minimal:
-                pairs = zip(minimal, blocks)
-                blocks = [[*filter(set(b).__contains__, m)] for m, b in pairs]
-        else:
-            blocks = minimal if change_minimal else weak
-        blocks = tuple(map(tuple, blocks))
-        reports[c] = Report(c, essential, blocks if all(blocks) else ((),), examined)
-    return reports
+            supported = sum(part.support)
+            founded = [
+                x for x in (weak if weakly else minimal)
+                if not x & ~supported and part.founded(x)
+            ]
+            justified = {
+                n: [*filter((part.normalized() if n else part).justified, founded)]
+                for n in walks
+            }
+        for c, (normalized, grounded, change_minimal) in zip(classes, rows):
+            block = minimal if change_minimal else weak
+            if grounded:
+                kept = founded if grounded == "founded" else justified[normalized]
+                block = [*filter(set(kept).__contains__, block)] if change_minimal else kept
+            blocks[c].append(tuple(block))
+    examined += len(seen)
+    return {
+        c: Report(c, essential, tuple(b) if all(b) else ((),), examined)
+        for c, b in blocks.items()
+    }
 
 
 def enumerate_repairs(

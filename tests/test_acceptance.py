@@ -1319,10 +1319,20 @@ def _block_gate() -> None:
         want = _CANONICAL[n]
         for m, f in clauses:
             want = [x for x in want if x & m != f]
-        blocks, nodes = clause_search(clauses, _ranges(clauses, n))
+        # Each range is searched on the clauses that lie in it; a clause
+        # with no position goes with the last, as the split puts it.
+        ranges, blocks = _ranges(clauses, n), []
+        for lo, hi in ranges:
+            own = [
+                (m, f) for m, f in clauses
+                if m >> lo and not m >> hi or not m and hi == n
+            ]
+            found, nodes = clause_search(own, lo, hi)
+            blocks.append(found)
+            where = f"block-search-{i}: {lo}-{hi}"
+            assert (nodes == 0) == any(not m for m, _ in own), where
         found = list(model._product(blocks))
         assert found == want, f"block-search-{i}: {n} positions, {clauses}"
-        assert (nodes == 0) == any(not m for m, _ in clauses), f"block-search-{i}"
 
 
 def test_block_search_matches_brute_force():
@@ -1372,7 +1382,8 @@ def test_table_search_matches_the_node_search_past_brute_force():
         actions = essential_actions(db, Universe(atoms))
         rules = repairs._compile(db, program, actions)
         clauses = repairs._Compiled(rules).clauses
-        blocks, _ = clause_search(clauses, repairs._split(rules, len(actions))[0])
+        ranges, parts = repairs._split(rules, len(actions))
+        blocks = [clause_search(p.clauses, lo, hi)[0] for p, (lo, hi) in zip(parts, ranges)]
         found = list(model._product(blocks))
         assert found == oracles.clause_search(clauses, len(actions)), where
 
@@ -1404,21 +1415,22 @@ def _components(rnd):
 
 def test_position_blocks_match_plain_scan(monkeypatch):
     blocks = {"contiguous": 0, "interleaved": 0}
-    block_search = model._block_search
+    search = model.clause_search
     depth = 0
 
-    def counting(by_last, lo, hi):
+    def counting(clauses, lo, hi):
         # A block wider than a table searches its low positions through
         # this name again; only the outermost call is a block.
         nonlocal depth
         blocks[naming] += not depth
         depth += 1
         try:
-            return block_search(by_last, lo, hi)
+            return search(clauses, lo, hi)
         finally:
             depth -= 1
 
-    monkeypatch.setattr(model, "_block_search", counting)
+    monkeypatch.setattr(model, "clause_search", counting)
+    monkeypatch.setattr(repairs, "clause_search", counting)
     aic_grounded = [c for c in RepairClass if repairs._TABLE[c][1]]
     for i in range(COMPONENT_INSTANCES):
         seed = f"position-blocks-{i}"
@@ -1706,7 +1718,7 @@ def test_the_split_partitions_the_compiled_rules():
             # A rule with no bit leaves the last range with no weak repair.
             if (0, 0, 0, 0) in rules:
                 assert (0, 0) in parts[-1].clauses, where
-                assert clause_search(parts[-1].clauses, ranges[-1:])[0] == [[]], where
+                assert clause_search(parts[-1].clauses, *ranges[-1]) == ([], 0), where
                 counts["no bit"] += 1
             counts["parts"] += len(parts) > 1
             counts["dual"] += any((te | hn) & (tn | he) for te, tn, he, hn in rules)

@@ -623,6 +623,22 @@ PINNED_OUTPUTS = {
 }
 
 
+def test_the_always_violated_constraint_translates_both_ways(tmp_path, capsys):
+    # ``-> false.`` is a well-formed AIC; its revision form is ``false <- .``,
+    # which translates back to it. Every set violates it, so neither
+    # program has a weak repair or a weak revision.
+    aic = tmp_path / "false.aic"
+    aic.write_text("db: .\naic: -> false.\n")
+    code, out, err = run(["translate", str(aic), "--to", "rev"], capsys)
+    assert (code, out, err) == (0, "db: .\nrev:\nfalse <- .\n", "")
+    rev = tmp_path / "false.rev"
+    rev.write_text(out)
+    code, out, err = run(["translate", str(rev), "--to", "aic"], capsys)
+    assert (code, out, err) == (0, "db: .\naic:\n-> false.\n", "")
+    code, out, _ = run(["revise", str(rev), "--class", "weak-revision"], capsys)
+    assert (code, out) == (0, "")
+
+
 def _pinned(out: str) -> tuple[int, str]:
     return out.count("\n"), hashlib.sha256(out.encode()).hexdigest()
 
@@ -1194,7 +1210,12 @@ def test_every_class_comes_from_one_scan_per_program(
     monkeypatch.chdir(GOLDEN)
     code, _, _ = run(argv, capsys)
     assert code == 0
-    assert len(calls) == scans
+    # A scan searches each range of positions on its own, on the range's
+    # clauses: mutual_pair_chain.rev has two ranges, so its two scans make
+    # 4 calls, and pair_delete.aic one.
+    ranges = {"pair_delete.aic": 1, "mutual_pair_chain.rev": 2}[argv[1]]
+    assert len(calls) == scans * ranges
+    assert len({(lo, hi) for _, lo, hi in calls}) == (ranges if scans else 0)
 
 
 @pytest.mark.parametrize(

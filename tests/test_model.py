@@ -276,11 +276,14 @@ def _compile(db, bodies, atoms) -> _Compiled:
 
 
 def _search(db, bodies, atoms) -> tuple[list[tuple], int]:
-    """Compile the bodies over ``atoms`` and search; the masks found, the
-    product of the blocks searched, come back as position tuples."""
+    """Compile the bodies over ``atoms`` and search each part on its own;
+    the masks found, the product of the parts' blocks, come back as
+    position tuples, with the candidates examined summed over the parts."""
     compiled = _compile(db, bodies, atoms)
-    ranges, _ = repairs._split(compiled.rules, len(atoms))
-    blocks, nodes = clause_search(compiled.clauses, ranges)
+    ranges, parts = repairs._split(compiled.rules, len(atoms))
+    searched = [clause_search(p.clauses, lo, hi) for p, (lo, hi) in zip(parts, ranges)]
+    blocks = [found for found, _ in searched]
+    nodes = sum(n for _, n in searched)
     return [tuple(positions(x)) for x in _product(blocks)], nodes
 
 
@@ -399,9 +402,12 @@ def test_aic_rule_nup_is_the_rest_of_the_body():
     assert r.atoms() == frozenset({"a", "c"})
 
 
-def test_rev_rule_needs_some_content():
-    with pytest.raises(InputError):
-        RevRule(frozenset(), frozenset())
+def test_rev_rule_may_have_neither_head_nor_body():
+    # ``false <- .``, the constraint that every set violates, as the AIC
+    # ``-> false.`` is.
+    rule = RevRule(frozenset(), frozenset())
+    assert str(rule) == "false <- ."
+    assert rule.normal and rule.proper and rule.atoms() == frozenset()
 
 
 def test_rev_rule_properness():

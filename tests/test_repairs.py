@@ -3,12 +3,13 @@ enumeration behaviour (atom bound, canonical order)."""
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import gen
 import oracles
-from aicrepair import repairs
+from aicrepair import repairs, revisions
 from aicrepair.errors import (
     UniverseTooLarge,
     UnknownAtom,
@@ -25,9 +26,10 @@ from aicrepair.repairs import (
     _compile,
     _least,
 )
-from aicrepair.syntax import parse_actions, parse_program
+from aicrepair.syntax import parse_actions, parse_instance, parse_program
 from aicrepair.transforms import normalize_aic
 
+GOLDEN = Path(__file__).parent / "golden"
 CHAIN = parse_program("not a -> +a.\na, not b -> +b.", "aic")
 PAIR = parse_program("a, b -> -a | -b.", "aic")
 
@@ -333,6 +335,46 @@ def test_the_repair_tree_counts_the_sets_it_visits():
     report = enumerate_repairs(frozenset({"a", "b"}), PAIR, RepairClass.REPAIR)
     assert report.sets == (uas("-a"), uas("-b"))
     assert report.examined == 3
+
+
+#: Per instance of several ranges, the sets examined by one engine call
+#: for every class, for the change-minimal class alone and for the weak
+#: class alone: the tree's sets and the tables' rows, summed over ranges.
+EXAMINED = {
+    "wall42.aic": (231, 67, 164),
+    "weak26.aic": (115, 15, 100),
+    "widetop23.aic": (32_817, 1, 32_816),
+    "mutual_pair_chain.rev": (11, 3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMINED))
+def test_examined_sums_over_the_ranges(name):
+    instance = parse_instance((GOLDEN / name).read_text())
+    db, program, uni = instance.db, instance.program, instance.universe()
+    engine, kinds = (
+        (revisions, revisions.RevisionClass) if name.endswith(".rev")
+        else (repairs, RepairClass)
+    )
+    kinds = list(kinds)
+    got = []
+    for classes in (kinds, kinds[1:2], kinds[:1]):
+        reports = engine.enumerate_classes(db, program, classes, uni, Limits(64))
+        assert len({r.examined for r in reports.values()}) == 1, name
+        got.append(reports[classes[0]].examined)
+    assert tuple(got) == EXAMINED[name]
+
+
+def test_a_rule_with_no_bit_leaves_the_earlier_ranges_searched():
+    # ``-> false`` has no bit, so it goes to the last of the two ranges and
+    # empties every class; the range of ``a`` is still searched: a weak
+    # class reads its table of 2 rows, and the repair tree visits the empty
+    # set and ``-a``.
+    instance = parse_instance("universe: a, b. db: a. aic: a -> -a. -> false.")
+    db, program, uni = instance.db, instance.program, instance.universe()
+    for cls in (RepairClass.WEAK_REPAIR, RepairClass.REPAIR):
+        report = repairs.enumerate_classes(db, program, [cls], uni)[cls]
+        assert (report.blocks, report.size, report.examined) == (((),), 0, 2)
 
 
 def test_no_class_asked_for_searches_nothing(monkeypatch):

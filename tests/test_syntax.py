@@ -23,6 +23,7 @@ from aicrepair.syntax import (
     parse_rev_literals,
     print_instance,
 )
+from aicrepair.transforms import to_aic, to_rev
 
 GOLDEN = Path(__file__).parent / "golden"
 INSTANCE_FILES = sorted(
@@ -194,9 +195,17 @@ def test_empty_lp_rule_is_rejected():
         parse_program("false :- .", "lp")
 
 
-def test_empty_rev_rule_is_rejected():
-    with pytest.raises(InputError, match="a revision rule needs a head or a body"):
-        parse_program("false <- .", "rev")
+def test_empty_rev_rule_is_the_always_violated_constraint():
+    # ``false <- .`` is the revision form of ``-> false.``: the translation
+    # maps each to the other. ``lp:`` has no translation and still refuses
+    # a rule with neither head nor body.
+    (rule,) = parse_program("false <- .", "rev")
+    assert str(rule) == "false <- ."
+    (aic,) = to_aic((rule,))
+    assert str(aic) == "-> false."
+    assert to_rev((aic,)) == (rule,)
+    with pytest.raises(ParseError, match="a rule needs a head or a body"):
+        parse_program("false :- .", "lp")
 
 
 def test_parse_program_rejects_trailing_tokens():
