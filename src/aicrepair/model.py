@@ -522,28 +522,35 @@ def _concat(text: str, rest) -> list[str]:
     return [text + t for t in rest]
 
 
-def walk(start: int, branch, seen: set[int] | None = None) -> Iterator[int]:
-    """Yield the leaves reached upward from the mask ``start``, visiting
-    each mask once.
+def walk(
+    clauses: Sequence[tuple[int, int]], moves: int, seen: set[int] | None = None
+) -> Iterator[int]:
+    """Yield the leaves of the repair tree of ``clauses`` inside ``moves``,
+    visiting each mask once, upward from the empty set.
 
-    ``branch(s)`` returns ``None`` at a leaf, or else the mask of the bits
-    outside ``s`` to add one at a time (``0``: a dead end); ``seen``, when
-    given, collects the masks visited. Completeness: if every non-leaf set
-    inside a target ``T`` that holds ``start`` offers a move inside ``T``,
-    the walk reaches a leaf inside ``T``: it expands every set it visits,
-    and sets only grow inside the finite ``T``."""
+    At a mask ``s`` the first clause ``(m, f)`` with ``s & m == f`` holds,
+    and ``s`` branches on the bits of ``m & moves`` it leaves alone, one at
+    a time (none: a dead end); a mask where no clause holds is a leaf.
+    ``seen``, when given, collects the masks visited. Inside any mask
+    ``t`` of ``moves`` where no clause holds lies a leaf: above any ``s``
+    inside ``t``, ``t`` keeps the bits of ``s`` and breaks the clause that
+    holds at ``s``, so it holds one of the branches. So every minimal such
+    mask is a leaf."""
     seen = set() if seen is None else seen
-    seen.add(start)
-    todo = [start]
+    seen.add(0)
+    todo = [0]
     while todo:
         s = todo.pop()
-        moves = branch(s)
-        if moves is None:
+        for m, f in clauses:
+            if s & m == f:
+                branches = m & moves & ~s
+                break
+        else:
             yield s
             continue
-        while moves:
-            b = moves & -moves
-            moves ^= b
+        while branches:
+            b = branches & -branches
+            branches ^= b
             if s | b not in seen:
                 seen.add(s | b)
                 todo.append(s | b)

@@ -160,14 +160,14 @@ class _Compiled:
                     support.setdefault(b, []).append((te | tn | he & ~b | hn, te | hn))
         self.support = support
 
-    def normalized(self) -> "_Compiled":
-        """The normalized program, split from :attr:`rules`: it keeps each
-        body, so a rule splits into one per head bit ``b`` (both, for a bit
-        in ``he`` and ``hn``), its trigger the body but ``b``'s dual. Every
-        head action of a kept rule has a bit: an essential one is a
+    def normalized(self) -> list[tuple[int, int, int, int]]:
+        """The rules of the normalized program, split from :attr:`rules`,
+        all the justified test (:func:`_justified`) reads of it: it keeps
+        each body, so a rule splits into one per head bit ``b`` (both, for
+        a bit in ``he`` and ``hn``), its trigger the body but ``b``'s dual.
+        Every head action of a kept rule has a bit: an essential one is a
         position, and a no-effect one's dual fails in ``db``, so without a
-        bit its rule is dropped. An empty head stays, as does the program
-        when no rule splits."""
+        bit its rule is dropped. An empty head stays."""
         out = []
         for te, tn, he, hn in self.rules:
             t, h, y = te | hn, tn | he, he | hn
@@ -180,7 +180,7 @@ class _Compiled:
                     out.append((t, h & ~b, b, 0))
                 if hn & b:
                     out.append((t & ~b, h, 0, b))
-        return self if len(out) == len(self.rules) else _Compiled(out)
+        return out
 
     def founded(self, x: int) -> bool:
         support, y = self.support, x
@@ -191,30 +191,26 @@ class _Compiled:
                 return False
         return True
 
-    def justified(self, x: int) -> bool:
-        """``x``, a weak repair of the compiled program, and its no-effect
-        actions ``ne`` form a justified action set: no ``ne | e`` with
-        ``e`` a proper subset of ``x`` is closed. Only a rule whose
-        no-effect trigger avoids ``x`` and whose no-effect head lies inside
-        ``x`` can be violated: by ``ne | e`` when ``e`` holds its essential
-        trigger and none of its essential head. For ``e = x`` its whole
-        body would hold in ``db∘x``, so ``x | ne`` is closed as ``x`` is
-        weak. The test is a :func:`walk` from ``ne``: a violating set grows
-        by one of the rule's head bits in ``x``, one of which any closed
-        set above it inside ``x | ne`` holds. It branches only at
-        disjunctive heads; on a normal program it is the least closure of
-        ``ne``."""
-        live = [
-            (te, he) for te, tn, he, hn in self.rules if not tn & x and not hn & ~x
-        ]
 
-        def branch(s):
-            for te, he in live:
-                if not te & ~s and not he & s:
-                    return he & x
-            return None
-
-        return all(leaf == x for leaf in walk(0, branch))
+def _justified(rules: list[tuple[int, int, int, int]], x: int) -> bool:
+    """``x``, a weak repair of the compiled ``rules``, and its no-effect
+    actions ``ne`` form a justified action set: no ``ne | e`` with ``e`` a
+    proper subset of ``x`` is closed. Only a rule whose no-effect trigger
+    avoids ``x`` and whose no-effect head lies inside ``x`` can be
+    violated: by ``ne | e`` when ``e`` holds its essential trigger and none
+    of its essential head, that is when its clause ``(te | he, te)`` holds.
+    A rule whose trigger holds one of its own head bits is never violated,
+    so it gives no clause. For ``e = x`` its whole body would hold in
+    ``db∘x``, so ``x | ne`` is closed as ``x`` is weak. So ``x`` is
+    justified when the repair tree (:func:`walk`) of these clauses inside
+    ``x`` has no leaf but ``x``. It branches only at disjunctive heads; on
+    a normal program it is the least closure of ``ne``."""
+    clauses = [
+        (te | he, te)
+        for te, tn, he, hn in rules
+        if not (tn & x or hn & ~x or te & he)
+    ]
+    return all(leaf == x for leaf in walk(clauses, x))
 
 
 def _split(rules: list, n: int) -> tuple[list[tuple[int, int]], list[_Compiled]]:
@@ -256,34 +252,19 @@ def is_founded_set(db: frozenset[str], program: AicProgram, actions) -> bool:
     )
 
 
-def _tree(clauses: list[tuple[int, int]], moves: int):
-    """The branch function of the repair tree, a :func:`walk` from the
-    empty set: at a mask ``s`` the first rule whose whole body holds in
-    ``db∘s`` branches on every body bit that ``s`` leaves alone and that
-    ``moves`` holds, and its leaves are weak repairs. Every change-minimal
-    weak repair ``m`` inside the moves is a leaf: above any ``s`` inside
-    ``m``, ``m`` keeps the flips of ``s`` and satisfies the rule, so it
-    flips one."""
-    def branch(s):
-        for m, f in clauses:
-            if s & m == f:
-                return m & moves & ~s
-        return None
-    return branch
-
-
 def _least(
     clauses: list[tuple[int, int]], moves: int, seen: set | None = None
 ) -> list[int]:
     """The change-minimal weak repairs inside ``moves``, in canonical
-    order: the leaves of the repair tree (:func:`_tree`). Every weak repair
+    order, among the leaves of the repair tree of ``clauses`` inside
+    ``moves`` (:func:`walk`), which are weak repairs. Every weak repair
     holds a change-minimal one, so a leaf is change-minimal when it holds
     none of the leaves kept before it, smallest first. Each position's
     column has a bit per kept leaf that flips it: a leaf ``u`` holds none
     of them when the columns of the moves outside ``u`` cover every one."""
     kept: list[int] = []
     columns = [0] * moves.bit_length()
-    for u in sorted(walk(0, _tree(clauses, moves), seen), key=int.bit_count):
+    for u in sorted(walk(clauses, moves, seen), key=int.bit_count):
         outside = 0
         for p in positions(moves & ~u):
             outside |= columns[p]
@@ -354,12 +335,12 @@ def check_membership(
     # so the justified walk runs only on a founded set.
     if grounding and not compiled.founded(x):
         return False
-    walks = compiled.normalized() if normalized else compiled
-    if grounding == "justified" and not walks.justified(x):
+    rules = compiled.normalized() if normalized else compiled.rules
+    if grounding == "justified" and not _justified(rules, x):
         return False
     # Change-minimal when the repair tree over its own bits has no leaf
     # but itself: the walk stops at the first other one.
-    return not minimal or all(leaf == x for leaf in walk(0, _tree(compiled.clauses, x)))
+    return not minimal or all(leaf == x for leaf in walk(compiled.clauses, x))
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +448,10 @@ def enumerate_classes(
                 x for x in (weak if weakly else minimal)
                 if not x & ~supported and part.founded(x)
             ]
-            justified = {
-                n: [*filter((part.normalized() if n else part).justified, founded)]
-                for n in walks
-            }
+            justified = {}
+            for n in walks:
+                rules = part.normalized() if n else part.rules
+                justified[n] = [x for x in founded if _justified(rules, x)]
         for c, (normalized, grounded, change_minimal) in zip(classes, rows):
             block = minimal if change_minimal else weak
             if grounded:

@@ -1187,7 +1187,7 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
     got = {"wr": set(weak), "fwr": set(), "jwr": set(), "njwr": set()}
     for actions in (essential, tuple(a for a in essential if a in heads)):
         compiled = repairs._Compiled(repairs._compile(db, program, actions))
-        normalized = repairs._Compiled(repairs._compile(db, norm, actions))
+        normalized = compiled.normalized()
         least = sorted(
             (
                 sum(1 << i for i, a in enumerate(actions) if a in u)
@@ -1207,9 +1207,9 @@ def _masks_match_sets(db, program, uni, seed) -> dict:
             where = f"{seed}: {format_set(u)} over {len(actions)} positions"
             founded = compiled.founded(x)
             assert founded == repairs.is_founded_set(db, program, u), where
-            justified = compiled.justified(x)
+            justified = repairs._justified(compiled.rules, x)
             assert justified == _justified_on_sets(db, program, u, uni.atoms), where
-            njustified = normalized.justified(x)
+            njustified = repairs._justified(normalized, x)
             assert njustified == _justified_on_sets(db, norm, u, uni.atoms), where
             for key, member in (("fwr", founded), ("jwr", justified), ("njwr", njustified)):
                 if member:
@@ -1607,7 +1607,7 @@ def _pairwise_least(clauses, moves) -> list[int]:
     smallest first, a leaf is kept when no leaf kept before it is inside
     it."""
     kept: list[int] = []
-    for u in sorted(model.walk(0, repairs._tree(clauses, moves)), key=int.bit_count):
+    for u in sorted(model.walk(clauses, moves), key=int.bit_count):
         if all(v & u != v for v in kept):
             kept.append(u)
     return sorted(kept, key=positions)

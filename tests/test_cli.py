@@ -1230,15 +1230,16 @@ def test_every_class_comes_from_one_scan_per_program(
 def test_change_minimal_sets_come_from_one_tree_per_engine_call(
     argv, trees, capsys, monkeypatch
 ):
-    calls = _count_calls(monkeypatch, "_tree")
+    # An enumeration runs one tree per range of positions (``_least``),
+    # whose moves are the range: mutual_pair_chain.rev has two ranges,
+    # pair_delete.aic one. A check walks one tree, over the candidate's own
+    # bits.
+    calls = _count_calls(monkeypatch, "walk" if argv[0] == "check" else "_least")
     enumerations = _count_calls(monkeypatch, "enumerate_classes")
     monkeypatch.chdir(GOLDEN)
     code, _, _ = run(argv, capsys)
     assert code == 0
-    # An enumeration runs one tree per range of positions, whose moves
-    # are the range: mutual_pair_chain.rev has two ranges, pair_delete.aic
-    # one. A check runs one tree, over the candidate's own bits.
-    assert len(calls) == trees * len({moves for _, moves in calls})
+    assert len(calls) == trees * len({args[1] for args in calls})
     if argv[0] == "lattice":
         assert len(enumerations) == trees
 

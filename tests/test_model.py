@@ -1,6 +1,5 @@
 """Core model: literals, actions, the update algebra, and universes."""
 
-import collections
 import copy
 import itertools
 import os
@@ -324,26 +323,42 @@ def test_clause_search_compiles_each_body_once():
     assert _search(db, [{a}], ("a", "b"))[1] == 2 + 2
 
 
+class _Scanned(list):
+    """Clauses that count the masks whose clauses the walk scans."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
 def test_walk_visits_each_set_once_and_yields_only_leaves():
-    calls = collections.Counter()
-
-    def branch(s):
-        calls[s] += 1
-        if s == 0b001:
-            return 0  # a dead end
-        return None if s == 0b111 else 0b111 & ~s
-
+    # Over the moves 0b111: the first clause holds at the empty set and
+    # branches on all three bits. The second holds wherever bit 0 is set,
+    # but its only other bit is outside the moves: a dead end. The third
+    # and fourth hold at {1} and at {2}, and both branch to {1, 2}, a leaf,
+    # which the walk visits once.
+    clauses = _Scanned([(0b0111, 0), (0b1001, 0b0001), (0b0110, 0b0010), (0b0110, 0b0100)])
     seen = set()
-    assert list(walk(0, branch, seen)) == [0b111]
-    assert set(calls.values()) == {1}
-    assert seen == set(calls) == set(range(8))
+    assert list(walk(clauses, 0b111, seen)) == [0b110]
+    assert seen == {0b000, 0b001, 0b010, 0b100, 0b110}
+    assert clauses.scans == len(seen)
+    # Low bit pushed first, last pushed popped first: of two leaves, the
+    # higher one comes first.
+    assert list(walk([(0b11, 0)], 0b11)) == [0b10, 0b01]
 
 
 def test_walk_from_a_dead_end_or_a_leaf():
+    # No clause holds at the empty set: it is the one leaf.
     seen = set()
-    assert list(walk(0b10, lambda s: 0, seen)) == []
-    assert seen == {0b10}
-    assert list(walk(0b10, lambda s: None)) == [0b10]
+    assert list(walk([], 0b11, seen)) == [0]
+    assert seen == {0}
+    assert list(walk([(0b1, 0b1)], 0b1)) == [0]
+    # A clause holds at the empty set, but its bit is outside the moves.
+    seen = set()
+    assert list(walk([(0b100, 0)], 0b11, seen)) == []
+    assert seen == {0}
 
 
 # ---------------------------------------------------------------------------

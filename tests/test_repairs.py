@@ -172,10 +172,10 @@ def test_the_normalized_program_is_split_from_the_compiled_rules():
         for actions in (essential, tuple(a for a in essential if a in heads)):
             compiled = _Compiled(_compile(db, program, actions))
             want = _compile(db, normalize_aic(program), actions)
-            assert Counter(compiled.normalized().rules) == Counter(want), i
+            assert Counter(compiled.normalized()) == Counter(want), i
     # A normal program is its own normalization.
     compiled = _Compiled(_compile(frozenset(), CHAIN, uas("+a, +b")))
-    assert compiled.normalized() is compiled
+    assert compiled.normalized() == compiled.rules
 
 
 def test_every_justified_walk_runs_on_a_founded_set(monkeypatch):
@@ -186,17 +186,17 @@ def test_every_justified_walk_runs_on_a_founded_set(monkeypatch):
     # the positions that call searched: its report's actions, or the
     # essential actions for a membership check.
     walked, calls = [], []
-    justified = _Compiled.justified
+    justified = repairs._justified
 
-    def recording(self, x):
+    def recording(rules, x):
         walked.append(x)
-        return justified(self, x)
+        return justified(rules, x)
 
     def searched(actions):
         calls.extend((actions, x) for x in walked)
         walked.clear()
 
-    monkeypatch.setattr(_Compiled, "justified", recording)
+    monkeypatch.setattr(repairs, "_justified", recording)
     classes = [c for c in RepairClass if repairs._TABLE[c][1] == "justified"]
     rnd = random.Random("cascade")
     unfounded = walks = 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gen
+from aicrepair import repairs, revisions
 from aicrepair.errors import NotProperProgram, UnknownAtom
 from aicrepair.model import (
     AicRule,
@@ -16,6 +17,8 @@ from aicrepair.model import (
     is_normal,
     is_proper,
 )
+from aicrepair.repairs import RepairClass
+from aicrepair.revisions import RevisionClass
 from aicrepair.syntax import parse_program
 from aicrepair.transforms import (
     normalize_aic,
@@ -190,6 +193,42 @@ def test_shift_instance_builds_a_witness():
     assert witness.shifted_program == aic("not a, b -> +a | -b.")
     back = witness.transport(witness.transport([frozenset({UpdateAction("a", False)})]))
     assert back == (frozenset({UpdateAction("a", False)}),)
+
+
+def test_shifting_transports_the_searched_actions():
+    # Shifting flips the database at exactly the atoms whose actions it
+    # dualizes, so both sides of a shift search the same positions: the
+    # transport of one side's actions is the other's, position for
+    # position, as update actions and as revision literals, over all
+    # essential actions and over the head actions alone (a request of
+    # grounded classes only).
+    rnd = random.Random("shift-transport")
+    for i in range(3000):
+        atoms = gen.atom_pool(rnd, rnd.randint(1, 8))
+        uni, db = Universe(atoms), gen.database(rnd, atoms)
+        by = frozenset(a for a in atoms if rnd.random() < 0.5)
+        for engine, program, classes in (
+            (
+                repairs,
+                gen.aic_program(rnd, atoms),
+                (RepairClass.WEAK_REPAIR, RepairClass.FOUNDED_REPAIR),
+            ),
+            (
+                revisions,
+                gen.rev_program(rnd, atoms),
+                (RevisionClass.WEAK_REVISION, RevisionClass.JUSTIFIED_REVISION),
+            ),
+        ):
+            witness = shift_instance(db, program, by, uni)
+            for c in classes:
+                actions, shifted = (
+                    engine.enumerate_classes(d, p, [c], uni)[c].actions
+                    for d, p in (
+                        (db, program),
+                        (witness.shifted_db, witness.shifted_program),
+                    )
+                )
+                assert witness.transport(actions) == shifted, (i, c)
 
 
 def test_shift_instance_validates_the_shift_set():
