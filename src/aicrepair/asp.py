@@ -16,7 +16,7 @@ insert. Any program is first made simple without changing its answer sets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
 
@@ -29,8 +29,6 @@ from .model import (
     Literal,
     Universe,
     UpdateAction,
-    _product,
-    members,
 )
 from .repairs import RepairClass
 
@@ -118,22 +116,24 @@ def enumerate_answer_sets(
     universe: Universe | None = None,
     limits: Limits | None = None,
 ) -> repairs.Report:
-    """The answer sets as a report: the justified weak repairs of the
-    simplified program's encoding over the empty database. Every action
-    is an insertion, so canonical order is atom order. The universe and
-    its atom bound are those of the program as given."""
+    """The answer sets as a report over atom names: the justified weak
+    repairs of the simplified program's encoding over the empty database,
+    each insertion read as its atom. Every action is an insertion, so
+    canonical order is atom order. The universe and its atom bound are
+    those of the program as given."""
     uni = Universe.collect(program) if universe is None else universe
     atoms = chain.from_iterable(chain.from_iterable(map(_PARTS, program)))
     if not uni.covers(atoms):
         for r in program:
             uni.require(r.atoms(), "rule")
-    return repairs.enumerate_repairs(
+    report = repairs.enumerate_repairs(
         frozenset(),
         aic_of_program(_simplified(program)),
         RepairClass.JUSTIFIED_WEAK_REPAIR,
         uni,
         limits,
     )
+    return replace(report, actions=tuple(a.atom for a in report.actions))
 
 
 def answer_sets(
@@ -142,9 +142,7 @@ def answer_sets(
     limits: Limits | None = None,
 ) -> tuple[frozenset[str], ...]:
     """All answer sets, sorted (:func:`enumerate_answer_sets`)."""
-    report = enumerate_answer_sets(program, universe, limits)
-    atoms = tuple(a.atom for a in report.actions)
-    return tuple(members(atoms, _product(report.blocks)))
+    return enumerate_answer_sets(program, universe, limits).sets
 
 
 def aic_of_rule(rule: LpRule) -> AicRule:

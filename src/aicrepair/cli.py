@@ -34,11 +34,12 @@ Exit codes: 0 on success, 1 when the computation is refused (for example
 the universe exceeds the exhaustive bound), 2 on malformed input. A
 refused or malformed request prints nothing on stdout: ``shift --verify``
 verifies before it prints the shifted instance.
-Diagnostics go to stderr; ``--format json`` wraps results in a versioned
-object (``"schema": 1``). Listings, text or JSON, answer sets included,
-are written from the blocks of a report, never from its full member
-list, a slice of sets per write (:func:`_write_sets`); ``cqa`` counts
-per block.
+A request that runs out of memory is refused too. Diagnostics go to
+stderr; ``--format json`` wraps results in a versioned object
+(``"schema": 1``). Listings, text or JSON, answer sets included, are
+written from the blocks of a report, never from its full member list, a
+slice of sets per write (:func:`_write_sets`); every other question about
+a class's members is the report's own (:class:`repairs.Report`).
 """
 
 from __future__ import annotations
@@ -192,11 +193,10 @@ class _Listing:
             self.parts, self.room = [], _SLICE
 
 
-def _write_sets(
-    actions: tuple, blocks, head: str, tail: str, quote=str, between=""
-) -> None:
-    """Write the set of ``actions`` at each mask of the product of
-    ``blocks`` (:func:`model._product`), in canonical order, as ``head``,
+def _write_sets(report, head: str, tail: str, quote=str, between="") -> None:
+    """Write each member of ``report`` (:class:`repairs.Report`), the set
+    of its ``actions`` at each mask of the product of its ``blocks``
+    (:func:`model._product`), in canonical order, as ``head``,
     its names (through ``quote``) in canonical order joined by ``", "``,
     and ``tail``, with ``between`` between sets, ``_SLICE`` sets per write
     (:class:`_Listing`). The top, held as text with each block's masks
@@ -207,8 +207,8 @@ def _write_sets(
     member's own row comes first when the top holds the empty set, and its
     run once the members that extend it are written. With no top (one
     block), the rows are the lower members themselves, a slice at a time."""
-    blocks = [block for block in blocks if block != (0,)]  # {∅} changes no product
-    label = functools.partial(_texts, [quote(str(a)) for a in actions])
+    blocks = [b for b in report.blocks if b != (0,)]  # {∅} changes no product
+    label = functools.partial(_texts, [quote(str(a)) for a in report.actions])
     j, size = len(blocks), 1
     while j > 1 and (
         size * len(blocks[j - 1]) <= _SLICE or math.prod(map(len, blocks[:j])) > size
@@ -233,7 +233,7 @@ def _write_sets(
 def _print_json(**fields) -> None:
     """Write one JSON object as ``json.dumps`` would: the schema version,
     then ``fields`` in order. A listing (a partial :func:`_write_sets` over
-    its actions and blocks) is written in slices where its value goes."""
+    its report) is written in slices where its value goes."""
     listings: list = []
     text = json.dumps(
         {"schema": SCHEMA_VERSION, **fields},
@@ -252,25 +252,24 @@ def _print_instance(instance: Instance, **changes) -> None:
     sys.stdout.write(print_instance(dataclasses.replace(instance, **changes)))
 
 
-def _enumerate(kind: _Kind, args, universe, db, program, classes) -> tuple:
-    """The actions searched and the report of every requested class, from
-    one engine call over ``universe``."""
-    reports = kind.engine.enumerate_classes(db, program, classes, universe, args.limits)
-    return reports[classes[0]].actions, reports
+def _list(args, report, **fields) -> int:
+    """Every member of ``report``, a line each, or as the ``sets`` of a
+    JSON object after ``fields``."""
+    sets = functools.partial(_write_sets, report)
+    if args.format == "json":
+        _print_json(**fields, sets=sets)
+    else:
+        sets("{", "}\n")
+    return 0
 
 
 def cmd_enumerate(args, instance: Instance, kind: _Kind) -> int:
     """``repair`` and ``revise``: every member of one class."""
-    cls = args.cls
-    actions, reports = _enumerate(
-        kind, args, instance.universe(), instance.db, instance.program, [cls]
+    cls, db, program = args.cls, instance.db, instance.program
+    reports = kind.engine.enumerate_classes(
+        db, program, [cls], instance.universe(), args.limits
     )
-    if args.format == "json":
-        sets = functools.partial(_write_sets, actions, reports[cls].blocks)
-        _print_json(**{"class": cls.value}, sets=sets)
-    else:
-        _write_sets(actions, reports[cls].blocks, "{", "}\n")
-    return 0
+    return _list(args, reports[cls], **{"class": cls.value})
 
 
 def cmd_check(args, instance: Instance, kind: _Kind) -> int:
@@ -327,32 +326,25 @@ def _verify_shift(instance: Instance, kind: _Kind, universe, witness, args) -> i
     each rule compiles to the same bits and both sides split at the same
     ranges: the classes match exactly when their blocks do. But no
     transported set holds a bit of ``moved``, whose shifted action is not
-    the transported one; a class with a member must have it in no mask."""
-    classes = _classes(instance)
-    actions, original = _enumerate(
-        kind, args, universe, instance.db, instance.program, classes
+    the transported one, so no member may flip it."""
+    classes, limits = _classes(instance), args.limits
+    enumerate_classes = kind.engine.enumerate_classes
+    original = enumerate_classes(instance.db, instance.program, classes, universe, limits)
+    shifted = enumerate_classes(
+        witness.shifted_db, witness.shifted_program, classes, universe, limits
     )
-    shifted_actions, shifted = _enumerate(
-        kind, args, universe, witness.shifted_db, witness.shifted_program, classes
-    )
-    pairs = zip(witness.transport(actions), shifted_actions)
+    first = classes[0]
+    pairs = zip(witness.transport(original[first].actions), shifted[first].actions)
     moved = sum(1 << i for i, (a, b) in enumerate(pairs) if a != b)
     for cls, rep in original.items():
-        masks = itertools.chain.from_iterable(rep.blocks)
-        if rep.blocks != shifted[cls].blocks or rep.size and any(x & moved for x in masks):
+        if rep.blocks != shifted[cls].blocks or rep.flipped & moved:
             raise Refusal(f"shift verification failed for {cls.value}")
     return len(classes)
 
 
 def cmd_answer_sets(args, instance: Instance, kind: None) -> int:
-    report = asp.enumerate_answer_sets(instance.program, instance.universe(), args.limits)
-    atoms = tuple(a.atom for a in report.actions)  # every action is an insertion
-    sets = functools.partial(_write_sets, atoms, report.blocks)
-    if args.format == "json":
-        _print_json(sets=sets)
-    else:
-        sets("{", "}\n")
-    return 0
+    program, universe = instance.program, instance.universe()
+    return _list(args, asp.enumerate_answer_sets(program, universe, args.limits))
 
 
 def cmd_cqa(args, instance: Instance, kind: _Kind) -> int:
@@ -384,28 +376,22 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
     a weak class, so both search every essential action, and the program
     and its normalization have the same bodies, so every report is a
     product over the same ranges (:class:`repairs.Report`): ``==``
-    compares blocks, and ``A <= B`` holds when ``A`` has no member or each
-    block of ``A`` is inside the block of ``B`` over its range."""
+    compares blocks, and ``<=`` compares them range by range."""
     wr, r, fwr, fr, jwr, jr, njwr, njr = classes[:8]
-
-    def within(a: repairs.Report, c) -> bool:
-        pairs = zip(a.blocks, base[c].blocks)
-        return not a.size or all(set(x) <= set(y) for x, y in pairs)
-
     n = "normalized:"
     relations = [
         (f"{n}{jr.value} == {n}{jwr.value}", base[njr].blocks == base[njwr].blocks),
-        (f"{n}{jr.value} <= {jr.value}", within(base[njr], jr)),
-        (f"{jr.value} <= {fr.value}", within(base[jr], fr)),
-        (f"{fr.value} <= {r.value}", within(base[fr], r)),
+        (f"{n}{jr.value} <= {jr.value}", base[njr] <= base[jr]),
+        (f"{jr.value} <= {fr.value}", base[jr] <= base[fr]),
+        (f"{fr.value} <= {r.value}", base[fr] <= base[r]),
         (f"{r.value} == {n}{r.value}", base[r].blocks == norm[r].blocks),
         (f"{n}{fr.value} == {fr.value}", norm[fr].blocks == base[fr].blocks),
-        (f"{jr.value} <= {jwr.value}", within(base[jr], jwr)),
-        (f"{fr.value} <= {fwr.value}", within(base[fr], fwr)),
-        (f"{r.value} <= {wr.value}", within(base[r], wr)),
-        (f"{n}{jwr.value} <= {jwr.value}", within(base[njwr], jwr)),
-        (f"{jwr.value} <= {fwr.value}", within(base[jwr], fwr)),
-        (f"{fwr.value} <= {wr.value}", within(base[fwr], wr)),
+        (f"{jr.value} <= {jwr.value}", base[jr] <= base[jwr]),
+        (f"{fr.value} <= {fwr.value}", base[fr] <= base[fwr]),
+        (f"{r.value} <= {wr.value}", base[r] <= base[wr]),
+        (f"{n}{jwr.value} <= {jwr.value}", base[njwr] <= base[jwr]),
+        (f"{jwr.value} <= {fwr.value}", base[jwr] <= base[fwr]),
+        (f"{fwr.value} <= {wr.value}", base[fwr] <= base[wr]),
         (f"{wr.value} == {n}{wr.value}", base[wr].blocks == norm[wr].blocks),
         (f"{n}{fwr.value} == {fwr.value}", norm[fwr].blocks == base[fwr].blocks),
     ]
@@ -417,22 +403,18 @@ def _relations(base: dict, norm: dict, classes) -> list[tuple[str, bool]]:
 
 
 def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
-    classes, universe = _classes(instance), instance.universe()
-    actions, reports = _enumerate(
-        kind, args, universe, instance.db, instance.program, classes
-    )
+    classes, universe, db = _classes(instance), instance.universe(), instance.db
+    enumerate_classes = kind.engine.enumerate_classes
+    reports = enumerate_classes(db, instance.program, classes, universe, args.limits)
     relations = None
     if args.verify:
         normalized = kind.normalize(instance.program)
-        _, norm = _enumerate(kind, args, universe, instance.db, normalized, classes[:4])
+        norm = enumerate_classes(db, normalized, classes[:4], universe, args.limits)
         relations = _relations(reports, norm, classes)
     violated = [text for text, holds in relations or () if not holds]
 
     if args.format == "json":
-        sets = {
-            c.value: functools.partial(_write_sets, actions, reports[c].blocks)
-            for c in classes
-        }
+        sets = {c.value: functools.partial(_write_sets, reports[c]) for c in classes}
         fields: dict = {"classes": sets}
         if relations is not None:
             fields["relations"] = [
@@ -442,7 +424,7 @@ def cmd_lattice(args, instance: Instance, kind: _Kind) -> int:
     else:
         for c in classes:
             sys.stdout.write(f"{c.value}:")
-            _write_sets(actions, reports[c].blocks, " {", "}")
+            _write_sets(reports[c], " {", "}")
             sys.stdout.write("\n")
         if relations is not None:
             for text in violated:
@@ -710,6 +692,10 @@ def main(argv: list[str] | None = None) -> int:
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # refused once the handler lets go of the frames holding the memory
+    print("refused: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

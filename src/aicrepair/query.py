@@ -4,19 +4,18 @@ A query is a conjunction of propositional literals. Its status under a
 repair or revision class is determined by where it holds among all repaired
 databases: everywhere (true), nowhere (false), or some but not all
 (unknown). An instance without any repairs in the chosen class gets its own
-verdict instead of a vacuous "true".
+verdict instead of a vacuous "true". The counts are the class's report's
+own (:class:`repairs.Report`); this module only words the verdict.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable
 
-from .model import AicRule, Limits, Literal, Universe
-from .repairs import RepairClass, _Compiled, _compile, enumerate_repairs
+from .model import Limits, Literal, Universe
+from .repairs import RepairClass, enumerate_repairs
 from .revisions import RevisionClass, enumerate_revisions
 
 
@@ -47,16 +46,9 @@ def cqa(
 ) -> CqaVerdict:
     """Evaluate a conjunctive query against every repaired database of the
     chosen class. Query atoms must lie in ``universe`` when one is given.
-    The query is compiled over the positions of the report as the body of
-    the constraint ``query -> false``, so it holds in the database
-    repaired by the mask ``x`` exactly when ``x & m == f``. The members
-    are never listed: they are the unions of one mask per block, one block
-    per range of positions that no rule crosses. A block owns the bits its
-    masks hold, and no member holds a bit that no block owns. So the query
-    holds in a union exactly when it needs no unowned bit flipped and its
-    bits on each block's own bits hold in that block's mask. ``holding``
-    is the product, over the blocks, of the masks where the query's bits
-    on the block hold, and ``total`` the product of the block sizes."""
+    The members are never listed: ``total`` is the report's ``size`` and
+    ``holding`` its count of the members where the query holds
+    (:meth:`repairs.Report.holding`), both read per block."""
     query = frozenset(query)
     if universe is not None:
         universe.require((l.atom for l in query), "query")
@@ -68,17 +60,7 @@ def cqa(
     total = report.size
     if not total:
         return CqaVerdict(CqaStatus.NO_REPAIRS, 0, 0)
-    rules = _compile(db, (AicRule(query, frozenset()),), report.actions)
-    clauses = _Compiled(rules).clauses
-    m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
-    holding, owned = 1, 0
-    for block in report.blocks:
-        own = reduce(or_, block)
-        fails = f & own
-        holding *= sum(1 for x in block if x & m == fails)
-        owned |= own
-    if f & ~owned:
-        holding = 0
+    holding = report.holding(db, query)
     if holding == total:
         status = CqaStatus.TRUE
     elif holding == 0:

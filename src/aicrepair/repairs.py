@@ -18,15 +18,16 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, or_
 from typing import Iterable
 
 from .errors import NotNormalProgram
 from .model import (
     AicProgram,
+    AicRule,
     Limits,
     Universe,
     apply_update,
@@ -353,21 +354,23 @@ class Report:
 
     The members are masks over ``actions``, the essential actions the
     engine searched, in universe order (their revision literals when
-    ``semantics`` is a revision class): bit ``i`` stands for
-    ``actions[i]``. ``blocks`` holds the members as a product: per range
-    of positions that no rule crosses (:func:`_split`), lowest
-    first, the masks over it in canonical order; the members are the
-    unions of one mask per block (:func:`model._product`). Every report of
-    one engine call shares its ``actions`` and its ranges, and a class
-    with no member is ``((),)``, so two classes are equal exactly when
-    their blocks are. ``size``, the number of members, is the product of
-    the block sizes. ``sets``, the members as frozensets in canonical
-    order, is built on first read, and reading it builds the whole
-    product. ``examined`` counts the candidate sets the engine visited for
-    the request, summed over the ranges: the sets the repair trees visit,
-    when a change-minimal class is asked for, plus, when a weak class is,
-    ``2**k`` for each truth table the clause search reads over ``k``
-    positions, since a table decides all its rows at once."""
+    ``semantics`` is a revision class, their atoms for answer sets): bit
+    ``i`` stands for ``actions[i]``. ``blocks`` holds the members as a
+    product: per range of positions that no rule crosses (:func:`_split`),
+    lowest first, the masks over it in canonical order; the members are
+    the unions of one mask per block (:func:`model._product`). Every
+    report of one engine call shares its ``actions`` and its ranges, and a
+    class with no member is ``((),)``, so two classes are equal exactly
+    when their blocks are. ``examined`` counts the candidate sets the
+    engine visited for the request, summed over the ranges: the sets the
+    repair trees visit, when a change-minimal class is asked for, plus,
+    when a weak class is, ``2**k`` for each truth table the clause search
+    reads over ``k`` positions, since a table decides all its rows at once.
+
+    Every question about the members but their listing is answered here
+    from the blocks, never from their product: ``size``, ``<=``,
+    ``flipped`` and ``holding``. ``sets``, the members as frozensets in
+    canonical order, is built on first read, which builds the product."""
 
     semantics: enum.Enum
     actions: tuple
@@ -381,6 +384,35 @@ class Report:
     @cached_property
     def sets(self) -> tuple[frozenset, ...]:
         return tuple(members(self.actions, _product(self.blocks)))
+
+    def __le__(self, other: Report) -> bool:
+        """Containment in ``other``, a report of the same engine call: no
+        member, or each block inside ``other``'s block over its range."""
+        pairs = zip(self.blocks, other.blocks)
+        return not self.size or all(set(x) <= set(y) for x, y in pairs)
+
+    @property
+    def flipped(self) -> int:
+        """The positions some member flips, ``0`` when there is none."""
+        return reduce(or_, chain.from_iterable(self.blocks), 0) if self.size else 0
+
+    def holding(self, db: frozenset[str], query) -> int:
+        """The members at which the conjunction ``query`` holds in ``db``
+        repaired. Compiled as the body of ``query -> false``, it holds at
+        ``x`` when ``x & m == f``. No member flips a bit that no block's
+        masks hold, so the count is 0 when ``f`` needs one, else the
+        product over the blocks of the masks at which ``m`` and ``f``
+        agree on the bits the block's masks hold."""
+        rules = _compile(db, (AicRule(frozenset(query), frozenset()),), self.actions)
+        clauses = _Compiled(rules).clauses
+        m, f = clauses[0] if clauses else (0, 1)  # (0, 1): a query that never holds
+        if f & ~self.flipped:
+            return 0
+        count = 1
+        for block in self.blocks:
+            fails = f & reduce(or_, block, 0)
+            count *= sum(1 for x in block if x & m == fails)
+        return count
 
 
 def enumerate_classes(

@@ -184,6 +184,23 @@ def lp_program(
     return tuple(lp_rule(rnd, atoms, normal) for _ in range(rnd.randint(*rules)))
 
 
+def sparse_lp(rnd: random.Random, atoms, normal: bool = True) -> tuple[LpRule, ...]:
+    """One rule per atom ``q``, ``q :- x, y.``, ``x`` and ``y`` two other
+    atoms, each negated with probability 0.6. Unless ``normal``, a third
+    atom joins the head now and then. On enough atoms its encoding is one
+    connected part."""
+    program = []
+    for q in atoms:
+        others = [a for a in atoms if a != q]
+        body = rnd.sample(others, 2)
+        neg = {a for a in body if rnd.random() < 0.6}
+        head = {q}
+        if not normal and len(others) > 2 and rnd.random() < 0.3:
+            head.add(rnd.choice([a for a in others if a not in body]))
+        program.append(LpRule(head, set(body) - neg, neg))
+    return tuple(program)
+
+
 def action_set(rnd: random.Random, atoms, p: float = 0.5) -> frozenset[UpdateAction]:
     """A random consistent set of update actions, at most one per atom."""
     return frozenset(

@@ -20,9 +20,11 @@ rebuilds its instance.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
+from array import array
 from bisect import bisect_right
 from pathlib import Path
 
@@ -1729,3 +1731,100 @@ def test_the_split_partitions_the_compiled_rules():
             if (0, 0, 0, 0) in rules:
                 assert report.blocks == ((),), f"{seed}: {cls.value}"
     assert min(counts.values()) >= SPLIT_INSTANCES // 4, counts
+
+
+# ---------------------------------------------------------------------------
+# Gate 15: renaming the atoms maps every class onto the renamed one
+#
+# A seeded permutation of the atom names moves universe order, so the
+# components of an instance interleave and its classes are searched over
+# other ranges, but each class must be the renamed one. Per class the gate
+# compares what ``Report`` answers (``size``, ``holding`` of a renamed
+# query, ``lattice --verify``'s relation values) and the renamed members,
+# as sorted masks over the renamed side's actions: as lists up to
+# ``RENAMING_SETS`` members, above that by their sha256, taken a slice at
+# a time. The weak classes of components past 24 atoms have millions of
+# members on one interleaved range, so there only the change-minimal
+# classes are compared.
+
+RENAMING_SETS = 10**5
+CHANGE_MINIMAL = [c for c in RepairClass if repairs._TABLE[c][2]]
+
+
+def _renaming_instances():
+    """``(where, atoms, db, program, classes)``: ``gen.connected_aic`` at
+    16-20 atoms and ``gen.components_aic`` at 24-30, under
+    ``gen.violating``, with the classes compared."""
+    for n in (16, 18, 20):
+        rnd = random.Random(f"renaming/connected/{n}")
+        atoms = gen.atom_pool(rnd, n)
+        program = gen.connected_aic(rnd, atoms, n)
+        db = gen.violating(gen.database(rnd, atoms), program)
+        yield f"connected {n}", atoms, db, program, list(RepairClass)
+    for parts, classes in (
+        ((12, 12), list(RepairClass)),
+        ((9, 9, 9), CHANGE_MINIMAL),
+        ((10, 10, 10), CHANGE_MINIMAL),
+    ):
+        rnd = random.Random(f"renaming/components/{parts}")
+        atoms, db, program = gen.components_aic(rnd, parts, 0)
+        yield f"components {parts}", atoms, gen.violating(db, program), program, classes
+
+
+def _masks_onto(report: repairs.Report, onto: repairs.Report, to: dict) -> list[int]:
+    """The members of ``report`` renamed by ``to``, as masks over the
+    actions of ``onto``, sorted as integers."""
+    index = {a: i for i, a in enumerate(onto.actions)}
+    bits = [1 << index[a._replace(atom=to[a.atom])] for a in report.actions]
+    out = [0]
+    for block in report.blocks:
+        moved = [sum(b for i, b in enumerate(bits) if x >> i & 1) for x in block]
+        out = [u | v for u in out for v in moved]
+    return sorted(out)
+
+
+def _digest(masks: list[int]) -> str:
+    h = hashlib.sha256()
+    for s in range(0, len(masks), 4096):
+        h.update(array("Q", masks[s:s + 4096]).tobytes())
+    return h.hexdigest()
+
+
+def _lattice_relations(db, program, universe, limits) -> list[tuple[str, bool]]:
+    """What ``lattice --verify`` computes on the instance."""
+    classes = list(RepairClass)
+    base = repairs.enumerate_classes(db, program, classes, universe, limits)
+    normalized = transforms.normalize_aic(program)
+    norm = repairs.enumerate_classes(db, normalized, classes[:4], universe, limits)
+    return cli._relations(base, norm, classes)
+
+
+def test_renaming_maps_every_class_onto_the_renamed_one():
+    big = 0
+    for where, atoms, db, program, classes in _renaming_instances():
+        rnd = random.Random(where)
+        names = list(atoms)
+        rnd.shuffle(names)
+        to = dict(zip(atoms, names))
+        rdb, rprogram = frozenset(to[a] for a in db), _renamed(program, to)
+        query = [Literal(a, rnd.random() < 0.5) for a in rnd.sample(atoms, 2)]
+        rquery = [l._replace(atom=to[l.atom]) for l in query]
+        universe, limits = Universe(atoms), Limits(len(atoms))
+        reports = repairs.enumerate_classes(db, program, classes, universe, limits)
+        renamed = repairs.enumerate_classes(rdb, rprogram, classes, universe, limits)
+        assert {len(r.blocks) for r in renamed.values()} == {1}, where
+        for cls in classes:
+            at = f"{where}: {cls.value}"
+            rep, rrep = reports[cls], renamed[cls]
+            assert rep.size == rrep.size, at
+            assert rep.holding(db, query) == rrep.holding(rdb, rquery), at
+            got, want = _masks_onto(rep, rrep, to), sorted(model._product(rrep.blocks))
+            if rep.size > RENAMING_SETS:
+                big += 1
+                got, want = _digest(got), _digest(want)
+            assert got == want, at
+        if len(classes) == len(RepairClass):
+            relations = _lattice_relations(db, program, universe, limits)
+            assert relations == _lattice_relations(rdb, rprogram, universe, limits), where
+            assert all(holds for _, holds in relations), where
+    assert big

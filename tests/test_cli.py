@@ -34,7 +34,7 @@ import argv_forms
 import engine_corpus
 import gen
 import oracles
-from aicrepair import cli, model, repairs, transforms
+from aicrepair import asp, cli, model, repairs, transforms
 from aicrepair.repairs import RepairClass
 from aicrepair.revisions import RevisionClass
 from aicrepair.syntax import Instance, format_set, print_instance
@@ -783,6 +783,12 @@ def _writer_case(width: int) -> tuple[tuple, list[int]]:
     return actions, hits
 
 
+def _listing(actions, blocks):
+    """The listing writer over a report whose members are the product of
+    ``blocks`` over ``actions``."""
+    return functools.partial(cli._write_sets, repairs.Report(None, actions, blocks, 0))
+
+
 def test_listing_writer_matches_the_definitional_printer(capsys):
     for width in WRITER_WIDTHS:
         actions, hits = _writer_case(width)
@@ -792,10 +798,10 @@ def test_listing_writer_matches_the_definitional_printer(capsys):
         for n in WRITER_COUNTS:
             where = f"width {width}, {n} hits"
             for before, after in (("", "\n"), (" ", "")):
-                cli._write_sets(actions, [hits[:n]], before + "{", "}" + after)
+                _listing(actions, [hits[:n]])(before + "{", "}" + after)
                 want = "".join(before + text + after for text in texts[:n])
                 assert capsys.readouterr().out == want, where
-            listing = functools.partial(cli._write_sets, actions, [hits[:n]])
+            listing = _listing(actions, [hits[:n]])
             cli._print_json(**{"class": "weak-repair"}, sets=listing)
             want = {"schema": 1, "class": "weak-repair", "sets": names[:n]}
             assert capsys.readouterr().out == json.dumps(want) + "\n", where
@@ -804,8 +810,8 @@ def test_listing_writer_matches_the_definitional_printer(capsys):
     actions, hits = _writer_case(9)
     fields = {
         "classes": {
-            "a": functools.partial(cli._write_sets, actions, [hits[:3]]),
-            "b": functools.partial(cli._write_sets, actions, [[]]),
+            "a": _listing(actions, [hits[:3]]),
+            "b": _listing(actions, [[]]),
         },
         "relations": [{"relation": "a <= b", "holds": False}],
     }
@@ -879,7 +885,7 @@ def test_products_print_as_their_folded_masks(monkeypatch):
         texts = [format_set(s) for s in sets]
         for before, after in (("", "\n"), (" ", "")):
             sink.writes.clear()
-            cli._write_sets(actions, blocks, before + "{", "}" + after)
+            _listing(actions, blocks)(before + "{", "}" + after)
             want = "".join(before + text + after for text in texts)
             assert "".join(sink.writes) == want, where
             rows = [text.count("{") for text in sink.writes]
@@ -887,7 +893,7 @@ def test_products_print_as_their_folded_masks(monkeypatch):
             assert all(n == cli._SLICE for n in rows[:-1]), where
             assert not rows or 0 < rows[-1] <= cli._SLICE, where
         sink.writes.clear()
-        cli._print_json(sets=functools.partial(cli._write_sets, actions, blocks))
+        cli._print_json(sets=_listing(actions, blocks))
         want = {"schema": 1, "sets": [[str(x) for x in s] for s in sets]}
         assert "".join(sink.writes) == json.dumps(want) + "\n", where
 
@@ -932,7 +938,7 @@ def test_listings_print_in_slices_without_holding_the_rows(monkeypatch):
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            cli._write_sets(actions, blocks, "{", "}\n")
+            _listing(actions, blocks)("{", "}\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -977,6 +983,87 @@ def test_answer_sets_print_from_the_blocks(monkeypatch):
         assert (code, sum(sink.lines)) == (0, lines), fmt
         assert len(sink.lines) >= (1 << 20) // cli._SLICE, fmt
         assert peak < 8 * 2**20, f"{fmt}: {peak / 2**20:.2f} MiB"
+
+
+def test_running_out_of_memory_is_a_refusal():
+    """``sparse32.lp``, ``gen.sparse_lp``'s 32-atom program, encodes as one
+    connected part whose weak block outgrows 100 MB of address space.
+    Under that limit (``ulimit -v 100000``), set in the child process
+    alone, ``answer-sets`` is refused: exit 1, nothing on stdout and one
+    ``refused:`` line naming memory, where a MemoryError traceback escaped
+    before. The file has no ``.cmd``, so no replay runs it unbounded."""
+    pytest.importorskip("resource")
+    rnd = random.Random("lp/32")
+    program = gen.sparse_lp(rnd, gen.atom_pool(rnd, 32))
+    path = GOLDEN / "sparse32.lp"
+    assert path.read_text() == print_instance(Instance("lp", frozenset(), program))
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (100_000 * 1024,) * 2)\n"
+        "from aicrepair.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = run_python(["-c", limited, "answer-sets", str(path), "--max-atoms", "60"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "refused: out of memory\n")
+
+
+def _layered_lp(rnd: random.Random, atoms, normal: bool) -> tuple:
+    """Per 4 atoms ``a, b, c, d``: a choice between ``a`` and ``b`` (``a
+    :- not b. b :- not a.``, or ``a | b.`` unless ``normal``), then ``c``
+    and ``d`` each the head of a rule whose body is two of the atoms
+    before it, each negated with probability 0.6. Each group has two
+    answer sets, so the program has ``2**(len(atoms) // 4)``."""
+    program = []
+    for k in range(0, len(atoms) - 3, 4):
+        a, b, c, d = atoms[k:k + 4]
+        if normal:
+            program += [asp.LpRule({a}, (), {b}), asp.LpRule({b}, (), {a})]
+        else:
+            program.append(asp.LpRule({a, b}, ()))
+        for q, below in ((c, [a, b]), (d, [a, b, c])):
+            body = rnd.sample(below, 2)
+            neg = {x for x in body if rnd.random() < 0.6}
+            program.append(asp.LpRule({q}, set(body) - neg, neg))
+    return tuple(program)
+
+
+def test_answer_sets_list_as_the_justified_weak_repairs_of_the_encoding(
+    tmp_path, capsys
+):
+    # answer-sets and repair list through one path. On seeded normal and
+    # disjunctive programs of 12-20 atoms, one connected (gen.sparse_lp)
+    # and one of 4-atom groups, the answer sets are the justified weak
+    # repairs of the program's encoding over the empty database, each
+    # +atom read as its atom, in text and in JSON.
+    jwr = RepairClass.JUSTIFIED_WEAK_REPAIR.value
+    listed = 0
+    for n in (12, 16, 20):
+        for normal in (True, False):
+            seed = f"listing/{n}/{normal}"
+            rnd = random.Random(seed)
+            atoms = gen.atom_pool(rnd, n)
+            universe = model.Universe(atoms)
+            for program in (gen.sparse_lp(rnd, atoms, normal), _layered_lp(rnd, atoms, normal)):
+                lp = tmp_path / "p.lp"
+                lp.write_text(print_instance(Instance("lp", frozenset(), program, universe)))
+                encoded = asp.aic_of_program(program)
+                aic = tmp_path / "p.aic"
+                aic.write_text(print_instance(Instance("aic", frozenset(), encoded, universe)))
+                bound = ["--max-atoms", str(n)]
+                code, text, _ = run(["answer-sets", str(lp), *bound], capsys)
+                assert code == 0, seed
+                code, want, _ = run(["repair", str(aic), "--class", jwr, *bound], capsys)
+                assert (code, text) == (0, want.replace("+", "")), seed
+                argv = ["answer-sets", str(lp), *bound, "--format", "json"]
+                code, out, _ = run(argv, capsys)
+                got = json.loads(out)
+                argv = ["repair", str(aic), "--class", jwr, *bound, "--format", "json"]
+                code, out, _ = run(argv, capsys)
+                sets = [[a.removeprefix("+") for a in s] for s in json.loads(out)["sets"]]
+                assert got == {"schema": 1, "sets": sets}, seed
+                assert text.count("\n") == len(sets), seed
+                listed += len(sets)
+    assert listed >= 2 * (8 + 16 + 32)
 
 
 #: The sha256 of ``repair wall42.aic --class repair --max-atoms 42``, which

@@ -406,3 +406,20 @@ def test_normalized_enumeration_reports_the_requested_class():
     db = frozenset({"a", "b"})
     report = enumerate_repairs(db, PAIR, RepairClass.JUSTIFIED_REPAIR_NORMALIZED)
     assert report.semantics is RepairClass.JUSTIFIED_REPAIR_NORMALIZED
+
+
+def test_report_reads_containment_and_flipped_positions_from_its_blocks():
+    # Report's <= and flipped read the blocks, never the product. On every
+    # pair of classes of one call they must agree with the members listed
+    # in full.
+    classes = list(RepairClass)
+    for name, atoms, db, program in gen.product_instances():
+        universe, limits = Universe(atoms), Limits(len(atoms))
+        reports = repairs.enumerate_classes(db, program, classes, universe, limits)
+        members = {c: set(rep.sets) for c, rep in reports.items()}
+        for c, rep in reports.items():
+            flips = set().union(*members[c])
+            want = sum(1 << i for i, a in enumerate(rep.actions) if a in flips)
+            assert rep.flipped == want, f"{name}: {c.value}"
+            for d, other in reports.items():
+                assert (rep <= other) == (members[c] <= members[d]), f"{name}: {c.value} {d.value}"
